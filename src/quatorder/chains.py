@@ -44,6 +44,7 @@ from .numth import (
     is_prime,
     is_square_unit,
     legendre,
+    prime_factors,
     solve_norm_equation,
     valuation,
 )
@@ -157,7 +158,8 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
                 continue
         ok = all(
             legendre(p, s) == 1
-            for s in _odd_prime_factors(n)
+            for s in prime_factors(n)
+            if s != 2
         )
         if not ok:
             continue
@@ -167,23 +169,6 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
     raise SearchExhaustedError(
         f"no auxiliary level <= {bound} for delta={delta}, p={p}, q={q}"
     )
-
-
-def _odd_prime_factors(n: int):
-    out = []
-    m = n
-    d = 3
-    while m % 2 == 0:
-        m //= 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _chain_vector(params: AlgebraParams) -> QuatElem:
@@ -377,6 +362,11 @@ def verify_chain(
     Returns the closed-form basis (annotated with the deepest oracle depth
     and the overall outcome) together with the detailed report.
     """
+    depths = tuple(sorted(depths))
+    if not depths or depths[0] < 1:
+        raise InvalidParametersError(
+            f"oracle depths must be a non-empty list of positive integers: {list(depths)}"
+        )
     cb = chain_closed_form(delta, q, p=p, aux_bound=aux_bound, prime_bound=prime_bound)
     params = cb.params
     report = Report()
@@ -398,7 +388,6 @@ def verify_chain(
         "closed form equals the exact kernel of the lower-left functional",
     )
 
-    depths = tuple(sorted(depths))
     oracles = {}
     for d in depths:
         oracles[d] = chain_oracle(params, q, d, k=k)
@@ -508,6 +497,10 @@ def verify_chain_family(
     Every pairwise intersection and the global one must be exactly Z*1; the
     only norm-one elements of Z*1 are 1 and -1.
     """
+    if len(set(qs)) < 2:
+        raise InvalidParametersError(
+            f"a chain family needs at least two distinct primes: {sorted(set(qs))}"
+        )
     params = _level_one(delta, p, prime_bound)
     report = Report()
     unit = ZLattice4.from_rows(

@@ -38,7 +38,7 @@ from .isomap import (
     verify_psi_inclusion,
 )
 from .numth import INFINITE_PLACE, find_a
-from .quat import AlgebraParams, hashimoto_basis, pretty
+from .quat import AlgebraParams, check_admissible_p, hashimoto_basis, pretty
 from .report import Report
 from .split import build_splitting, verify_splitting
 from .verify import (
@@ -140,6 +140,7 @@ def _report_lines(report: Report):
 
 def _params_from_args(args) -> AlgebraParams:
     if args.p is not None:
+        check_admissible_p(args.delta, args.level, args.p)
         return AlgebraParams(args.delta, args.level, args.p, find_a(args.delta, args.level, args.p))
     return AlgebraParams.create(args.delta, args.level, prime_bound=args.prime_bound)
 

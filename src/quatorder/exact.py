@@ -9,7 +9,7 @@ representative usable for equality tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import AmbientMismatchError, InvalidParametersError, NotAnOrderBasisError
 
@@ -253,10 +253,6 @@ class Mat2:
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def scalar(cls, x, zero) -> "Mat2":
-        return cls(x, zero, zero, x)
-
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
@@ -350,11 +346,14 @@ class ZLattice4:
         return [[x * f for x in r] for r in self.rows]
 
     def contains(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        w = [x * self.denom for x in v]
-        if any(x.denominator != 1 for x in w):
-            return False
-        w = [int(x) for x in w]
+        w = []
+        for x in vec:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            num, den = x.numerator * self.denom, x.denominator
+            if num % den:
+                return False
+            w.append(num // den)
         for row in self.rows:
             pc = next(j for j, x in enumerate(row) if x)
             if w[pc] % row[pc]:
@@ -419,17 +418,38 @@ class ZLattice4:
         return [[frac_to_str(x) for x in row] for row in self.basis()]
 
 
-def lattice_intersect(l1: ZLattice4, l2: ZLattice4) -> ZLattice4:
-    return l1.intersect(l2)
-
-
 # ---------------------------------------------------------------------------
 # trace forms
 
 
+def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
+    """Integer Gram matrix M and row scales d with tr(x_r·x_c) = M[r][c]/(d_r·d_c).
+
+    For x = a + b·i + c·j + d·k in (-dn, p | Q) the reduced trace of a product
+    is the diagonal form tr(x·y) = 2a a' - 2dn b b' + 2p c c' + 2p·dn d d', so
+    M = C·diag(2, -2dn, 2p, 2p·dn)·Cᵀ on the integer numerators C.
+    """
+    if not elems:
+        return [], []
+    params = elems[0].params
+    for u in elems:
+        if u.params != params:
+            raise InvalidParametersError("elements of different algebras")
+    dn, p = params.dn, params.p
+    weights = (2, -2 * dn, 2 * p, 2 * p * dn)
+    nums = [u.numerators for u in elems]
+    weighted = [[w * n for w, n in zip(weights, row)] for row in nums]
+    gram = [[sum(a * b for a, b in zip(wr, row)) for row in nums] for wr in weighted]
+    return gram, [u.denominator for u in elems]
+
+
 def gram_trace_matrix(elems) -> list[list[Fraction]]:
     """Gram matrix of reduced traces tr(x·y) for a list of elements."""
-    return [[(x * y).reduced_trace() for y in elems] for x in elems]
+    gram, dens = _scaled_gram(elems)
+    return [
+        [Fraction(g, dr * dc) for g, dc in zip(row, dens)]
+        for row, dr in zip(gram, dens)
+    ]
 
 
 def reduced_discriminant(elems) -> int:
@@ -440,7 +460,8 @@ def reduced_discriminant(elems) -> int:
     """
     if len(elems) != 4:
         raise NotAnOrderBasisError("need exactly four elements")
-    d = det_frac(gram_trace_matrix(elems))
+    gram, dens = _scaled_gram(elems)
+    d = Fraction(det_int(gram), prod(dens) ** 2)
     if d == 0:
         raise NotAnOrderBasisError("degenerate trace form")
     if d.denominator != 1 or not is_perfect_square(abs(int(d))):

@@ -11,6 +11,13 @@ For Δ > 1 the order R(N) has the basis
 
 with a²ΔN ≡ -1 (mod p); the degenerate model Δ = 1 uses p = 1, a = 0 and
 e₄ = N·j + k.
+
+Elements are integer-scaled: x + y·i + z·j + t·k is stored as four int
+numerators over one positive common denominator, reduced by their gcd, so
+the representation is canonical.  Sums, products, conjugates, norms and
+traces run in integer arithmetic and divide once; ``.x/.y/.z/.t`` and
+``coefficients()`` hand out ``Fraction`` values for the public API.  Every
+order-basis denominator divides 2p, so the common denominator stays small.
 """
 
 from __future__ import annotations
@@ -18,11 +25,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import numth
 from .errors import InvalidParametersError
 from .exact import ZLattice4, frac_to_str, reduced_discriminant
+
+
+def check_admissible_p(delta: int, level: int, p: int) -> None:
+    """Raise InvalidParametersError naming the first condition p fails for (Δ, N).
+
+    Δ and N are validated first.  For Δ > 1 the prime p must be ≡ 1 (mod 4),
+    ≡ 5 (mod 8) when Δ is even, ≡ 1 (mod 8) when N is even, coprime to ΔN,
+    a non-residue at every odd prime of Δ and a residue at every odd prime
+    of N; the split algebra Δ = 1 uses p = 1.
+    """
+    numth._validate_delta_level(delta, level)
+    if delta == 1:
+        if p != 1:
+            raise InvalidParametersError("the split algebra uses p = 1, a = 0")
+        return
+    if not numth.is_prime(p) or p % 4 != 1:
+        raise InvalidParametersError(f"p = {p} must be a prime ≡ 1 (mod 4)")
+    if delta % 2 == 0 and p % 8 != 5:
+        raise InvalidParametersError(f"p = {p} must be ≡ 5 (mod 8) when the discriminant is even")
+    if level % 2 == 0 and p % 8 != 1:
+        raise InvalidParametersError(f"p = {p} must be ≡ 1 (mod 8) when the level is even")
+    if gcd(p, delta * level) != 1:
+        raise InvalidParametersError(f"p = {p} must not divide ΔN = {delta * level}")
+    for ell in numth.prime_factors(delta):
+        if ell != 2 and numth.legendre(p, ell) != -1:
+            raise InvalidParametersError(f"p = {p} must be a non-residue mod {ell}")
+    for ell in numth.prime_factors(level):
+        if ell != 2 and numth.legendre(p, ell) != 1:
+            raise InvalidParametersError(f"p = {p} must be a residue mod {ell}")
 
 
 @dataclass(frozen=True)
@@ -35,26 +71,12 @@ class AlgebraParams:
     a: int
 
     def __post_init__(self):
-        numth._validate_delta_level(self.delta, self.level)
+        check_admissible_p(self.delta, self.level, self.p)
         if self.delta == 1:
-            if self.p != 1 or self.a != 0:
+            if self.a != 0:
                 raise InvalidParametersError("the split algebra uses p = 1, a = 0")
             return
         p = self.p
-        if not numth.is_prime(p) or p % 4 != 1:
-            raise InvalidParametersError(f"p = {p} must be a prime ≡ 1 (mod 4)")
-        if self.delta % 2 == 0 and p % 8 != 5:
-            raise InvalidParametersError(f"p = {p} must be ≡ 5 (mod 8) when the discriminant is even")
-        if self.level % 2 == 0 and p % 8 != 1:
-            raise InvalidParametersError(f"p = {p} must be ≡ 1 (mod 8) when the level is even")
-        if gcd(p, self.delta * self.level) != 1:
-            raise InvalidParametersError("p must not divide ΔN")
-        for ell in numth.prime_factors(self.delta):
-            if ell != 2 and numth.legendre(p, ell) != -1:
-                raise InvalidParametersError(f"p must be a non-residue mod {ell}")
-        for ell in numth.prime_factors(self.level):
-            if ell != 2 and numth.legendre(p, ell) != 1:
-                raise InvalidParametersError(f"p must be a residue mod {ell}")
         if not 0 <= self.a < p:
             raise InvalidParametersError("a must be reduced into [0, p)")
         if (self.a * self.a * self.delta * self.level + 1) % p:
@@ -76,34 +98,97 @@ class AlgebraParams:
 
 
 class QuatElem:
-    """Element x + y·i + z·j + t·k with exact rational coefficients."""
+    """Element x + y·i + z·j + t·k with exact rational coefficients.
 
-    __slots__ = ("params", "x", "y", "z", "t")
+    Stored integer-scaled: four int numerators over one positive common
+    denominator, reduced so the five share no factor.  The representation is
+    canonical, so equality and hashing compare the stored ints.
+    """
+
+    __slots__ = ("params", "_num", "_den")
 
     def __init__(self, params: AlgebraParams, x, y, z, t):
         self.params = params
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.z = Fraction(z)
-        self.t = Fraction(t)
+        if type(x) is int and type(y) is int and type(z) is int and type(t) is int:
+            self._num = (x, y, z, t)
+            self._den = 1
+            return
+        fs = (Fraction(x), Fraction(y), Fraction(z), Fraction(t))
+        den = lcm(*[f.denominator for f in fs])
+        self._num = tuple(f.numerator * (den // f.denominator) for f in fs)
+        self._den = den
+
+    @classmethod
+    def _scaled(cls, params: AlgebraParams, a: int, b: int, c: int, d: int, den: int) -> "QuatElem":
+        """(a + b·i + c·j + d·k)/den for den > 0, reduced by the common gcd."""
+        g = gcd(a, b, c, d, den)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        out = object.__new__(cls)
+        out.params = params
+        out._num = (a, b, c, d)
+        out._den = den
+        return out
+
+    @property
+    def numerators(self) -> tuple[int, int, int, int]:
+        """The four integer numerators, over ``denominator``."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._num[0], self._den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._num[1], self._den)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self._num[2], self._den)
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self._num[3], self._den)
 
     def _check(self, other: "QuatElem"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise InvalidParametersError("elements of different algebras")
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z, self.t)
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
 
     def __add__(self, other):
+        a, b, c, d = self._num
+        den = self._den
         if isinstance(other, QuatElem):
             self._check(other)
-            return QuatElem(self.params, self.x + other.x, self.y + other.y, self.z + other.z, self.t + other.t)
-        return QuatElem(self.params, self.x + Fraction(other), self.y, self.z, self.t)
+            a2, b2, c2, d2 = other._num
+            den2 = other._den
+            if den == den2:
+                return QuatElem._scaled(self.params, a + a2, b + b2, c + c2, d + d2, den)
+            return QuatElem._scaled(
+                self.params,
+                a * den2 + a2 * den, b * den2 + b2 * den,
+                c * den2 + c2 * den, d * den2 + d2 * den,
+                den * den2,
+            )
+        s = Fraction(other)
+        sd = s.denominator
+        return QuatElem._scaled(
+            self.params, a * sd + s.numerator * den, b * sd, c * sd, d * sd, den * sd
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuatElem(self.params, -self.x, -self.y, -self.z, -self.t)
+        a, b, c, d = self._num
+        return QuatElem._scaled(self.params, -a, -b, -c, -d, self._den)
 
     def __sub__(self, other):
         if isinstance(other, QuatElem):
@@ -115,20 +200,24 @@ class QuatElem:
         return (-self) + other
 
     def __mul__(self, other):
+        a1, b1, c1, d1 = self._num
         if not isinstance(other, QuatElem):
-            c = Fraction(other)
-            return QuatElem(self.params, self.x * c, self.y * c, self.z * c, self.t * c)
+            s = Fraction(other)
+            n = s.numerator
+            return QuatElem._scaled(
+                self.params, a1 * n, b1 * n, c1 * n, d1 * n, self._den * s.denominator
+            )
         self._check(other)
-        dn = self.params.dn
-        p = self.params.p
-        x1, y1, z1, t1 = self.coefficients()
-        x2, y2, z2, t2 = other.coefficients()
-        return QuatElem(
-            self.params,
-            x1 * x2 - dn * y1 * y2 + p * z1 * z2 + p * dn * t1 * t2,
-            x1 * y2 + y1 * x2 - p * z1 * t2 + p * t1 * z2,
-            x1 * z2 + z1 * x2 - dn * y1 * t2 + dn * t1 * y2,
-            x1 * t2 + t1 * x2 + y1 * z2 - z1 * y2,
+        params = self.params
+        dn, p = params.dn, params.p
+        a2, b2, c2, d2 = other._num
+        return QuatElem._scaled(
+            params,
+            a1 * a2 - dn * b1 * b2 + p * c1 * c2 + p * dn * d1 * d2,
+            a1 * b2 + b1 * a2 - p * c1 * d2 + p * d1 * c2,
+            a1 * c2 + c1 * a2 - dn * b1 * d2 + dn * d1 * b2,
+            a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+            self._den * other._den,
         )
 
     def __rmul__(self, other):
@@ -147,24 +236,27 @@ class QuatElem:
         return out
 
     def conj(self) -> "QuatElem":
-        return QuatElem(self.params, self.x, -self.y, -self.z, -self.t)
+        a, b, c, d = self._num
+        return QuatElem._scaled(self.params, a, -b, -c, -d, self._den)
 
     def reduced_norm(self) -> Fraction:
         dn, p = self.params.dn, self.params.p
-        return self.x**2 + dn * self.y**2 - p * self.z**2 - p * dn * self.t**2
+        a, b, c, d = self._num
+        return Fraction(a * a + dn * b * b - p * c * c - p * dn * d * d, self._den**2)
 
     def reduced_trace(self) -> Fraction:
-        return 2 * self.x
+        return Fraction(2 * self._num[0], self._den)
 
     def __eq__(self, other):
         return (
             isinstance(other, QuatElem)
             and self.params == other.params
-            and self.coefficients() == other.coefficients()
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self):
-        return hash((self.params, self.coefficients()))
+        return hash((self.params, self._num, self._den))
 
     def __repr__(self):
         return f"QuatElem({self})"
@@ -200,10 +292,8 @@ def gens(params: AlgebraParams) -> tuple[QuatElem, QuatElem, QuatElem]:
 
 def pretty(u: QuatElem) -> str:
     """Common-denominator rendering, e.g. (525j+k)/13 or (-5+i-5j+k)/2."""
-    from math import lcm
-
-    den = lcm(*[c.denominator for c in u.coefficients()])
-    nums = [int(c * den) for c in u.coefficients()]
+    den = u.denominator
+    nums = u.numerators
     if not any(nums):
         return "0"
     parts = []
@@ -241,17 +331,19 @@ def hashimoto_basis(params: AlgebraParams) -> tuple[QuatElem, QuatElem, QuatElem
 def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Coefficients (c₁..c₄) of u over the order basis; always solvable."""
     params = u.params
-    c3 = 2 * u.y
+    x, y, z, t = u.numerators
+    den = u.denominator
+    w = t - y
     if params.delta == 1:
-        c4 = u.t - u.y
-        c2 = 2 * u.z - 2 * params.level * c4
-        c1 = u.x - u.z + params.level * c4
+        m, c4 = params.level, w
     else:
-        adn = Fraction(params.a * params.dn)
-        c4 = params.p * (u.t - u.y)
-        c2 = 2 * u.z - 2 * adn * (u.t - u.y)
-        c1 = u.x - u.z + adn * (u.t - u.y)
-    return (c1, c2, c3, c4)
+        m, c4 = params.a * params.dn, params.p * w
+    return (
+        Fraction(x - z + m * w, den),
+        Fraction(2 * z - 2 * m * w, den),
+        Fraction(2 * y, den),
+        Fraction(c4, den),
+    )
 
 
 def element_from_coords(params: AlgebraParams, coords) -> QuatElem:

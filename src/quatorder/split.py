@@ -19,8 +19,9 @@ q-adic accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import (
@@ -57,6 +58,12 @@ ALL_CASES = (
     CASE_RAMIFIED,
     CASE_ARCHIMEDEAN,
 )
+
+
+@lru_cache(maxsize=256)
+def _radicand(rad: int, q: int, prec: int) -> PadicNum:
+    """The radicand lifted to q-adic precision prec (shared, never mutated)."""
+    return PadicNum.from_rational(rad, q, prec)
 
 
 class PadicQuad:
@@ -124,7 +131,7 @@ class PadicQuad:
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        rad = PadicNum.from_rational(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
+        rad = _radicand(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
         return PadicQuad(
             self.a * o.a + rad * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -137,7 +144,7 @@ class PadicQuad:
         return PadicQuad(self.a, -self.b, self.rad)
 
     def norm(self) -> PadicNum:
-        rad = PadicNum.from_rational(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
+        rad = _radicand(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
         return self.a * self.a - rad * self.b * self.b
 
     def is_zero_mod(self, m: int) -> bool:
@@ -161,7 +168,7 @@ class PadicQuad:
             b = b / den
         if not ((a + a).val_at_least(0) and (b + b).val_at_least(0)):
             return False
-        rad = PadicNum.from_rational(self.rad, q, max(a.prec, b.prec, 1))
+        rad = _radicand(self.rad, q, max(a.prec, b.prec, 1))
         return (a * a - rad * b * b).val_at_least(0)
 
     def __repr__(self) -> str:
@@ -242,10 +249,21 @@ class LocalSplitting:
     mat_k: Mat2
     data: dict
     shape: OrderShape
+    # Lifted scalars by rational value, and the identity matrix; coefficient
+    # ring elements are never mutated, so sharing them is safe.
+    _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _one: Mat2 | None = field(default=None, init=False, repr=False, compare=False)
 
     def scalar(self, value: Fraction):
         """Lift a rational coefficient into the splitting's coefficient ring."""
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        lifted = self._scalars.get(value)
+        if lifted is None:
+            lifted = self._scalars[value] = self._lift(value)
+        return lifted
+
+    def _lift(self, value: Fraction):
         if self.case in (CASE_RATIONAL,):
             return value
         if self.case == CASE_ARCHIMEDEAN:
@@ -260,9 +278,11 @@ class LocalSplitting:
         return PadicNum.from_rational(value, q, self.precision)
 
     def one(self) -> Mat2:
-        s1 = self.scalar(Fraction(1))
-        s0 = self.scalar(Fraction(0))
-        return Mat2(s1, s0, s0, s1)
+        if self._one is None:
+            s1 = self.scalar(Fraction(1))
+            s0 = self.scalar(Fraction(0))
+            self._one = Mat2(s1, s0, s0, s1)
+        return self._one
 
     def embed(self, u: QuatElem) -> Mat2:
         """Image of u = x + y i + z j + t k as a 2x2 matrix."""
@@ -547,8 +567,13 @@ def verify_splitting(
         )
 
     # Trace form of the order basis, with traces read off the matrix images so
-    # the check exercises the map: det equals -(dn)^2.
-    gram = [[(images[r] * images[c]).trace() for c in range(4)] for r in range(4)]
+    # the check exercises the map: det equals -(dn)^2.  tr(AB) = Σ a_ij·b_ji
+    # summed as the trace of the full product would be; the form is symmetric.
+    gram = [[None] * 4 for _ in range(4)]
+    for r, a in enumerate(images):
+        for c in range(r, 4):
+            b = images[c]
+            gram[r][c] = gram[c][r] = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
     det = _det4(gram)
     target = s.scalar(Fraction(-(dn**2)))
     report.add(
@@ -573,7 +598,3 @@ def verify_splitting(
 
     return report
 
-
-def splitting_cases(params: AlgebraParams, places) -> dict:
-    """Map each requested place to its case label (for reporting)."""
-    return {pl: classify_place(params, pl) for pl in places}

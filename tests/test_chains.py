@@ -183,3 +183,16 @@ def test_json_payload():
     assert blob["oracle_depth"] == 8
     assert blob["stabilized"] is True
     assert blob["basis"] == ["1", "-525-i"]
+
+
+def test_family_needs_two_distinct_primes():
+    with pytest.raises(InvalidParametersError, match="two distinct primes"):
+        verify_chain_family(35, (3, 3))
+    with pytest.raises(InvalidParametersError):
+        verify_chain_family(35, (3,))
+
+
+def test_verify_chain_rejects_bad_depths():
+    for depths in ((), (0, 8), (-1,)):
+        with pytest.raises(InvalidParametersError, match="positive integers"):
+            verify_chain(35, 19, depths=depths)

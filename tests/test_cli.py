@@ -170,3 +170,32 @@ def test_unknown_section_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--sections", "nonsense")
     assert code == 2
     assert "unknown section" in err
+
+
+@pytest.mark.parametrize("depths", ["", "0,8", "-2"])
+def test_chain_bad_depths_exit_two(capsys, depths):
+    code, out, err = run(capsys, "chain", "--delta", "35", "--q", "19", "--depths", depths)
+    assert code == 2
+    assert out == ""
+    assert "positive integers" in err
+    assert "Traceback" not in err
+
+
+def test_chain_family_duplicate_primes_exit_two(capsys):
+    code, out, err = run(
+        capsys, "chain", "--delta", "35", "--q", "19", "--family", "3,3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "two distinct primes" in err
+
+
+@pytest.mark.parametrize(
+    "p, reason",
+    [("17", "p = 17 must be a residue mod 3"), ("4", "p = 4 must be a prime ≡ 1 (mod 4)")],
+)
+def test_construct_inadmissible_p_exit_two(capsys, p, reason):
+    code, out, err = run(capsys, "construct", "--delta", "35", "--level", "3", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {reason}\n"

@@ -7,6 +7,7 @@ from quatorder.errors import InvalidParametersError
 from quatorder.quat import (
     AlgebraParams,
     QuatElem,
+    check_admissible_p,
     coefficient_lattice,
     coords_in_hashimoto,
     element_from_coords,
@@ -124,3 +125,21 @@ def test_pretty_formats():
     assert pretty(u) == "(-5+i-5j+k)/2"
     assert pretty(one(params)) == "1"
     assert pretty(one(params) * -1) == "-1"
+
+
+def test_admissible_p_rule_is_shared():
+    check_admissible_p(35, 3, 13)
+    check_admissible_p(1, 6, 1)
+    for (delta, level, p), reason in [
+        ((35, 3, 17), "p = 17 must be a residue mod 3"),
+        ((35, 3, 4), "p = 4 must be a prime ≡ 1 (mod 4)"),
+        ((35, 1, 5), "p = 5 must not divide ΔN = 35"),
+        ((6, 1, 17), "p = 17 must be ≡ 5 (mod 8) when the discriminant is even"),
+        ((1, 6, 5), "the split algebra uses p = 1, a = 0"),
+    ]:
+        with pytest.raises(InvalidParametersError) as direct:
+            check_admissible_p(delta, level, p)
+        assert str(direct.value) == reason
+        with pytest.raises(InvalidParametersError) as via_params:
+            AlgebraParams(delta, level, p, 0)
+        assert str(via_params.value) == reason
