@@ -21,7 +21,7 @@ from .errors import (
     RamifiedPlaceError,
     SearchExhaustedError,
 )
-from .exact import QuadRat, ZLattice4, frac_from_str, frac_to_str
+from .exact import QuadRat, ZLattice4, frac_to_str
 from .numth import (
     INFINITE_PLACE,
     PadicNum,
@@ -120,7 +120,6 @@ __all__ = [
     "element_from_coords",
     "find_a",
     "find_hashimoto_prime",
-    "frac_from_str",
     "frac_to_str",
     "gens",
     "global_intersection",

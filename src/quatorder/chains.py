@@ -53,11 +53,13 @@ from .quat import (
     QuatElem,
     coefficient_lattice,
     coords_in_hashimoto,
+    coords_lattice,
     element_from_coords,
     hashimoto_basis,
     pretty,
 )
 from .report import Report
+from .split import at_p_root
 
 CHAIN_SQUARE = "square"
 CHAIN_AT_P = "at_p"
@@ -124,9 +126,7 @@ def _level_one(delta: int, p: int | None, prime_bound: int) -> AlgebraParams:
 
 
 def _neg_dn_is_q_square(dn: int, q: int) -> bool:
-    if q == 2:
-        return (-dn) % 8 == 1
-    return dn % q != 0 and legendre(-dn, q) == 1
+    return dn % q != 0 and is_square_unit(-dn, q)
 
 
 def classify_chain(params: AlgebraParams, q: int) -> str:
@@ -171,6 +171,12 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
     )
 
 
+def _aux_params(params: AlgebraParams, q: int, bound: int) -> AlgebraParams:
+    """The order at the auxiliary level of the chain at q (same delta and p)."""
+    n_aux = _aux_level(params, q, bound=bound)
+    return AlgebraParams(params.delta, n_aux, params.p, find_a(params.delta, n_aux, params.p))
+
+
 def _chain_vector(params: AlgebraParams) -> QuatElem:
     """The non-trivial closed-form generator -2*a*dn*e2 - 2*e3 + p*e4.
 
@@ -196,10 +202,9 @@ def chain_closed_form(
         return ChainBasis(params, q, case, (e1, e2))
     if case in (CHAIN_AT_P, CHAIN_DIRECT):
         return ChainBasis(params, q, case, (e1, _chain_vector(params)))
-    n_aux = _aux_level(params, q, bound=aux_bound)
-    params_n = AlgebraParams(delta, n_aux, params.p, find_a(delta, n_aux, params.p))
+    params_n = _aux_params(params, q, aux_bound)
     basis = (hashimoto_basis(params_n)[0], _chain_vector(params_n))
-    return ChainBasis(params_n, q, case, basis, aux_level=n_aux)
+    return ChainBasis(params_n, q, case, basis, aux_level=params_n.level)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +285,7 @@ def chain_kernel_exact(
         [int(c * den) for c in alpha],
         [int(c * den) for c in beta],
     ]
-    kernel_rows = right_kernel(rows)
-    return ZLattice4.from_rows(
-        kernel_rows, ambient=("coords", params.delta, params.level, params.p)
-    )
+    return coords_lattice(params, right_kernel(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +301,7 @@ def _qadic_ll(params: AlgebraParams, q: int, k: int):
 
     scale = pn(2 * p)
     if q == p:
-        s = hensel_sqrt(Fraction(-dn), p, k)
-        if (a * s.residue(1) + 1) % p != 0:
-            s = -s
+        s = at_p_root(params, k)
         coeffs = [pn(0), pn(Fraction(p, 2)), pn(Fraction(p, 2)) * s, pn(a * dn) + s]
     elif is_square_unit(p, q):
         omega = hensel_sqrt(p, q, k)
@@ -336,10 +336,7 @@ def chain_oracle(
     coeffs = _qadic_ll(params, q, k)
     modulus = q ** (depth + lam)
     residues = [c.residue(depth + lam) for c in coeffs]
-    rows = congruence_kernel([residues], modulus)
-    return ZLattice4.from_rows(
-        rows, ambient=("coords", params.delta, params.level, params.p)
-    )
+    return coords_lattice(params, congruence_kernel([residues], modulus))
 
 
 def _is_sublattice(sub: ZLattice4, sup: ZLattice4) -> bool:
@@ -436,15 +433,14 @@ def chain_lattice_level_one(
     case = classify_chain(params, q)
     if case != CHAIN_AUX:
         return chain_kernel_exact(params, q, prefer_y_zero=False)
-    n_aux = _aux_level(params, q, bound=aux_bound)
-    params_n = AlgebraParams(delta, n_aux, params.p, find_a(delta, n_aux, params.p))
+    params_n = _aux_params(params, q, aux_bound)
     lat_n = chain_kernel_exact(params_n, q, prefer_y_zero=False)
-    psi = build_psi(delta, n_aux, 1, p=params.p)
+    psi = build_psi(delta, params_n.level, 1, p=params.p)
     rows = []
     for row in lat_n.rows:
         u = element_from_coords(params_n, [Fraction(x, lat_n.denom) for x in row])
         rows.append(list(coords_in_hashimoto(psi.apply(u))))
-    return ZLattice4.from_rows(rows, ambient=("coords", delta, 1, params.p))
+    return coords_lattice(params, rows)
 
 
 def pairwise_intersections(
@@ -503,9 +499,7 @@ def verify_chain_family(
         )
     params = _level_one(delta, p, prime_bound)
     report = Report()
-    unit = ZLattice4.from_rows(
-        [[1, 0, 0, 0]], ambient=("coords", delta, 1, params.p)
-    )
+    unit = coords_lattice(params, [[1, 0, 0, 0]])
     pairs = pairwise_intersections(
         delta, qs, p=params.p, aux_bound=aux_bound, prime_bound=prime_bound
     )

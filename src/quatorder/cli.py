@@ -130,12 +130,13 @@ def _report_lines(report: Report):
         mark = "ok  " if c.ok else "FAIL"
         suffix = f"  ({c.witness})" if (not c.ok and c.witness) else ""
         lines.append(f"  {mark} {c.check_id}{suffix}")
-    n_fail = len(report.failures())
-    lines.append(
-        f"{len(report.checks)} checks, "
-        + ("all pass" if n_fail == 0 else f"{n_fail} FAILED")
-    )
+    lines.append(_summary_line(report))
     return lines
+
+
+def _summary_line(report: Report) -> str:
+    n_fail = len(report.failures())
+    return f"{len(report.checks)} checks, " + ("all pass" if n_fail == 0 else f"{n_fail} FAILED")
 
 
 def _params_from_args(args) -> AlgebraParams:
@@ -272,18 +273,14 @@ def _cmd_verify(args) -> int:
         prime_bound=args.prime_bound,
     )
     payload = {"verification": report.to_json()}
-    failures = report.failures()
     lines = []
     for c in report.checks:
         if c.check_id.endswith(".coverage") or c.check_id.startswith("numth."):
             lines.append(f"  {'ok  ' if c.ok else 'FAIL'} {c.check_id}  {c.witness}")
-    for c in failures:
+    for c in report.failures():
         suffix = f"  ({c.witness})" if c.witness else ""
         lines.append(f"  FAIL {c.check_id}{suffix}")
-    lines.append(
-        f"{len(report.checks)} checks, "
-        + ("all pass" if not failures else f"{len(failures)} FAILED")
-    )
+    lines.append(_summary_line(report))
     _emit(args, payload, lines)
     return 0 if report.passed else 1
 
@@ -326,29 +323,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_degeneracy)
 
     sp = sub.add_parser("psi", help="isomorphism between two levels")
-    sp.add_argument("--delta", type=int, required=True)
+    common(sp, level=False)
     sp.add_argument("--src", type=int, required=True, help="source level")
     sp.add_argument("--dst", type=int, required=True, help="destination level")
-    sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--w-bound", type=int, default=DEFAULT_CONIC_BOUND,
                     help="denominator bound for the conic search")
-    sp.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
     sp.add_argument("--seed", type=int, default=0, help="seed for sample checks")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_psi)
 
     sp = sub.add_parser("chain", help="chain intersection at a prime")
-    sp.add_argument("--delta", type=int, required=True)
+    common(sp, level=False)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--depths", type=str, default="8,10,12",
                     help="oracle depths, comma-separated")
     sp.add_argument("--aux-bound", type=int, default=200,
                     help="bound for the auxiliary-level search")
     sp.add_argument("--family", type=str, default=None,
                     help="comma-separated primes for the family triviality check")
-    sp.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_chain)
 
     sp = sub.add_parser("verify", help="full verification sweep")

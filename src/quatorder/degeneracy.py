@@ -24,28 +24,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CaseMismatchError,
-    InvalidParametersError,
-    PrecisionLossError,
-    RamifiedPlaceError,
-)
+from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
 from .exact import ZLattice4, congruence_kernel, reduced_discriminant
-from .numth import PadicNum, is_prime, is_square_unit, valuation
+from .numth import PadicNum, is_prime, valuation
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
     coords_in_hashimoto,
+    coords_lattice,
     hashimoto_basis,
     pretty,
+    unit_coords_lattice,
 )
 from .report import Report
-from .split import LocalSplitting, build_splitting
+from .split import (
+    CASE_AT_P,
+    CASE_RAMIFIED,
+    CASE_RATIONAL,
+    CASE_UNRAMIFIED_NONSQUARE,
+    CASE_UNRAMIFIED_SQUARE,
+    CHECK_MARGIN,
+    LocalSplitting,
+    build_splitting,
+    classify_place,
+)
 
 # Degeneracy case labels (a strict subset of the splitting cases).
 DEG_NONSQUARE = "nonsquare"
 DEG_SQUARE = "square"
 DEG_AT_P = "at_p"
+
+# Splitting case at q -> degeneracy case; the ramified case has no entry.
+_DEG_CASES = {
+    CASE_RATIONAL: DEG_SQUARE,
+    CASE_UNRAMIFIED_SQUARE: DEG_SQUARE,
+    CASE_UNRAMIFIED_NONSQUARE: DEG_NONSQUARE,
+    CASE_AT_P: DEG_AT_P,
+}
 
 
 @dataclass(frozen=True)
@@ -106,25 +121,16 @@ def classify_degeneracy(params: AlgebraParams, q: int) -> str:
     """Case label for the degeneracy at q, rejecting impossible primes.
 
     Ramified primes carry no level-Nq order at all; q = 2 with p = 5 mod 8
-    has no splitting model to read residues from.
+    has no splitting model to read residues from (classify_place raises).
     """
     if not isinstance(q, int) or not is_prime(q):
         raise InvalidParametersError(f"degeneracy prime must be a rational prime: {q!r}")
-    if params.delta % q == 0:
+    case = classify_place(params, q)
+    if case == CASE_RAMIFIED:
         raise RamifiedPlaceError(
             f"q={q} divides the discriminant {params.delta}; no level-Nq order exists"
         )
-    if params.delta == 1:
-        return DEG_SQUARE
-    if q == params.p:
-        return DEG_AT_P
-    if is_square_unit(params.p, q):
-        return DEG_SQUARE
-    if q % 2 == 1:
-        return DEG_NONSQUARE
-    raise CaseMismatchError(
-        f"no residue data at q=2 for p={params.p} = 5 mod 8 with odd delta={params.delta}"
-    )
+    return _DEG_CASES[case]
 
 
 def degeneracy_bases(
@@ -223,7 +229,7 @@ def _side_kernel(pair: DegeneracyPair, side: str) -> ZLattice4:
     entries = [s.lower_left(e) if side == "f" else s.upper_right(e) for e in basis]
     residues = [_residue_mod(v, q, m) for v in entries]
     rows = congruence_kernel([residues], q**m)
-    return ZLattice4.from_rows(rows, ambient=("coords", params.delta, params.level, params.p))
+    return coords_lattice(params, rows)
 
 
 def verify_degeneracy(pair: DegeneracyPair, check_level: int | None = None) -> Report:
@@ -236,13 +242,10 @@ def verify_degeneracy(pair: DegeneracyPair, check_level: int | None = None) -> R
     s = pair.splitting
     report = Report()
     if check_level is None:
-        check_level = max(1, s.precision - 6)
+        check_level = max(1, s.precision - CHECK_MARGIN)
 
     r_lat = order_lattice(params)
-    identity = ZLattice4.from_rows(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        ambient=("coords", params.delta, params.level, params.p),
-    )
+    identity = unit_coords_lattice(params)
     expected_disc = params.dn * q
 
     for side, basis in (("f", pair.f), ("g", pair.g)):

@@ -13,16 +13,10 @@ from math import gcd, isqrt, lcm, prod
 
 from .errors import AmbientMismatchError, InvalidParametersError, NotAnOrderBasisError
 
-Rational = Fraction
-
 
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -147,15 +141,6 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
     return hnf([v[:n] for v in ker])
 
 
-def saturation(rows: list[list[int]]) -> list[list[int]]:
-    """HNF basis of (Q-span of rows) ∩ Z^n."""
-    ortho = right_kernel(rows)
-    if not ortho:
-        n = len(rows[0])
-        return hnf([[int(i == j) for j in range(n)] for i in range(n)])
-    return right_kernel(ortho)
-
-
 # ---------------------------------------------------------------------------
 # quadratic irrationals a + b*sqrt(d)
 
@@ -204,27 +189,8 @@ class QuadRat:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, QuadRat):
-            other = QuadRat(other, 0, self.d)
-        self._check(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError
-        inv = QuadRat(other.a / n, -other.b / n, self.d)
-        return self * inv
-
     def conj(self) -> "QuadRat":
         return QuadRat(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.d * self.b * self.b
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __eq__(self, other):
         if isinstance(other, QuadRat):
@@ -274,9 +240,6 @@ class Mat2:
 
     def __rmul__(self, other):
         return Mat2(other * self.a, other * self.b, other * self.c, other * self.d)
-
-    def trace(self):
-        return self.a + self.d
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -396,10 +359,6 @@ class ZLattice4:
         if ratio.denominator != 1:
             raise InvalidParametersError("not a sublattice")
         return int(ratio)
-
-    def saturate(self) -> "ZLattice4":
-        sat = saturation([list(r) for r in self.rows]) if self.rows else []
-        return ZLattice4.from_rows([[Fraction(x, self.denom) for x in r] for r in sat], self.ambient)
 
     def __eq__(self, other):
         return (

@@ -29,7 +29,7 @@ from .errors import (
     NotDivisibleError,
     SearchExhaustedError,
 )
-from .exact import ZLattice4, frac_to_str, is_perfect_square
+from .exact import frac_to_str, is_perfect_square
 from .numth import find_a, find_hashimoto_prime
 from .quat import (
     AlgebraParams,
@@ -39,6 +39,7 @@ from .quat import (
     gens,
     hashimoto_basis,
     pretty,
+    unit_coords_lattice,
 )
 from .report import Report
 
@@ -281,10 +282,7 @@ def verify_psi_inclusion(psi: PsiMap) -> Report:
     )
 
     image_lat = coefficient_lattice(psi.dst, images)
-    identity = ZLattice4.from_rows(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        ambient=("coords", psi.dst.delta, psi.dst.level, psi.dst.p),
-    )
+    identity = unit_coords_lattice(psi.dst)
     try:
         ok_index = image_lat.rank == 4 and image_lat.index_in(identity) == n // m
     except InvalidParametersError:

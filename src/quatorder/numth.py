@@ -15,6 +15,7 @@ package constructs, so they are pinned by tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, prod
 
 from .errors import (
     InvalidParametersError,
@@ -83,17 +84,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1 if d == 2 else 2
-    return True
+    """n != 0 with no repeated prime factor: |n| is the product of its primes."""
+    return n != 0 and prod(prime_factors(n)) == abs(n)
 
 
 def valuation(x, q: int) -> int:
@@ -240,10 +232,6 @@ class PadicNum:
     def abs_prec(self) -> int:
         """Exponent m such that the value is known modulo q**m."""
         return self.val + self.prec if self.unit else self.val
-
-    @property
-    def is_known_zero(self) -> bool:
-        return self.unit == 0
 
     def val_at_least(self, m: int) -> bool:
         if self.unit:
@@ -530,7 +518,5 @@ def _validate_delta_level(delta: int, level: int):
         )
     if level < 1:
         raise InvalidParametersError(f"level {level} must be a positive integer")
-    from math import gcd
-
     if gcd(delta, level) != 1:
         raise InvalidParametersError(f"level {level} and discriminant {delta} must be coprime")

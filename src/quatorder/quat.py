@@ -223,18 +223,6 @@ class QuatElem:
     def __rmul__(self, other):
         return self * other  # scalars commute
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InvalidParametersError("negative powers not supported")
-        out = QuatElem(self.params, 1, 0, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conj(self) -> "QuatElem":
         a, b, c, d = self._num
         return QuatElem._scaled(self.params, a, -b, -c, -d, self._den)
@@ -271,10 +259,6 @@ class QuatElem:
             "z": frac_to_str(self.z),
             "t": frac_to_str(self.t),
         }
-
-    @classmethod
-    def from_json(cls, params: AlgebraParams, body: dict) -> "QuatElem":
-        return cls(params, Fraction(body["x"]), Fraction(body["y"]), Fraction(body["z"]), Fraction(body["t"]))
 
 
 def one(params: AlgebraParams) -> QuatElem:
@@ -359,15 +343,20 @@ def order_lattice(params: AlgebraParams) -> ZLattice4:
     rows = [list(e.coefficients()) for e in hashimoto_basis(params)]
     return ZLattice4.from_rows(rows, ambient=("quat", params.delta, params.level, params.p))
 
-def elements_lattice(params: AlgebraParams, elems) -> ZLattice4:
-    rows = [list(e.coefficients()) for e in elems]
-    return ZLattice4.from_rows(rows, ambient=("quat", params.delta, params.level, params.p))
+
+def coords_lattice(params: AlgebraParams, rows) -> ZLattice4:
+    """Lattice spanned by coordinate vectors over the order basis of R(N)."""
+    return ZLattice4.from_rows(rows, ambient=("coords", params.delta, params.level, params.p))
+
+
+def unit_coords_lattice(params: AlgebraParams) -> ZLattice4:
+    """R(N) itself in its own coordinates: the identity lattice Z^4."""
+    return coords_lattice(params, [[int(i == j) for j in range(4)] for i in range(4)])
 
 
 def coefficient_lattice(params: AlgebraParams, elems) -> ZLattice4:
     """Lattice of order-basis coordinate vectors of the given elements."""
-    rows = [list(coords_in_hashimoto(e)) for e in elems]
-    return ZLattice4.from_rows(rows, ambient=("coords", params.delta, params.level, params.p))
+    return coords_lattice(params, [list(coords_in_hashimoto(e)) for e in elems])
 
 
 def phi_membership(u: QuatElem, order: ZLattice4 | None = None) -> bool:

@@ -50,14 +50,10 @@ CASE_AT_P = "at_p"
 CASE_RAMIFIED = "ramified"
 CASE_ARCHIMEDEAN = "archimedean"
 
-ALL_CASES = (
-    CASE_RATIONAL,
-    CASE_UNRAMIFIED_NONSQUARE,
-    CASE_UNRAMIFIED_SQUARE,
-    CASE_AT_P,
-    CASE_RAMIFIED,
-    CASE_ARCHIMEDEAN,
-)
+# Digits below the working precision that the default check level leaves
+# unasserted, so Newton-iteration round-off in the last digits never
+# masquerades as a genuine failure.
+CHECK_MARGIN = 6
 
 
 @lru_cache(maxsize=256)
@@ -204,6 +200,18 @@ def classify_place(params: AlgebraParams, place) -> str:
     raise CaseMismatchError(
         f"no matrix model at q=2 for p={params.p} = 5 mod 8 with odd delta={params.delta}"
     )
+
+
+def at_p_root(params: AlgebraParams, k: int) -> PadicNum:
+    """The root s of -dn in Z_p, to k digits, pinned by a*s = -1 (mod p).
+
+    The pinning forces p | (a*dn - s), which the at-p models rely on.
+    """
+    p = params.p
+    s = hensel_sqrt(Fraction(-params.dn), p, k)
+    if (params.a * s.residue(1) + 1) % p != 0:
+        s = -s
+    return s
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,6 @@ def build_splitting(
     dn = params.dn
     n_level = params.level
     p = params.p
-    a = params.a
 
     if case == CASE_RATIONAL:
         fr = Fraction
@@ -451,10 +458,7 @@ def build_splitting(
         )
 
     if case == CASE_AT_P:
-        s = hensel_sqrt(Fraction(-dn), p, k)
-        # Pin the root by a*s = -1 mod p, which forces p | (a*dn - s).
-        if (a * s.residue(1) + 1) % p != 0:
-            s = -s
+        s = at_p_root(params, k)
         if _flip_at_p_root:
             s = -s
         z0 = PadicNum.exact_zero(p)
@@ -507,16 +511,14 @@ def verify_splitting(
     """Replay every checkable property of a matrix model.
 
     check_level is the q-adic accuracy of the assertions; it defaults to the
-    splitting's working precision minus a safety margin of six digits, so
-    Newton-iteration round-off in the last digits never masquerades as a
-    genuine failure.
+    splitting's working precision minus CHECK_MARGIN digits.
     """
     s = splitting
     params = s.params
     report = Report()
     exact_ring = s.case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
     if check_level is None:
-        check_level = max(1, s.precision - 6)
+        check_level = max(1, s.precision - CHECK_MARGIN)
     if not exact_ring and check_level > s.precision:
         raise PrecisionLossError(
             f"cannot assert at level {check_level} with precision {s.precision}"

@@ -48,6 +48,25 @@ def _grid(deltas, levels, prime_bound):
             yield AlgebraParams.create(delta, level, prime_bound=prime_bound)
 
 
+def _resolve_places(params: AlgebraParams, places, finite: bool) -> list:
+    """The distinct places to sweep for one algebra, in the order given.
+
+    The token "p" names the algebra's splitting prime and is dropped when
+    there is none (p = 1 for delta = 1); a finite sweep also drops the
+    infinite place.  Any other bad place is left for the classifier to reject.
+    """
+    out = []
+    for place in places:
+        if place == "p":
+            if params.p == 1:
+                continue
+            place = params.p
+        if place in out or (finite and place == INFINITE_PLACE):
+            continue
+        out.append(place)
+    return out
+
+
 def _place_tag(place) -> str:
     return "inf" if place == INFINITE_PLACE else f"q{place}"
 
@@ -120,15 +139,7 @@ def sweep_splittings(
     verified = 0
     skipped = 0
     for params in _grid(deltas, levels, prime_bound):
-        resolved = []
-        seen = set()
-        for place in places:
-            pl = params.p if place == "p" else place
-            if pl == 1 or pl in seen:
-                continue
-            seen.add(pl)
-            resolved.append(pl)
-        for pl in resolved:
+        for pl in _resolve_places(params, places, finite=False):
             flip = inject_at_p_sign_flip and pl == params.p
             try:
                 spl = build_splitting(params, pl, k=k, _flip_at_p_root=flip)
@@ -159,12 +170,7 @@ def sweep_degeneracies(
     verified = 0
     skipped = 0
     for params in _grid(deltas, levels, prime_bound):
-        seen = set()
-        for place in places:
-            q = params.p if place == "p" else place
-            if q == INFINITE_PLACE or q == 1 or q in seen:
-                continue
-            seen.add(q)
+        for q in _resolve_places(params, places, finite=True):
             try:
                 pair = degeneracy_bases(params, q, k=k)
             except CaseMismatchError:
@@ -226,20 +232,12 @@ def sweep_chains(
         if delta == 1:
             continue
         params = AlgebraParams.create(delta, 1, prime_bound=prime_bound)
-        qs = []
-        seen = set()
-        for place in places:
-            q = params.p if place == "p" else place
-            if q == INFINITE_PLACE or q in seen:
-                continue
-            seen.add(q)
+        for q in _resolve_places(params, places, finite=True):
             try:
                 classify_chain(params, q)
-            except (CaseMismatchError, InvalidParametersError):
+            except CaseMismatchError:
                 skipped += 1
                 continue
-            qs.append(q)
-        for q in qs:
             cb, sub = verify_chain(delta, q, p=params.p, prime_bound=prime_bound)
             report.extend(sub, prefix=f"chain.delta{delta}.q{q}.")
             verified += 1

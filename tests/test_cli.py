@@ -199,3 +199,17 @@ def test_construct_inadmissible_p_exit_two(capsys, p, reason):
     assert code == 2
     assert out == ""
     assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("place", ["4", "1"])
+@pytest.mark.parametrize("section", ["split", "degeneracy", "chain"])
+def test_verify_bad_place_exit_two(capsys, section, place):
+    code, out, err = run(
+        capsys, "verify", "--sections", section, "--deltas", "35", "--levels", "1",
+        "--places", place,
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "prime" in err
+    assert err.endswith(f": {place}\n")
