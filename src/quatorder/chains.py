@@ -38,13 +38,11 @@ from .errors import (
 from .exact import ZLattice4, congruence_kernel, is_perfect_square, right_kernel
 from .numth import (
     PadicNum,
-    find_a,
-    find_hashimoto_prime,
+    hashimoto_violation,
     hensel_sqrt,
     is_prime,
     is_square_unit,
     legendre,
-    prime_factors,
     solve_norm_equation,
     valuation,
 )
@@ -120,9 +118,7 @@ def _level_one(delta: int, p: int | None, prime_bound: int) -> AlgebraParams:
             "chain intersections in the matrix algebra have rank 3; "
             "they are only quadratic rings over a division algebra (delta > 1)"
         )
-    if p is None:
-        p = find_hashimoto_prime(delta, 1, prime_bound)
-    return AlgebraParams(delta, 1, p, find_a(delta, 1, p))
+    return AlgebraParams.create(delta, 1, p=p, prime_bound=prime_bound)
 
 
 def _neg_dn_is_q_square(dn: int, q: int) -> bool:
@@ -153,19 +149,10 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
         if q == 2:
             if (-delta * n) % 8 != 1:
                 continue
-        else:
-            if n % q == 0 or legendre(n, q) != -1:
-                continue
-        ok = all(
-            legendre(p, s) == 1
-            for s in prime_factors(n)
-            if s != 2
-        )
-        if not ok:
+        elif n % q == 0 or legendre(n, q) != -1:
             continue
-        if n % 2 == 0 and p % 8 != 1:
-            continue
-        return n
+        if hashimoto_violation(delta, n, p) is None:
+            return n
     raise SearchExhaustedError(
         f"no auxiliary level <= {bound} for delta={delta}, p={p}, q={q}"
     )
@@ -173,8 +160,7 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
 
 def _aux_params(params: AlgebraParams, q: int, bound: int) -> AlgebraParams:
     """The order at the auxiliary level of the chain at q (same delta and p)."""
-    n_aux = _aux_level(params, q, bound=bound)
-    return AlgebraParams(params.delta, n_aux, params.p, find_a(params.delta, n_aux, params.p))
+    return AlgebraParams.create(params.delta, _aux_level(params, q, bound=bound), p=params.p)
 
 
 def _chain_vector(params: AlgebraParams) -> QuatElem:

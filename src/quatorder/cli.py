@@ -37,8 +37,8 @@ from .isomap import (
     verify_psi,
     verify_psi_inclusion,
 )
-from .numth import INFINITE_PLACE, find_a
-from .quat import AlgebraParams, check_admissible_p, hashimoto_basis, pretty
+from .numth import INFINITE_PLACE
+from .quat import AlgebraParams, hashimoto_basis, pretty
 from .report import Report
 from .split import build_splitting, verify_splitting
 from .verify import (
@@ -140,10 +140,7 @@ def _summary_line(report: Report) -> str:
 
 
 def _params_from_args(args) -> AlgebraParams:
-    if args.p is not None:
-        check_admissible_p(args.delta, args.level, args.p)
-        return AlgebraParams(args.delta, args.level, args.p, find_a(args.delta, args.level, args.p))
-    return AlgebraParams.create(args.delta, args.level, prime_bound=args.prime_bound)
+    return AlgebraParams.create(args.delta, args.level, p=args.p, prime_bound=args.prime_bound)
 
 
 def _cmd_construct(args) -> int:

@@ -43,7 +43,6 @@ from .split import (
     CASE_RATIONAL,
     CASE_UNRAMIFIED_NONSQUARE,
     CASE_UNRAMIFIED_SQUARE,
-    CHECK_MARGIN,
     LocalSplitting,
     build_splitting,
     classify_place,
@@ -232,7 +231,7 @@ def _side_kernel(pair: DegeneracyPair, side: str) -> ZLattice4:
     return coords_lattice(params, rows)
 
 
-def verify_degeneracy(pair: DegeneracyPair, check_level: int | None = None) -> Report:
+def verify_degeneracy(pair: DegeneracyPair) -> Report:
     """Replay every certificate of the two embedded copies."""
     from .exact import det_frac
     from .quat import order_lattice
@@ -241,8 +240,7 @@ def verify_degeneracy(pair: DegeneracyPair, check_level: int | None = None) -> R
     q = pair.q
     s = pair.splitting
     report = Report()
-    if check_level is None:
-        check_level = max(1, s.precision - CHECK_MARGIN)
+    check_level = s.check_level()
 
     r_lat = order_lattice(params)
     identity = unit_coords_lattice(params)

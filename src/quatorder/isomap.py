@@ -30,7 +30,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import frac_to_str, is_perfect_square
-from .numth import find_a, find_hashimoto_prime
+from .numth import find_hashimoto_prime
 from .quat import (
     AlgebraParams,
     QuatElem,
@@ -148,8 +148,8 @@ def build_psi(
     """
     if p is None:
         p = find_hashimoto_prime(delta, src_level * dst_level, bound=prime_bound)
-    src = AlgebraParams(delta, src_level, p, find_a(delta, src_level, p))
-    dst = AlgebraParams(delta, dst_level, p, find_a(delta, dst_level, p))
+    src = AlgebraParams.create(delta, src_level, p=p)
+    dst = AlgebraParams.create(delta, dst_level, p=p)
     n, m = src_level, dst_level
 
     if delta == 1:

@@ -15,6 +15,7 @@ package constructs, so they are pinned by tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from .errors import (
@@ -58,18 +59,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    k = n + 1
-    while not is_prime(k):
-        k += 1
-    return k
-
-
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending (trial division)."""
-    n = abs(n)
+    """Distinct prime factors of |n|, ascending (trial division, memoised)."""
+    return list(_prime_factors(abs(n)))
+
+
+@lru_cache(maxsize=1024)
+def _prime_factors(n: int) -> tuple[int, ...]:
     if n <= 1:
-        return []
+        return ()
     out = []
     d = 2
     while d * d <= n:
@@ -80,7 +78,7 @@ def prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def is_squarefree(n: int) -> bool:
@@ -469,29 +467,41 @@ def hilbert_symbol(a, b, place) -> int:
     return sign
 
 
-def find_hashimoto_prime(delta: int, level: int, bound: int = 100_000) -> int:
-    """Smallest prime p satisfying the congruence/splitting conditions.
+def hashimoto_violation(delta: int, level: int, p: int) -> str | None:
+    """The first admissibility condition p fails for a validated (Δ, N), or None.
 
-    p ≡ 1 (mod 4); p ≡ 5 (mod 8) if 2 | delta, p ≡ 1 (mod 8) if 2 | level;
-    (p/ℓ) = -1 at every odd prime ℓ | delta and (p/ℓ) = +1 at every odd
-    prime ℓ | level.  For delta = 1 the convention p = 1 is returned.
+    For Δ > 1 the prime p must be ≡ 1 (mod 4), ≡ 5 (mod 8) when Δ is even,
+    ≡ 1 (mod 8) when N is even, coprime to ΔN, a non-residue at every odd
+    prime of Δ and a residue at every odd prime of N; the split algebra
+    Δ = 1 uses p = 1.
     """
+    if delta == 1:
+        return None if p == 1 else "the split algebra uses p = 1, a = 0"
+    if p % 4 != 1 or not is_prime(p):
+        return f"p = {p} must be a prime ≡ 1 (mod 4)"
+    if delta % 2 == 0 and p % 8 != 5:
+        return f"p = {p} must be ≡ 5 (mod 8) when the discriminant is even"
+    if level % 2 == 0 and p % 8 != 1:
+        return f"p = {p} must be ≡ 1 (mod 8) when the level is even"
+    if gcd(p, delta * level) != 1:
+        return f"p = {p} must not divide ΔN = {delta * level}"
+    for ell in prime_factors(delta):
+        if ell != 2 and legendre(p, ell) != -1:
+            return f"p = {p} must be a non-residue mod {ell}"
+    for ell in prime_factors(level):
+        if ell != 2 and legendre(p, ell) != 1:
+            return f"p = {p} must be a residue mod {ell}"
+    return None
+
+
+def find_hashimoto_prime(delta: int, level: int, bound: int = 100_000) -> int:
+    """Smallest prime p with no ``hashimoto_violation``; p = 1 for delta = 1."""
     _validate_delta_level(delta, level)
     if delta == 1:
         return 1
-    odd_delta = [ell for ell in prime_factors(delta) if ell != 2]
-    odd_level = [ell for ell in prime_factors(level) if ell != 2]
-    p = 2
-    while p <= bound:
-        if p % 4 == 1:
-            if (delta % 2 == 0 and p % 8 != 5) or (level % 2 == 0 and p % 8 != 1):
-                p = next_prime(p)
-                continue
-            if all(legendre(p, ell) == -1 for ell in odd_delta) and all(
-                legendre(p, ell) == 1 for ell in odd_level
-            ):
-                return p
-        p = next_prime(p)
+    for p in range(5, bound + 1, 4):
+        if hashimoto_violation(delta, level, p) is None:
+            return p
     raise SearchExhaustedError(f"no admissible prime below {bound} for ({delta}, {level})")
 
 

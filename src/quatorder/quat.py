@@ -35,30 +35,13 @@ from .exact import ZLattice4, frac_to_str, reduced_discriminant
 def check_admissible_p(delta: int, level: int, p: int) -> None:
     """Raise InvalidParametersError naming the first condition p fails for (Δ, N).
 
-    Δ and N are validated first.  For Δ > 1 the prime p must be ≡ 1 (mod 4),
-    ≡ 5 (mod 8) when Δ is even, ≡ 1 (mod 8) when N is even, coprime to ΔN,
-    a non-residue at every odd prime of Δ and a residue at every odd prime
-    of N; the split algebra Δ = 1 uses p = 1.
+    Δ and N are validated first; the conditions are those of
+    ``numth.hashimoto_violation``.
     """
     numth._validate_delta_level(delta, level)
-    if delta == 1:
-        if p != 1:
-            raise InvalidParametersError("the split algebra uses p = 1, a = 0")
-        return
-    if not numth.is_prime(p) or p % 4 != 1:
-        raise InvalidParametersError(f"p = {p} must be a prime ≡ 1 (mod 4)")
-    if delta % 2 == 0 and p % 8 != 5:
-        raise InvalidParametersError(f"p = {p} must be ≡ 5 (mod 8) when the discriminant is even")
-    if level % 2 == 0 and p % 8 != 1:
-        raise InvalidParametersError(f"p = {p} must be ≡ 1 (mod 8) when the level is even")
-    if gcd(p, delta * level) != 1:
-        raise InvalidParametersError(f"p = {p} must not divide ΔN = {delta * level}")
-    for ell in numth.prime_factors(delta):
-        if ell != 2 and numth.legendre(p, ell) != -1:
-            raise InvalidParametersError(f"p = {p} must be a non-residue mod {ell}")
-    for ell in numth.prime_factors(level):
-        if ell != 2 and numth.legendre(p, ell) != 1:
-            raise InvalidParametersError(f"p = {p} must be a residue mod {ell}")
+    why = numth.hashimoto_violation(delta, level, p)
+    if why is not None:
+        raise InvalidParametersError(why)
 
 
 @dataclass(frozen=True)
@@ -83,11 +66,15 @@ class AlgebraParams:
             raise InvalidParametersError("a²ΔN ≡ -1 (mod p) fails")
 
     @classmethod
-    def create(cls, delta: int, level: int, *, prime_bound: int = 100_000) -> "AlgebraParams":
-        """Smallest admissible p and a for the given discriminant and level."""
-        p = numth.find_hashimoto_prime(delta, level, prime_bound)
-        a = numth.find_a(delta, level, p)
-        return cls(delta, level, p, a)
+    def create(
+        cls, delta: int, level: int, *, p: int | None = None, prime_bound: int = 100_000
+    ) -> "AlgebraParams":
+        """The algebra at p (default: the smallest admissible p) with its smallest a."""
+        if p is None:
+            p = numth.find_hashimoto_prime(delta, level, prime_bound)
+        else:
+            check_admissible_p(delta, level, p)
+        return cls(delta, level, p, numth.find_a(delta, level, p))
 
     @property
     def dn(self) -> int:

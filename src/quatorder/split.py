@@ -50,7 +50,7 @@ CASE_AT_P = "at_p"
 CASE_RAMIFIED = "ramified"
 CASE_ARCHIMEDEAN = "archimedean"
 
-# Digits below the working precision that the default check level leaves
+# Digits below the working precision that the check level leaves
 # unasserted, so Newton-iteration round-off in the last digits never
 # masquerades as a genuine failure.
 CHECK_MARGIN = 6
@@ -302,6 +302,19 @@ class LocalSplitting:
         acc = acc + self.mat_k * self.scalar(u.t)
         return acc
 
+    def check_level(self) -> int:
+        """q-adic level the certificates assert: precision minus CHECK_MARGIN.
+
+        Exact coefficient rings ignore the level; a truncated model with no
+        digit left above the margin raises PrecisionLossError.
+        """
+        level = self.precision - CHECK_MARGIN
+        if level < 1 and self.case not in (CASE_RATIONAL, CASE_ARCHIMEDEAN):
+            raise PrecisionLossError(
+                f"precision {self.precision} is not above the {CHECK_MARGIN}-digit check margin"
+            )
+        return level
+
     def entry_zero(self, value, check_level: int) -> bool:
         """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
         if isinstance(value, Fraction):
@@ -504,25 +517,12 @@ def _det4(rows):
     return acc
 
 
-def verify_splitting(
-    splitting: LocalSplitting,
-    check_level: int | None = None,
-) -> Report:
-    """Replay every checkable property of a matrix model.
-
-    check_level is the q-adic accuracy of the assertions; it defaults to the
-    splitting's working precision minus CHECK_MARGIN digits.
-    """
+def verify_splitting(splitting: LocalSplitting) -> Report:
+    """Replay every checkable property of a matrix model, to ``s.check_level()``."""
     s = splitting
     params = s.params
     report = Report()
-    exact_ring = s.case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
-    if check_level is None:
-        check_level = max(1, s.precision - CHECK_MARGIN)
-    if not exact_ring and check_level > s.precision:
-        raise PrecisionLossError(
-            f"cannot assert at level {check_level} with precision {s.precision}"
-        )
+    check_level = s.check_level()
 
     def is_zero_mat(mat: Mat2) -> bool:
         return all(s.entry_zero(e, check_level) for e in mat.entries())

@@ -67,6 +67,20 @@ def _resolve_places(params: AlgebraParams, places, finite: bool) -> list:
     return out
 
 
+def _coverage(report: Report, section: str, verified: int, skipped: int, witness: str) -> Report:
+    """Close a section with its coverage check, or reject a section that verified nothing.
+
+    An empty selection is bad input; a selection whose every member was
+    skipped (ramified or unimplemented) is an unsupported case.
+    """
+    if not verified:
+        if not skipped:
+            raise InvalidParametersError(f"the {section} section selects nothing to verify")
+        raise CaseMismatchError(f"the {section} section skipped everything it selects: {witness}")
+    report.add(f"{section}.coverage", True, witness)
+    return report
+
+
 def _place_tag(place) -> str:
     return "inf" if place == INFINITE_PLACE else f"q{place}"
 
@@ -150,12 +164,10 @@ def sweep_splittings(
             prefix = f"split.delta{params.delta}.level{params.level}.{_place_tag(pl)}."
             report.extend(sub, prefix=prefix)
             verified += 1
-    report.add(
-        "split.coverage",
-        verified > 0,
+    return _coverage(
+        report, "split", verified, skipped,
         f"{verified} splittings verified, {skipped} unsupported places skipped",
     )
-    return report
 
 
 def sweep_degeneracies(
@@ -180,12 +192,10 @@ def sweep_degeneracies(
             prefix = f"degeneracy.delta{params.delta}.level{params.level}.q{q}."
             report.extend(sub, prefix=prefix)
             verified += 1
-    report.add(
-        "degeneracy.coverage",
-        verified > 0,
+    return _coverage(
+        report, "degeneracy", verified, skipped,
         f"{verified} degeneracy pairs verified, {skipped} unsupported primes skipped",
     )
-    return report
 
 
 def sweep_psi(
@@ -210,8 +220,7 @@ def sweep_psi(
             report.extend(verify_psi(psi, seed=seed), prefix=prefix)
             report.extend(verify_psi_inclusion(psi), prefix=prefix)
             verified += 1
-    report.add("psi.coverage", verified > 0, f"{verified} level pairs verified")
-    return report
+    return _coverage(report, "psi", verified, 0, f"{verified} level pairs verified")
 
 
 def sweep_chains(
@@ -246,12 +255,10 @@ def sweep_chains(
                 delta, TRANSVERSE_FAMILIES[delta], prime_bound=prime_bound
             )
             report.extend(fam, prefix=f"chain.delta{delta}.family.")
-    report.add(
-        "chain.coverage",
-        verified > 0,
+    return _coverage(
+        report, "chain", verified, skipped,
         f"{verified} chains verified, {skipped} ramified places skipped",
     )
-    return report
 
 
 def run_sweep(

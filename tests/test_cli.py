@@ -190,12 +190,26 @@ def test_chain_family_duplicate_primes_exit_two(capsys):
     assert "two distinct primes" in err
 
 
+CONSTRUCT = ("construct", "--delta", "35", "--level", "3")
+PSI = ("psi", "--delta", "35", "--src", "3", "--dst", "1")
+CHAIN = ("chain", "--delta", "35", "--q", "11")
+
+
 @pytest.mark.parametrize(
-    "p, reason",
-    [("17", "p = 17 must be a residue mod 3"), ("4", "p = 4 must be a prime ≡ 1 (mod 4)")],
+    "command, p, reason",
+    [
+        pytest.param(CONSTRUCT, "17", "p = 17 must be a residue mod 3",
+                     id="17-p = 17 must be a residue mod 3"),
+        pytest.param(CONSTRUCT, "4", "p = 4 must be a prime ≡ 1 (mod 4)",
+                     id="4-p = 4 must be a prime ≡ 1 (mod 4)"),
+        pytest.param(PSI, "6", "p = 6 must be a prime ≡ 1 (mod 4)", id="psi-6"),
+        pytest.param(PSI, "17", "p = 17 must be a residue mod 3", id="psi-17"),
+        pytest.param(CHAIN, "10", "p = 10 must be a prime ≡ 1 (mod 4)", id="chain-10"),
+        pytest.param(CHAIN, "19", "p = 19 must be a prime ≡ 1 (mod 4)", id="chain-19"),
+    ],
 )
-def test_construct_inadmissible_p_exit_two(capsys, p, reason):
-    code, out, err = run(capsys, "construct", "--delta", "35", "--level", "3", "--p", p)
+def test_construct_inadmissible_p_exit_two(capsys, command, p, reason):
+    code, out, err = run(capsys, *command, "--p", p)
     assert code == 2
     assert out == ""
     assert err == f"error: {reason}\n"
@@ -213,3 +227,39 @@ def test_verify_bad_place_exit_two(capsys, section, place):
     assert "Traceback" not in err
     assert err.startswith("error: ") and "prime" in err
     assert err.endswith(f": {place}\n")
+
+
+@pytest.mark.parametrize(
+    "selection, expected",
+    [
+        (("--sections", "chain", "--deltas", "1"), 2),
+        (("--sections", "psi", "--deltas", "35", "--levels", "1"), 2),
+        (("--sections", "degeneracy", "--deltas", "35", "--levels", "1", "--places", "5,7"), 3),
+        (("--sections", "split", "--deltas", "21", "--levels", "1", "--places", "2"), 3),
+    ],
+    ids=["chain-empty", "psi-empty", "degeneracy-ramified", "split-unimplemented"],
+)
+def test_verify_section_that_verifies_nothing_is_not_a_failure(capsys, selection, expected):
+    code, out, err = run(capsys, "verify", *selection)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: the ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "place, precision, expected",
+    [("11", "2", 4), ("11", "6", 4), ("11", "7", 0), ("inf", "2", 0)],
+)
+def test_split_precision_below_the_check_margin_exit_four(capsys, place, precision, expected):
+    code, out, err = run(
+        capsys, "split", "--delta", "35", "--level", "3", "--place", place,
+        "--precision", precision,
+    )
+    assert code == expected
+    if expected == 4:
+        assert out == ""
+        assert "check margin" in err
+    else:
+        assert err == ""
+        assert "all pass" in out

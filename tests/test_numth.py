@@ -1,8 +1,12 @@
 import random
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatorder.errors import (
+    InvalidParametersError,
     NoSquareRootError,
     NotANormError,
     PrecisionLossError,
@@ -19,20 +23,20 @@ from quatorder.numth import (
     is_square_unit,
     is_squarefree,
     legendre,
-    next_prime,
     prime_factors,
     solve_norm_equation,
     sqrt_mod,
     valuation,
 )
+from quatorder.quat import AlgebraParams, check_admissible_p
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def test_prime_predicates():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(1)
-    assert next_prime(13) == 17
-    assert next_prime(1) == 2
     assert prime_factors(360) == [2, 3, 5]
     assert is_squarefree(35)
     assert not is_squarefree(12)
@@ -166,3 +170,38 @@ def test_find_a_values():
     assert find_a(35, 1, 13) == 6
     assert find_a(6, 1, 5) == 2
     assert find_a(1, 6, 1) == 0
+
+
+PRIMES_BELOW_60 = [n for n in range(2, 60) if is_prime(n)]
+
+
+@st.composite
+def delta_level(draw):
+    """Δ = 1 or a product of an even number of primes below 60; N < 300 coprime to Δ."""
+    primes = draw(st.lists(st.sampled_from(PRIMES_BELOW_60), unique=True, max_size=4))
+    delta = prod(primes[: len(primes) // 2 * 2])
+    level = draw(st.integers(1, 299).filter(lambda n: gcd(n, delta) == 1))
+    return delta, level
+
+
+@SETTINGS
+@given(delta_level())
+def test_hashimoto_prime_is_the_least_admissible_p(dl):
+    delta, level = dl
+    p = find_hashimoto_prime(delta, level)
+    for smaller in range(1, p):
+        with pytest.raises(InvalidParametersError):
+            check_admissible_p(delta, level, smaller)
+    check_admissible_p(delta, level, p)
+    assert AlgebraParams.create(delta, level, p=p) == AlgebraParams.create(delta, level)
+
+
+@SETTINGS
+@given(st.integers(-10**6, 10**6))
+def test_prime_factors_hands_out_fresh_lists(n):
+    first = prime_factors(n)
+    expected = list(first)
+    first.append(4)
+    first.reverse()
+    assert prime_factors(n) == expected
+    assert all(is_prime(ell) and n % ell == 0 for ell in expected)

@@ -143,3 +143,6 @@ def test_admissible_p_rule_is_shared():
         with pytest.raises(InvalidParametersError) as via_params:
             AlgebraParams(delta, level, p, 0)
         assert str(via_params.value) == reason
+        with pytest.raises(InvalidParametersError) as via_create:
+            AlgebraParams.create(delta, level, p=p)
+        assert str(via_create.value) == reason
