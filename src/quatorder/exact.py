@@ -19,6 +19,12 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _rational(x):
+    """x itself when it is an int or a Fraction (both carry numerator and
+    denominator), otherwise Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -146,59 +152,106 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
 
 
 class QuadRat:
-    """Exact element a + b·√d of Q(√d); d a fixed nonsquare rational."""
+    """Exact element a + b·√d of Q(√d); d a fixed nonsquare rational.
 
-    __slots__ = ("a", "b", "d")
+    Stored integer-scaled, like ``QuatElem``: two int numerators over one
+    positive denominator, reduced so the three share no factor, and the
+    radicand as a reduced int pair (numerator, denominator).  The
+    representation is canonical, so equality and hashing compare ints;
+    ``.a/.b/.d`` hand out ``Fraction`` values.
+    """
+
+    __slots__ = ("_a", "_b", "_den", "_rad")
 
     def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
+        a, b, d = _rational(a), _rational(b), _rational(d)
+        den = lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (den // a.denominator)
+        self._b = b.numerator * (den // b.denominator)
+        self._den = den
+        self._rad = (d.numerator, d.denominator)
 
-    def _check(self, other):
-        if self.d != other.d:
-            raise InvalidParametersError("mixed quadratic fields")
+    @classmethod
+    def _scaled(cls, a: int, b: int, den: int, rad: tuple) -> "QuadRat":
+        """(a + b·√d)/den for den > 0, reduced by the common gcd."""
+        g = gcd(a, b, den)
+        if g != 1:
+            a, b, den = a // g, b // g, den // g
+        out = object.__new__(cls)
+        out._a, out._b, out._den, out._rad = a, b, den, rad
+        return out
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(*self._rad)
+
+    def _wrap(self, other):
+        """other as an element of the same field, or NotImplemented."""
+        if isinstance(other, QuadRat):
+            if other._rad != self._rad:
+                raise InvalidParametersError("mixed quadratic fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadRat._scaled(other.numerator, 0, other.denominator, self._rad)
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, QuadRat):
-            self._check(other)
-            return QuadRat(self.a + other.a, self.b + other.b, self.d)
-        return QuadRat(self.a + Fraction(other), self.b, self.d)
+        o = self._wrap(other)
+        if o is NotImplemented:
+            return o
+        a, b, den = self._a, self._b, self._den
+        a2, b2, den2 = o._a, o._b, o._den
+        return QuadRat._scaled(a * den2 + a2 * den, b * den2 + b2 * den, den * den2, self._rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.d)
+        return QuadRat._scaled(-self._a, -self._b, self._den, self._rad)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadRat) else QuadRat(-Fraction(other), 0, self.d))
+        o = self._wrap(other)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, QuadRat):
-            self._check(other)
-            return QuadRat(
-                self.a * other.a + self.d * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
-        c = Fraction(other)
-        return QuadRat(self.a * c, self.b * c, self.d)
+        o = self._wrap(other)
+        if o is NotImplemented:
+            return o
+        a, b, a2, b2 = self._a, self._b, o._a, o._b
+        rn, rd = self._rad
+        return QuadRat._scaled(
+            a * a2 * rd + rn * b * b2, (a * b2 + b * a2) * rd, self._den * o._den * rd, self._rad
+        )
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.d)
+        return QuadRat._scaled(self._a, -self._b, self._den, self._rad)
 
     def __eq__(self, other):
         if isinstance(other, QuadRat):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        return self.b == 0 and self.a == Fraction(other)
+            return (self._a, self._b, self._den, self._rad) == (
+                other._a, other._b, other._den, other._rad
+            )
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._a == other.numerator and self._den == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # A rational value hashes like the int or Fraction it equals.
+        if self._b == 0:
+            return hash(Fraction(self._a, self._den))
+        return hash((self._a, self._b, self._den, self._rad))
 
     def __repr__(self):
         return f"({frac_to_str(self.a)} + {frac_to_str(self.b)}*sqrt({self.d}))"
@@ -275,21 +328,21 @@ class ZLattice4:
 
     @classmethod
     def from_rows(cls, rational_rows, ambient=None) -> "ZLattice4":
-        rows = [[Fraction(x) for x in r] for r in rational_rows]
+        rows = [[_rational(x) for x in r] for r in rational_rows]
         for r in rows:
             if len(r) != 4:
                 raise InvalidParametersError("ZLattice4 rows must have length 4")
-        if not rows:
-            return cls(1, (), ambient)
         d = lcm(*[x.denominator for r in rows for x in r])
-        ints = [[int(x * d) for x in r] for r in rows]
-        h = hnf(ints)
+        ints = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+        return cls._from_scaled(d, ints, ambient)
+
+    @classmethod
+    def _from_scaled(cls, d: int, int_rows: list, ambient) -> "ZLattice4":
+        """The lattice spanned by (1/d)·int_rows, in reduced form."""
+        h = hnf(int_rows)
         if not h:
             return cls(1, (), ambient)
-        g = d
-        for r in h:
-            for x in r:
-                g = gcd(g, x)
+        g = gcd(d, *[x for r in h for x in r])
         if g > 1:
             d //= g
             h = [[x // g for x in r] for r in h]
@@ -311,8 +364,7 @@ class ZLattice4:
     def contains(self, vec) -> bool:
         w = []
         for x in vec:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
+            x = _rational(x)
             num, den = x.numerator * self.denom, x.denominator
             if num % den:
                 return False
@@ -344,8 +396,8 @@ class ZLattice4:
             for coef, row in zip(u[: len(a)], a):
                 for j in range(4):
                     g[j] += coef * row[j]
-            gens.append([Fraction(x, d) for x in g])
-        return ZLattice4.from_rows(gens, self.ambient or other.ambient)
+            gens.append(g)
+        return ZLattice4._from_scaled(d, gens, self.ambient or other.ambient)
 
     def index_in(self, superlattice: "ZLattice4") -> int:
         """[superlattice : self] for two full-rank lattices with self ⊆ superlattice."""

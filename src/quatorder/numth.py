@@ -495,10 +495,19 @@ def hashimoto_violation(delta: int, level: int, p: int) -> str | None:
 
 
 def find_hashimoto_prime(delta: int, level: int, bound: int = 100_000) -> int:
-    """Smallest prime p with no ``hashimoto_violation``; p = 1 for delta = 1."""
+    """Smallest prime p with no ``hashimoto_violation``; p = 1 for delta = 1.
+
+    The search is memoised; validation runs on every call, and a failed
+    search raises again instead of being cached.
+    """
     _validate_delta_level(delta, level)
     if delta == 1:
         return 1
+    return _first_admissible_prime(delta, level, bound)
+
+
+@lru_cache(maxsize=1024)
+def _first_admissible_prime(delta: int, level: int, bound: int) -> int:
     for p in range(5, bound + 1, 4):
         if hashimoto_violation(delta, level, p) is None:
             return p

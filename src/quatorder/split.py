@@ -19,10 +19,9 @@ q-adic accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import (
     CaseMismatchError,
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .exact import Mat2, QuadRat, ZLattice4, frac_to_str
 from .numth import (
+    _ZERO_VAL,
     INFINITE_PLACE,
     PadicNum,
     hensel_sqrt,
@@ -174,6 +174,17 @@ class PadicQuad:
         return {"a": self.a.to_json(), "b": self.b.to_json()}
 
 
+def _exact_zero(value) -> bool:
+    """Is a coefficient-ring element an exact zero, not merely zero to the
+    working precision?  q-adic exact zeros carry the sentinel valuation of
+    ``PadicNum.exact_zero``, which scaling by an ordinary value barely moves."""
+    if isinstance(value, PadicQuad):
+        return _exact_zero(value.a) and _exact_zero(value.b)
+    if isinstance(value, PadicNum):
+        return value.unit == 0 and value.val > _ZERO_VAL // 2
+    return value == 0
+
+
 def classify_place(params: AlgebraParams, place) -> str:
     """Return the matrix-model case label for the given place.
 
@@ -257,18 +268,32 @@ class LocalSplitting:
     mat_k: Mat2
     data: dict
     shape: OrderShape
-    # Lifted scalars by rational value, and the identity matrix; coefficient
-    # ring elements are never mutated, so sharing them is safe.
-    _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _one: Mat2 | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Lifted scalars by (numerator, denominator) pair, the identity, and
+        # for each matrix entry (ul, ur, ll, lr) the (generator index, image
+        # entry) pairs of 1, i, j, k whose entry is not an exact zero.
+        # Coefficient ring elements are never mutated, so sharing is safe.
+        self._scalars = {}
+        s1, s0 = self.scalar(1), self.scalar(0)
+        self._one = Mat2(s1, s0, s0, s1)
+        gens = [m.entries() for m in (self._one, self.mat_i, self.mat_j, self.mat_k)]
+        self._terms = tuple(
+            tuple((g, img[e]) for g, img in enumerate(gens) if not _exact_zero(img[e]))
+            for e in range(4)
+        )
 
     def scalar(self, value: Fraction):
         """Lift a rational coefficient into the splitting's coefficient ring."""
-        if type(value) is not Fraction:
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
-        lifted = self._scalars.get(value)
+        return self._scalar(value.numerator, value.denominator)
+
+    def _scalar(self, num: int, den: int):
+        """Lift num/den (den > 0, not necessarily reduced), memoised by the pair."""
+        lifted = self._scalars.get((num, den))
         if lifted is None:
-            lifted = self._scalars[value] = self._lift(value)
+            lifted = self._scalars[num, den] = self._lift(Fraction(num, den))
         return lifted
 
     def _lift(self, value: Fraction):
@@ -286,21 +311,27 @@ class LocalSplitting:
         return PadicNum.from_rational(value, q, self.precision)
 
     def one(self) -> Mat2:
-        if self._one is None:
-            s1 = self.scalar(Fraction(1))
-            s0 = self.scalar(Fraction(0))
-            self._one = Mat2(s1, s0, s0, s1)
         return self._one
 
     def embed(self, u: QuatElem) -> Mat2:
         """Image of u = x + y i + z j + t k as a 2x2 matrix."""
-        if u.params != self.params:
+        self._check(u)
+        return Mat2(*[self._entry(terms, u.numerators, u.denominator) for terms in self._terms])
+
+    def _check(self, u: QuatElem):
+        if u.params is not self.params and u.params != self.params:
             raise InvalidParametersError("element belongs to a different algebra")
-        acc = self.one() * self.scalar(u.x)
-        acc = acc + self.mat_i * self.scalar(u.y)
-        acc = acc + self.mat_j * self.scalar(u.z)
-        acc = acc + self.mat_k * self.scalar(u.t)
-        return acc
+
+    def _entry(self, terms, nums, den: int):
+        """One image entry: the sum, in generator order, of the non-zero
+        generator entries times the lifted non-zero coefficients nums/den."""
+        acc = None
+        for g, img in terms:
+            n = nums[g]
+            if n:
+                term = img * self._scalar(n, den)
+                acc = term if acc is None else acc + term
+        return self._scalar(0, 1) if acc is None else acc
 
     def check_level(self) -> int:
         """q-adic level the certificates assert: precision minus CHECK_MARGIN.
@@ -317,13 +348,9 @@ class LocalSplitting:
 
     def entry_zero(self, value, check_level: int) -> bool:
         """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
-        if isinstance(value, Fraction):
+        if isinstance(value, (Fraction, QuadRat)):
             return value == 0
-        if isinstance(value, QuadRat):
-            return value.a == 0 and value.b == 0
-        if isinstance(value, PadicNum):
-            return value.is_zero_mod(check_level)
-        if isinstance(value, PadicQuad):
+        if isinstance(value, (PadicNum, PadicQuad)):
             return value.is_zero_mod(check_level)
         raise InvalidParametersError(f"unexpected coefficient type {type(value).__name__}")
 
@@ -374,10 +401,12 @@ class LocalSplitting:
         return True, ""
 
     def lower_left(self, u: QuatElem):
-        return self.embed(u).c
+        self._check(u)
+        return self._entry(self._terms[2], u.numerators, u.denominator)
 
     def upper_right(self, u: QuatElem):
-        return self.embed(u).b
+        self._check(u)
+        return self._entry(self._terms[1], u.numerators, u.denominator)
 
     def to_json(self) -> dict:
         def enc(v):
@@ -500,21 +529,27 @@ def build_splitting(
 
 
 def _det4(rows):
-    """Determinant of a 4x4 matrix over any commutative coefficient ring."""
-    acc = None
-    for perm in permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = rows[0][perm[0]]
-        for i in range(1, 4):
-            term = term * rows[i][perm[i]]
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    """Determinant of a 4x4 matrix over any commutative coefficient ring.
+
+    Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
+    times the signed complementary minor of rows 2, 3 (30 ring products).
+    """
+    r0, r1, r2, r3 = rows
+
+    def top(i, j):
+        return r0[i] * r1[j] - r0[j] * r1[i]
+
+    def bottom(i, j):
+        return r2[i] * r3[j] - r2[j] * r3[i]
+
+    return (
+        top(0, 1) * bottom(2, 3)
+        - top(0, 2) * bottom(1, 3)
+        + top(0, 3) * bottom(1, 2)
+        + top(1, 2) * bottom(0, 3)
+        - top(1, 3) * bottom(0, 2)
+        + top(2, 3) * bottom(0, 1)
+    )
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:

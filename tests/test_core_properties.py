@@ -4,16 +4,25 @@ Hypothesis runs derandomized with no example database, so every run draws
 the same examples and the suite stays deterministic.
 """
 
+import functools
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatorder import split
-from quatorder.errors import PrecisionLossError
-from quatorder.exact import gram_trace_matrix, reduced_discriminant
+from quatorder.errors import InvalidParametersError, PrecisionLossError
+from quatorder.exact import (
+    QuadRat,
+    ZLattice4,
+    gram_trace_matrix,
+    hnf,
+    left_kernel,
+    reduced_discriminant,
+)
 from quatorder.numth import PadicNum
 from quatorder.quat import (
     AlgebraParams,
@@ -220,3 +229,272 @@ def test_scalar_memo_never_caches_precision_loss():
         with pytest.raises(PrecisionLossError):
             spl.scalar(Fraction(1, 11**7))
     assert spl.one() is spl.one()
+
+
+# --- local models: sparse embed and Laplace determinant ----------------------
+# The references are the dense embed (all four generator images times all
+# four lifted coefficients) and the 24-term permutation sum.  q-adic exact
+# zeros carry a sentinel valuation near 10^9 that the two orders of
+# operations may move; they compare equal as exact zeros.
+
+EXACT_ZERO_VAL = 10**8
+
+MODELS = [
+    (1, 6, 7, 20),
+    (1, 6, "inf", 20),
+    (35, 3, "inf", 20),
+    (6, 1, "inf", 20),
+    (35, 3, 3, 20),
+    (35, 2, 2, 20),
+    (10, 9, 3, 20),
+    (35, 3, 11, 20),
+    (35, 3, 11, 8),
+    (35, 3, 13, 20),
+    (35, 3, 5, 20),
+    (35, 3, 7, 20),
+    (6, 1, 2, 20),
+    (6, 1, 3, 12),
+]
+
+
+@functools.cache
+def local_model(index):
+    delta, level, place, k = MODELS[index]
+    return split.build_splitting(AlgebraParams.create(delta, level), place, k=k)
+
+
+def dense_embed(spl, u):
+    acc = spl.one() * spl.scalar(u.x)
+    acc = acc + spl.mat_i * spl.scalar(u.y)
+    acc = acc + spl.mat_j * spl.scalar(u.z)
+    return acc + spl.mat_k * spl.scalar(u.t)
+
+
+def ref_det4(rows):
+    acc = None
+    for perm in permutations(range(4)):
+        sign = 1
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = rows[0][perm[0]]
+        for i in range(1, 4):
+            term = term * rows[i][perm[i]]
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def is_exact_zero(x):
+    return x.unit == 0 and x.val > EXACT_ZERO_VAL
+
+
+def entry_key(v):
+    """Value and tracked precision of a coefficient-ring element."""
+    if isinstance(v, PadicQuad):
+        return entry_key(v.a), entry_key(v.b), v.rad
+    if isinstance(v, PadicNum):
+        return (v.q, "exact zero") if is_exact_zero(v) else padic_key(v)
+    return type(v).__name__, v
+
+
+def assert_images_agree(spl, u):
+    got = outcome(lambda: spl.embed(u))
+    want = outcome(lambda: dense_embed(spl, u))
+    if want == "precision loss":
+        assert got == want
+        return
+    assert [entry_key(e) for e in got.entries()] == [entry_key(e) for e in want.entries()]
+    assert entry_key(spl.lower_left(u)) == entry_key(got.c)
+    assert entry_key(spl.upper_right(u)) == entry_key(got.b)
+
+
+def test_models_cover_every_case():
+    cases = {local_model(i).case for i in range(len(MODELS))}
+    assert cases == {
+        split.CASE_RATIONAL,
+        split.CASE_ARCHIMEDEAN,
+        split.CASE_UNRAMIFIED_SQUARE,
+        split.CASE_UNRAMIFIED_NONSQUARE,
+        split.CASE_AT_P,
+        split.CASE_RAMIFIED,
+    }
+
+
+sparse_coeffs_st = st.tuples(*[st.one_of(st.just(Fraction(0)), rational_st)] * 4)
+
+
+@SETTINGS
+@given(st.integers(0, len(MODELS) - 1), sparse_coeffs_st)
+def test_sparse_embed_matches_dense_reference(index, cu):
+    spl = local_model(index)
+    assert_images_agree(spl, QuatElem(spl.params, *cu))
+
+
+def test_sparse_embed_matches_dense_reference_on_the_order():
+    for index in range(len(MODELS)):
+        spl = local_model(index)
+        basis = hashimoto_basis(spl.params)
+        for u in [*basis, *(x * y for x in basis for y in basis)]:
+            assert_images_agree(spl, u)
+
+
+def assert_det_agrees(rows):
+    """Exact rings: equal.  q-adic rings: the same residue, with at least
+    the reference's absolute precision."""
+    got, want = split._det4(rows), ref_det4(rows)
+    if isinstance(want, PadicQuad):
+        pairs = [(got.a, want.a), (got.b, want.b)]
+    elif isinstance(want, PadicNum):
+        pairs = [(got, want)]
+    else:
+        assert type(got) is type(want) and got == want
+        return
+    for g, w in pairs:
+        if is_exact_zero(w):
+            assert is_exact_zero(g)
+            continue
+        assert g.abs_prec >= w.abs_prec
+        assert (g - w).is_zero_mod(w.abs_prec)
+
+
+def test_laplace_det_matches_permutation_sum_on_trace_forms():
+    for index in range(len(MODELS)):
+        spl = local_model(index)
+        images = [spl.embed(e) for e in hashimoto_basis(spl.params)]
+        gram = [
+            [(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in images]
+            for a in images
+        ]
+        assert_det_agrees(gram)
+
+
+def matrix_of(entry_st):
+    return st.lists(st.lists(entry_st, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@st.composite
+def padic_matrices(draw):
+    q = draw(q_st)
+    entry = st.one_of(
+        st.just(PadicNum.exact_zero(q)),
+        st.builds(lambda x, k: PadicNum.from_rational(x, q, k), small_rational_st, padic_prec_st),
+    )
+    return draw(matrix_of(entry))
+
+
+@st.composite
+def padic_quad_matrices(draw):
+    q, rad = draw(q_st), draw(rad_st)
+    return draw(matrix_of(padic_quads(q, rad)))
+
+
+@SETTINGS
+@given(matrix_of(rational_st))
+def test_laplace_det_matches_permutation_sum_over_q(rows):
+    assert_det_agrees(rows)
+
+
+@SETTINGS
+@given(matrix_of(st.builds(QuadRat, small_rational_st, small_rational_st, st.just(13))))
+def test_laplace_det_matches_permutation_sum_over_quadratic_field(rows):
+    assert_det_agrees(rows)
+
+
+@SETTINGS
+@given(padic_matrices())
+def test_laplace_det_matches_permutation_sum_over_padics(rows):
+    assert_det_agrees(rows)
+
+
+@SETTINGS
+@given(padic_quad_matrices())
+def test_laplace_det_matches_permutation_sum_over_padic_quadratics(rows):
+    assert_det_agrees(rows)
+
+
+# --- integer-scaled QuadRat against (a, b) Fraction pairs ----------------------
+
+RADICANDS = (-1, 2, 5, 13, Fraction(2, 3), Fraction(-5, 7))
+maybe_zero_st = st.one_of(st.just(Fraction(0)), rational_st)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(RADICANDS),
+    st.tuples(maybe_zero_st, maybe_zero_st),
+    st.tuples(maybe_zero_st, maybe_zero_st),
+    rational_st,
+)
+def test_quadrat_matches_fraction_pair_reference(d, cu, cv, s):
+    (a, b), (c, e) = cu, cv
+    u, v = QuadRat(a, b, d), QuadRat(c, e, d)
+    n = s.numerator
+    cases = [
+        (u + v, (a + c, b + e)),
+        (u - v, (a - c, b - e)),
+        (-u, (-a, -b)),
+        (u * v, (a * c + d * b * e, a * e + b * c)),
+        (u.conj(), (a, -b)),
+        (u + s, (a + s, b)),
+        (s + u, (a + s, b)),
+        (u - s, (a - s, b)),
+        (s - u, (s - a, -b)),
+        (u * s, (a * s, b * s)),
+        (s * u, (a * s, b * s)),
+        (u + n, (a + n, b)),
+        (n - u, (n - a, -b)),
+        (u * n, (a * n, b * n)),
+    ]
+    for got, (wa, wb) in cases:
+        assert (got.a, got.b, got.d) == (wa, wb, Fraction(d))
+        same = QuadRat(wa, wb, d)
+        assert got == same and hash(got) == hash(same)
+    assert (u == v) == (cu == cv)
+    if b == 0:
+        assert u == a and hash(u) == hash(a) and u in {a}
+    else:
+        assert u != a
+    with pytest.raises(InvalidParametersError):
+        u + QuadRat(c, e, 3)
+
+
+# --- lattices from rational rows ------------------------------------------------
+
+
+def ref_from_rows(rows):
+    """(denominator, HNF rows) of a lattice, with every entry made a Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    d = lcm(*[x.denominator for r in rows for x in r])
+    h = hnf([[int(x * d) for x in r] for r in rows])
+    if not h:
+        return 1, ()
+    g = gcd(d, *[x for r in h for x in r])
+    return d // g, tuple(tuple(x // g for x in r) for r in h)
+
+
+lattice_rows_st = st.lists(
+    st.lists(st.one_of(st.integers(-40, 40), small_rational_st), min_size=4, max_size=4),
+    min_size=0,
+    max_size=5,
+)
+
+
+@SETTINGS
+@given(lattice_rows_st, lattice_rows_st)
+def test_from_rows_and_intersect_match_fraction_reference(rows, other):
+    lat, lat2 = ZLattice4.from_rows(rows), ZLattice4.from_rows(other)
+    assert (lat.denom, lat.rows) == ref_from_rows(rows)
+    meet = lat.intersect(lat2)
+    if not lat.rows or not lat2.rows:
+        assert meet.rows == ()
+        return
+    d = lcm(lat.denom, lat2.denom)
+    a, b = lat.scaled_rows(d), lat2.scaled_rows(d)
+    gens = []
+    for w in left_kernel(a + [[-x for x in r] for r in b]):
+        g = [sum(c * row[j] for c, row in zip(w[: len(a)], a)) for j in range(4)]
+        gens.append([Fraction(x, d) for x in g])
+    assert (meet.denom, meet.rows) == ref_from_rows(gens)

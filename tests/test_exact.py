@@ -98,3 +98,11 @@ def test_quadrat_field_arithmetic():
     assert (u * u.conj()).a == Fraction(1 - 13, 4)
     assert (th * th) == 13
     assert (1 + th) - th == 1
+
+
+def test_rational_quadrat_hashes_like_its_value():
+    assert QuadRat(13, 0, 13) == 13
+    assert QuadRat(13, 0, 13) in {13}
+    assert QuadRat(Fraction(-3, 4), 0, Fraction(2, 3)) in {Fraction(-3, 4)}
+    assert {QuadRat(0, 0, 5): "zero"}[0] == "zero"
+    assert QuadRat(13, 1, 13) not in {13}

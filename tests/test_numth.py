@@ -205,3 +205,28 @@ def test_prime_factors_hands_out_fresh_lists(n):
     first.reverse()
     assert prime_factors(n) == expected
     assert all(is_prime(ell) and n % ell == 0 for ell in expected)
+
+
+def test_repeated_prime_search_does_not_scan_again(monkeypatch):
+    from quatorder import numth
+
+    scanned = []
+
+    def counting(delta, level, p):
+        scanned.append(p)
+        return real(delta, level, p)
+
+    real = numth.hashimoto_violation
+    monkeypatch.setattr(numth, "hashimoto_violation", counting)
+    # A bound no other test uses, so the first call is a genuine search.
+    assert find_hashimoto_prime(35, 3, bound=99_989) == 13
+    assert scanned == [5, 9, 13]
+    assert find_hashimoto_prime(35, 3, bound=99_989) == 13
+    assert scanned == [5, 9, 13]
+    # Failed searches and bad input are never cached.
+    for _ in range(2):
+        with pytest.raises(SearchExhaustedError):
+            find_hashimoto_prime(35, 3, bound=9)
+        with pytest.raises(InvalidParametersError):
+            find_hashimoto_prime(35, 5, bound=99_989)
+    assert scanned == [5, 9, 13, 5, 9, 5, 9]

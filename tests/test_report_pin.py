@@ -1,11 +1,13 @@
 """Pin the full default ``verify --json`` report and single-object outputs.
 
 The benchmark gate compares only (id, ok) pairs, so a refactor that changes
-a witness string would pass it.  The first test hashes the whole ``checks``
-list with the benchmark's own ``sha256_json`` and compares it with the digest
-frozen in ``perfbench/frozen/grid.json``.  The second replays single-object
-``--json`` calls and compares them with ``perfbench/frozen/calls.json`` using
-the gate's ``call_digest``.  Both frozen files are read, never written.
+a witness string would pass it.  The grid tests hash the whole ``checks``
+list with the benchmark's own ``sha256_json`` and compare it with the digest
+frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
+``perfbench/frozen/wide.json`` (one large-coefficient sweep).  The last test
+replays single-object ``--json`` calls and compares them with
+``perfbench/frozen/calls.json`` using the gate's ``call_digest``.  The frozen
+files are read, never written.
 """
 
 import importlib.util
@@ -34,6 +36,25 @@ def test_default_verify_report_is_byte_identical(capsys):
     checks = json.loads(out)["verification"]["checks"]
     assert len(checks) == frozen["checks"]
     assert _load_gate().sha256_json(checks) == frozen["checks_sha256"]
+
+
+# The frozen ``wide`` grid with the largest auxiliary prime of the pool:
+# p = 9413 at Δ = 169267637 with N = 131 and N = 7991, so the archimedean and
+# at-p models run on a four-digit p and a thirteen-digit ΔN.  No grid of the
+# pool has a ramified place (its places are primes from 101 to 400).
+WIDE_PIN = 23
+
+
+def test_wide_grid_report_is_byte_identical(capsys):
+    grid = json.loads((PERFBENCH / "frozen" / "wide.json").read_text())["grids"][WIDE_PIN]
+    code = main(grid["argv"])
+    out = capsys.readouterr().out
+    assert code == grid["rc"]
+    checks = json.loads(out)["verification"]["checks"]
+    assert len(checks) == grid["checks"]
+    assert any(".q9413." in c["id"] for c in checks)
+    assert any(".inf." in c["id"] for c in checks)
+    assert _load_gate().sha256_json(checks) == grid["checks_sha256"]
 
 
 def _pinned_calls():
