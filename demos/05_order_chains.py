@@ -12,6 +12,7 @@ elements common to the whole tower are 1 and -1.
 from quatorder import (
     classify_chain,
     chain_closed_form,
+    chain_lattice_level_one,
     pairwise_intersections,
     pretty,
     verify_chain,
@@ -37,7 +38,8 @@ def main():
               + ("all pass" if report.passed else "FAILED"))
 
     print("\npairwise intersections down at level 1 (HNF rows):")
-    for (q1, q2), lat in sorted(pairwise_intersections(delta, qs).items()):
+    lattices = {q: chain_lattice_level_one(delta, q) for q in qs}
+    for (q1, q2), lat in sorted(pairwise_intersections(lattices).items()):
         print(f"  q = {q1:>2} and {q2:>2}: {lat.rows}")
 
     report = verify_chain_family(delta, qs)

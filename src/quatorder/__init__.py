@@ -71,6 +71,7 @@ from .chains import (
     ChainBasis,
     chain_closed_form,
     chain_kernel_exact,
+    chain_lattice_level_one,
     chain_oracle,
     classify_chain,
     global_intersection,
@@ -111,6 +112,7 @@ __all__ = [
     "build_splitting",
     "chain_closed_form",
     "chain_kernel_exact",
+    "chain_lattice_level_one",
     "chain_oracle",
     "classify_chain",
     "classify_degeneracy",

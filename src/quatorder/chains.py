@@ -112,13 +112,13 @@ class ChainBasis:
         return out
 
 
-def _level_one(delta: int, p: int | None, prime_bound: int) -> AlgebraParams:
+def _level_one(delta: int, p: int | None) -> AlgebraParams:
     if delta == 1:
         raise CaseMismatchError(
             "chain intersections in the matrix algebra have rank 3; "
             "they are only quadratic rings over a division algebra (delta > 1)"
         )
-    return AlgebraParams.create(delta, 1, p=p, prime_bound=prime_bound)
+    return AlgebraParams.create(delta, 1, p=p)
 
 
 def _neg_dn_is_q_square(dn: int, q: int) -> bool:
@@ -140,10 +140,10 @@ def classify_chain(params: AlgebraParams, q: int) -> str:
     return CHAIN_AUX
 
 
-def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) -> int:
+def _aux_level(params: AlgebraParams, q: int) -> int:
     """Smallest admissible auxiliary level making -dn*N a q-adic square."""
     delta, p = params.delta, params.p
-    for n in range(2, bound + 1):
+    for n in range(2, DEFAULT_AUX_BOUND + 1):
         if gcd(n, delta) != 1:
             continue
         if q == 2:
@@ -154,13 +154,13 @@ def _aux_level(params: AlgebraParams, q: int, bound: int = DEFAULT_AUX_BOUND) ->
         if hashimoto_violation(delta, n, p) is None:
             return n
     raise SearchExhaustedError(
-        f"no auxiliary level <= {bound} for delta={delta}, p={p}, q={q}"
+        f"no auxiliary level <= {DEFAULT_AUX_BOUND} for delta={delta}, p={p}, q={q}"
     )
 
 
-def _aux_params(params: AlgebraParams, q: int, bound: int) -> AlgebraParams:
+def _aux_params(params: AlgebraParams, q: int) -> AlgebraParams:
     """The order at the auxiliary level of the chain at q (same delta and p)."""
-    return AlgebraParams.create(params.delta, _aux_level(params, q, bound=bound), p=params.p)
+    return AlgebraParams.create(params.delta, _aux_level(params, q), p=params.p)
 
 
 def _chain_vector(params: AlgebraParams) -> QuatElem:
@@ -177,18 +177,16 @@ def chain_closed_form(
     delta: int,
     q: int,
     p: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
 ) -> ChainBasis:
     """Closed-form basis of the chain intersection at q."""
-    params = _level_one(delta, p, prime_bound)
+    params = _level_one(delta, p)
     case = classify_chain(params, q)
     e1, e2, _, _ = hashimoto_basis(params)
     if case == CHAIN_SQUARE:
         return ChainBasis(params, q, case, (e1, e2))
     if case in (CHAIN_AT_P, CHAIN_DIRECT):
         return ChainBasis(params, q, case, (e1, _chain_vector(params)))
-    params_n = _aux_params(params, q, aux_bound)
+    params_n = _aux_params(params, q)
     basis = (hashimoto_basis(params_n)[0], _chain_vector(params_n))
     return ChainBasis(params_n, q, case, basis, aux_level=params_n.level)
 
@@ -336,9 +334,6 @@ def verify_chain(
     q: int,
     p: int | None = None,
     depths: tuple = DEFAULT_DEPTHS,
-    k: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
 ) -> tuple[ChainBasis, Report]:
     """Run all three routes and cross-check them.
 
@@ -350,7 +345,7 @@ def verify_chain(
         raise InvalidParametersError(
             f"oracle depths must be a non-empty list of positive integers: {list(depths)}"
         )
-    cb = chain_closed_form(delta, q, p=p, aux_bound=aux_bound, prime_bound=prime_bound)
+    cb = chain_closed_form(delta, q, p=p)
     params = cb.params
     report = Report()
 
@@ -373,7 +368,7 @@ def verify_chain(
 
     oracles = {}
     for d in depths:
-        oracles[d] = chain_oracle(params, q, d, k=k)
+        oracles[d] = chain_oracle(params, q, d)
         report.add(
             f"oracle.contains_closed.depth{d}",
             _is_sublattice(closed, oracles[d]),
@@ -404,8 +399,6 @@ def chain_lattice_level_one(
     delta: int,
     q: int,
     p: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
 ) -> ZLattice4:
     """The chain intersection at q as a lattice in level-1 coordinates.
 
@@ -415,11 +408,11 @@ def chain_lattice_level_one(
     """
     from .isomap import build_psi
 
-    params = _level_one(delta, p, prime_bound)
+    params = _level_one(delta, p)
     case = classify_chain(params, q)
     if case != CHAIN_AUX:
         return chain_kernel_exact(params, q, prefer_y_zero=False)
-    params_n = _aux_params(params, q, aux_bound)
+    params_n = _aux_params(params, q)
     lat_n = chain_kernel_exact(params_n, q, prefer_y_zero=False)
     psi = build_psi(delta, params_n.level, 1, p=params.p)
     rows = []
@@ -429,41 +422,23 @@ def chain_lattice_level_one(
     return coords_lattice(params, rows)
 
 
-def pairwise_intersections(
-    delta: int,
-    qs,
-    p: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
-) -> dict:
-    """Intersections of the level-1 chain lattices for every pair of primes."""
-    qs = sorted(set(qs))
-    lats = {
-        q: chain_lattice_level_one(delta, q, p=p, aux_bound=aux_bound, prime_bound=prime_bound)
-        for q in qs
-    }
+def pairwise_intersections(lattices: dict) -> dict:
+    """Intersection of every pair of level-1 chain lattices, given keyed by prime."""
+    qs = sorted(lattices)
     out = {}
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1 :]:
-            out[(q1, q2)] = lats[q1].intersect(lats[q2])
+            out[(q1, q2)] = lattices[q1].intersect(lattices[q2])
     return out
 
 
-def global_intersection(
-    delta: int,
-    qs,
-    p: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
-) -> ZLattice4:
-    """Intersection of the level-1 chain lattices over all the given primes."""
-    qs = sorted(set(qs))
-    if not qs:
+def global_intersection(lattices: dict) -> ZLattice4:
+    """Intersection of all the level-1 chain lattices, given keyed by prime."""
+    if not lattices:
         raise InvalidParametersError("need at least one prime")
     acc = None
-    for q in qs:
-        lat = chain_lattice_level_one(delta, q, p=p, aux_bound=aux_bound, prime_bound=prime_bound)
-        acc = lat if acc is None else acc.intersect(lat)
+    for q in sorted(lattices):
+        acc = lattices[q] if acc is None else acc.intersect(lattices[q])
     return acc
 
 
@@ -471,8 +446,6 @@ def verify_chain_family(
     delta: int,
     qs,
     p: int | None = None,
-    aux_bound: int = DEFAULT_AUX_BOUND,
-    prime_bound: int = 100_000,
 ) -> Report:
     """Pairwise and global triviality of the chain family, plus the corollary.
 
@@ -483,21 +456,18 @@ def verify_chain_family(
         raise InvalidParametersError(
             f"a chain family needs at least two distinct primes: {sorted(set(qs))}"
         )
-    params = _level_one(delta, p, prime_bound)
+    params = _level_one(delta, p)
     report = Report()
     unit = coords_lattice(params, [[1, 0, 0, 0]])
-    pairs = pairwise_intersections(
-        delta, qs, p=params.p, aux_bound=aux_bound, prime_bound=prime_bound
-    )
+    lattices = {q: chain_lattice_level_one(delta, q, p=params.p) for q in sorted(set(qs))}
+    pairs = pairwise_intersections(lattices)
     for (q1, q2), lat in sorted(pairs.items()):
         report.add(
             f"pairwise.{q1}_{q2}",
             lat == unit,
             "intersection of the two chain rings is Z*1",
         )
-    glob = global_intersection(
-        delta, qs, p=params.p, aux_bound=aux_bound, prime_bound=prime_bound
-    )
+    glob = global_intersection(lattices)
     report.add("global.trivial", glob == unit, "intersection over all primes is Z*1")
     norm_one_ok = glob == unit
     if norm_one_ok:

@@ -11,9 +11,9 @@ Subcommands build the objects of the library and verify them in one step:
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid parameters,
 3 unsupported case (ramified place, non-dividing level, exhausted search),
-4 insufficient working precision.  The default working precision is 20
-digits, overridable by the QUATORDER_PRECISION environment variable or the
---precision flag.  Output is plain text, or canonical JSON under --json.
+4 insufficient working precision.  The working precision defaults to
+split.DEFAULT_PRECISION digits; QUATORDER_PRECISION or --precision override
+it.  Output is plain text, or canonical JSON under --json.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .chains import verify_chain, verify_chain_family
+from .chains import DEFAULT_DEPTHS, verify_chain, verify_chain_family
 from .degeneracy import degeneracy_bases, verify_degeneracy
 from .errors import (
     InvalidParametersError,
@@ -40,7 +40,7 @@ from .isomap import (
 from .numth import INFINITE_PLACE
 from .quat import AlgebraParams, hashimoto_basis, pretty
 from .report import Report
-from .split import build_splitting, verify_splitting
+from .split import DEFAULT_PRECISION, build_splitting, verify_splitting
 from .verify import (
     ALL_SECTIONS,
     DEFAULT_DELTAS,
@@ -48,9 +48,6 @@ from .verify import (
     DEFAULT_PLACES,
     run_sweep,
 )
-
-DEFAULT_PRECISION = 20
-DEFAULT_PRIME_BOUND = 100_000
 
 
 def _default_precision() -> int:
@@ -140,7 +137,7 @@ def _summary_line(report: Report) -> str:
 
 
 def _params_from_args(args) -> AlgebraParams:
-    return AlgebraParams.create(args.delta, args.level, p=args.p, prime_bound=args.prime_bound)
+    return AlgebraParams.create(args.delta, args.level, p=args.p)
 
 
 def _cmd_construct(args) -> int:
@@ -166,12 +163,12 @@ def _cmd_split(args) -> int:
     place = params.p if args.place == "p" else args.place
     splitting = build_splitting(params, place, k=args.precision)
     report = verify_splitting(splitting)
-    payload = {"splitting": splitting.to_json(), "verification": report.to_json()}
+    sj = splitting.to_json()
+    payload = {"splitting": sj, "verification": report.to_json()}
     lines = [
         f"delta={params.delta} level={params.level} p={params.p} place={place}",
         f"case: {splitting.case}   shape: {splitting.shape.describe()}",
     ]
-    sj = splitting.to_json()
     for name in ("i", "j", "k"):
         lines.append(f"  phi({name}) = {_matrix_brief(sj[name])}")
     lines += _report_lines(report)
@@ -183,8 +180,8 @@ def _cmd_degeneracy(args) -> int:
     params = _params_from_args(args)
     pair = degeneracy_bases(params, args.q, k=args.precision)
     report = verify_degeneracy(pair)
-    payload = {"degeneracy": pair.to_json(), "verification": report.to_json()}
     pj = pair.to_json()
+    payload = {"degeneracy": pj, "verification": report.to_json()}
     lines = [
         f"delta={params.delta} level={params.level} p={params.p} q={args.q} case={pair.case}",
         "f basis: " + ", ".join(pj["f"]),
@@ -198,12 +195,10 @@ def _cmd_degeneracy(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    psi = build_psi(
-        args.delta, args.src, args.dst,
-        p=args.p, w_bound=args.w_bound, prime_bound=args.prime_bound,
-    )
+    psi = build_psi(args.delta, args.src, args.dst, p=args.p, w_bound=args.w_bound)
     report = verify_psi(psi, seed=args.seed)
-    payload = {"psi": psi.to_json()}
+    pj = psi.to_json()
+    payload = {"psi": pj}
     divisible = args.dst < args.src and args.src % args.dst == 0
     if divisible:
         report.extend(verify_psi_inclusion(psi))
@@ -212,7 +207,6 @@ def _cmd_psi(args) -> int:
             for name, value in inclusion_coordinate_formulas(psi).items()
         }
     payload["verification"] = report.to_json()
-    pj = psi.to_json()
     lines = [
         f"delta={args.delta} levels {args.src} -> {args.dst} p={pj['p']}",
         f"beta = {pj['beta']}, delta = {pj['delta']}",
@@ -227,21 +221,15 @@ def _cmd_psi(args) -> int:
 
 def _cmd_chain(args) -> int:
     depths = _parse_int_list(args.depths, "depths")
-    cb, report = verify_chain(
-        args.delta, args.q, p=args.p,
-        depths=depths, aux_bound=args.aux_bound, prime_bound=args.prime_bound,
-    )
-    payload = {"chain": cb.to_json()}
+    cb, report = verify_chain(args.delta, args.q, p=args.p, depths=depths)
+    cj = cb.to_json()
+    payload = {"chain": cj}
     if args.family:
         family = _parse_int_list(args.family, "family")
-        fam_report = verify_chain_family(
-            args.delta, family, p=args.p,
-            aux_bound=args.aux_bound, prime_bound=args.prime_bound,
-        )
+        fam_report = verify_chain_family(args.delta, family, p=args.p)
         report.extend(fam_report, prefix="family.")
         payload["family"] = sorted(family)
     payload["verification"] = report.to_json()
-    cj = cb.to_json()
     lines = [
         f"delta={args.delta} q={args.q} case={cj['case']} level={cj['level']}"
         + (f" aux_level={cj['aux_level']}" if "aux_level" in cj else ""),
@@ -267,7 +255,6 @@ def _cmd_verify(args) -> int:
         deltas=deltas, levels=levels, places=places,
         k=args.precision, seed=args.seed, sections=sections,
         inject_at_p_sign_flip=args.inject_at_p_sign_flip,
-        prime_bound=args.prime_bound,
     )
     payload = {"verification": report.to_json()}
     lines = []
@@ -298,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--level", type=int, default=1, help="order level (default 1)")
         sp.add_argument("--p", type=int, default=None,
                         help="splitting prime (default: smallest admissible)")
-        sp.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
-                        help="bound for the splitting-prime search")
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
 
     sp = sub.add_parser("construct", help="order basis for a discriminant and level")
@@ -331,10 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chain", help="chain intersection at a prime")
     common(sp, level=False)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--depths", type=str, default="8,10,12",
+    sp.add_argument("--depths", type=str, default=",".join(str(d) for d in DEFAULT_DEPTHS),
                     help="oracle depths, comma-separated")
-    sp.add_argument("--aux-bound", type=int, default=200,
-                    help="bound for the auxiliary-level search")
     sp.add_argument("--family", type=str, default=None,
                     help="comma-separated primes for the family triviality check")
     sp.set_defaults(func=_cmd_chain)
@@ -347,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sections", type=str, default=",".join(ALL_SECTIONS))
     sp.add_argument("--precision", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
     sp.add_argument("--inject-at-p-sign-flip", action="store_true",
                     help=argparse.SUPPRESS)
     sp.add_argument("--json", action="store_true")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
 from .exact import ZLattice4, congruence_kernel, reduced_discriminant
-from .numth import PadicNum, is_prime, valuation
+from .numth import PadicNum, is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
@@ -43,6 +43,7 @@ from .split import (
     CASE_RATIONAL,
     CASE_UNRAMIFIED_NONSQUARE,
     CASE_UNRAMIFIED_SQUARE,
+    DEFAULT_PRECISION,
     LocalSplitting,
     build_splitting,
     classify_place,
@@ -103,16 +104,17 @@ class DegeneracyPair:
     def to_json(self) -> dict:
         from .exact import det_frac
 
+        f_coords, g_coords = self.f_coords, self.g_coords
         return {
             "q": self.q,
             "case": self.case,
             "f": [pretty(u) for u in self.f],
             "g": [pretty(u) for u in self.g],
-            "f_coords": [[str(c) for c in row] for row in self.f_coords],
-            "g_coords": [[str(c) for c in row] for row in self.g_coords],
+            "f_coords": [[str(c) for c in row] for row in f_coords],
+            "g_coords": [[str(c) for c in row] for row in g_coords],
             "constants": self.constants.to_json(),
-            "det_f": str(det_frac(self.f_coords)),
-            "det_g": str(det_frac(self.g_coords)),
+            "det_f": str(det_frac(f_coords)),
+            "det_g": str(det_frac(g_coords)),
         }
 
 
@@ -135,8 +137,7 @@ def classify_degeneracy(params: AlgebraParams, q: int) -> str:
 def degeneracy_bases(
     params: AlgebraParams,
     q: int,
-    k: int = 20,
-    prefer_y_zero: bool = False,
+    k: int = DEFAULT_PRECISION,
 ) -> DegeneracyPair:
     """Construct the two level-Nq bases inside the level-N order.
 
@@ -146,7 +147,7 @@ def degeneracy_bases(
     case = classify_degeneracy(params, q)
     if k < 8:
         raise PrecisionLossError(f"precision too small to read residues reliably: {k}")
-    splitting = build_splitting(params, q, k=k, prefer_y_zero=prefer_y_zero)
+    splitting = build_splitting(params, q, k=k)
     e1, e2, e3, e4 = hashimoto_basis(params)
     dn = params.dn
     a = params.a
@@ -223,7 +224,7 @@ def _side_kernel(pair: DegeneracyPair, side: str) -> ZLattice4:
     params = pair.params
     q = pair.q
     s = pair.splitting
-    m = 1 + (valuation(params.level, q) if params.level % q == 0 else 0) if side == "f" else 1
+    m = 1 + s.shape.ll_val if side == "f" else 1
     basis = hashimoto_basis(params)
     entries = [s.lower_left(e) if side == "f" else s.upper_right(e) for e in basis]
     residues = [_residue_mod(v, q, m) for v in entries]

@@ -44,6 +44,7 @@ from .quat import (
 from .report import Report
 
 DEFAULT_CONIC_BOUND = 400
+PSI_SAMPLES = 12
 
 
 def solve_conic(m_level: int, p: int, n_level: int, w_bound: int = DEFAULT_CONIC_BOUND):
@@ -89,8 +90,7 @@ class PsiMap:
             raise InvalidParametersError("level maps require equal discriminants")
         if self.src.p != self.dst.p:
             raise InvalidParametersError("level maps require a shared prime p")
-        n, m, p = self.src.level, self.dst.level, self.src.p
-        if m * self.beta**2 - p * m * self.delta**2 != n:
+        if self.conic_residual() != 0:
             raise InvalidParametersError("coefficients do not satisfy the level conic")
 
     def image_i(self) -> QuatElem:
@@ -137,7 +137,6 @@ def build_psi(
     dst_level: int,
     p: int | None = None,
     w_bound: int = DEFAULT_CONIC_BOUND,
-    prime_bound: int = 100_000,
 ) -> PsiMap:
     """Construct the level map from src_level to dst_level.
 
@@ -147,7 +146,7 @@ def build_psi(
     a_src * beta = a_dst mod p.
     """
     if p is None:
-        p = find_hashimoto_prime(delta, src_level * dst_level, bound=prime_bound)
+        p = find_hashimoto_prime(delta, src_level * dst_level)
     src = AlgebraParams.create(delta, src_level, p=p)
     dst = AlgebraParams.create(delta, dst_level, p=p)
     n, m = src_level, dst_level
@@ -192,7 +191,7 @@ def inclusion_coordinate_formulas(psi: PsiMap) -> dict:
     }
 
 
-def verify_psi(psi: PsiMap, sample_count: int = 12, seed: int = 0) -> Report:
+def verify_psi(psi: PsiMap, seed: int = 0) -> Report:
     """Check that the map is a ring isomorphism of the two presentations."""
     import random
 
@@ -218,15 +217,15 @@ def verify_psi(psi: PsiMap, sample_count: int = 12, seed: int = 0) -> Report:
     rng = random.Random(seed)
     ok_norm = True
     ok_mult = True
-    for _ in range(sample_count):
+    for _ in range(PSI_SAMPLES):
         u = QuatElem(src, *[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(4)])
         v = QuatElem(src, *[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(4)])
         if psi.apply(u).reduced_norm() != u.reduced_norm():
             ok_norm = False
         if psi.apply(u * v) != psi.apply(u) * psi.apply(v):
             ok_mult = False
-    report.add("samples.norm_preserved", ok_norm, f"{sample_count} random elements")
-    report.add("samples.multiplicative", ok_mult, f"{sample_count} random products")
+    report.add("samples.norm_preserved", ok_norm, f"{PSI_SAMPLES} random elements")
+    report.add("samples.multiplicative", ok_mult, f"{PSI_SAMPLES} random products")
     return report
 
 

@@ -66,12 +66,10 @@ class AlgebraParams:
             raise InvalidParametersError("a²ΔN ≡ -1 (mod p) fails")
 
     @classmethod
-    def create(
-        cls, delta: int, level: int, *, p: int | None = None, prime_bound: int = 100_000
-    ) -> "AlgebraParams":
+    def create(cls, delta: int, level: int, *, p: int | None = None) -> "AlgebraParams":
         """The algebra at p (default: the smallest admissible p) with its smallest a."""
         if p is None:
-            p = numth.find_hashimoto_prime(delta, level, prime_bound)
+            p = numth.find_hashimoto_prime(delta, level)
         else:
             check_admissible_p(delta, level, p)
         return cls(delta, level, p, numth.find_a(delta, level, p))

@@ -55,6 +55,9 @@ CASE_ARCHIMEDEAN = "archimedean"
 # masquerades as a genuine failure.
 CHECK_MARGIN = 6
 
+# q-adic working digits when the caller names none.
+DEFAULT_PRECISION = 20
+
 
 @lru_cache(maxsize=256)
 def _radicand(rad: int, q: int, prec: int) -> PadicNum:
@@ -431,7 +434,7 @@ class LocalSplitting:
 def build_splitting(
     params: AlgebraParams,
     place,
-    k: int = 20,
+    k: int = DEFAULT_PRECISION,
     prefer_y_zero: bool = False,
     _flip_at_p_root: bool = False,
 ) -> LocalSplitting:
@@ -448,6 +451,8 @@ def build_splitting(
     dn = params.dn
     n_level = params.level
     p = params.p
+    # Depth of the level's lower-left congruence at a finite place.
+    ll_val = 0 if place == INFINITE_PLACE or n_level % place else valuation(n_level, place)
 
     if case == CASE_RATIONAL:
         fr = Fraction
@@ -455,9 +460,6 @@ def build_splitting(
         mj = Mat2(fr(-1), fr(0), fr(0), fr(1))
         mk = mi * mj
         shape_q = place if place != INFINITE_PLACE else None
-        ll_val = 0
-        if shape_q is not None:
-            ll_val = valuation(n_level, shape_q) if n_level % shape_q == 0 else 0
         shape = OrderShape("triangular" if ll_val else "matrix_ring", shape_q, ll_val)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {}, shape)
 
@@ -483,7 +485,6 @@ def build_splitting(
         mi = Mat2(z0, pn(1), pn(-dn), z0)
         mj = Mat2(-omega, z0, z0, omega)
         mk = mi * mj
-        ll_val = valuation(n_level, q) if n_level % q == 0 else 0
         shape = OrderShape("triangular" if ll_val else "matrix_ring", q, ll_val)
         return LocalSplitting(
             params, place, case, k, mi, mj, mk, {"omega": omega}, shape

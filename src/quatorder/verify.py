@@ -32,7 +32,7 @@ from .numth import (
 )
 from .quat import AlgebraParams
 from .report import Report
-from .split import build_splitting, verify_splitting
+from .split import DEFAULT_PRECISION, build_splitting, verify_splitting
 
 DEFAULT_DELTAS = (1, 6, 10, 14, 15, 21, 22, 26, 34, 35)
 DEFAULT_LEVELS = (1, 2, 3, 5, 7, 9, 11)
@@ -40,12 +40,12 @@ DEFAULT_PLACES = (2, 3, 5, 7, 11, 13, "p", INFINITE_PLACE)
 ALL_SECTIONS = ("numth", "split", "degeneracy", "psi", "chain")
 
 
-def _grid(deltas, levels, prime_bound):
+def _grid(deltas, levels):
     for delta in deltas:
         for level in levels:
             if gcd(delta, level) != 1:
                 continue
-            yield AlgebraParams.create(delta, level, prime_bound=prime_bound)
+            yield AlgebraParams.create(delta, level)
 
 
 def _resolve_places(params: AlgebraParams, places, finite: bool) -> list:
@@ -144,15 +144,14 @@ def sweep_splittings(
     deltas=DEFAULT_DELTAS,
     levels=DEFAULT_LEVELS,
     places=DEFAULT_PLACES,
-    k: int = 20,
+    k: int = DEFAULT_PRECISION,
     inject_at_p_sign_flip: bool = False,
-    prime_bound: int = 100_000,
 ) -> Report:
     """Verify the local splitting at every supported place on the grid."""
     report = Report()
     verified = 0
     skipped = 0
-    for params in _grid(deltas, levels, prime_bound):
+    for params in _grid(deltas, levels):
         for pl in _resolve_places(params, places, finite=False):
             flip = inject_at_p_sign_flip and pl == params.p
             try:
@@ -174,14 +173,13 @@ def sweep_degeneracies(
     deltas=DEFAULT_DELTAS,
     levels=DEFAULT_LEVELS,
     places=DEFAULT_PLACES,
-    k: int = 20,
-    prime_bound: int = 100_000,
+    k: int = DEFAULT_PRECISION,
 ) -> Report:
     """Verify both degeneracy embeddings at every supported prime on the grid."""
     report = Report()
     verified = 0
     skipped = 0
-    for params in _grid(deltas, levels, prime_bound):
+    for params in _grid(deltas, levels):
         for q in _resolve_places(params, places, finite=True):
             try:
                 pair = degeneracy_bases(params, q, k=k)
@@ -202,7 +200,6 @@ def sweep_psi(
     deltas=DEFAULT_DELTAS,
     levels=DEFAULT_LEVELS,
     seed: int = 0,
-    prime_bound: int = 100_000,
 ) -> Report:
     """Verify level isomorphisms, with the inclusion certificate on divisible pairs."""
     report = Report()
@@ -215,7 +212,7 @@ def sweep_psi(
             if dst < src and src % dst == 0 and gcd(delta, src) == 1
         ]
         for src, dst in pairs:
-            psi = build_psi(delta, src, dst, prime_bound=prime_bound)
+            psi = build_psi(delta, src, dst)
             prefix = f"psi.delta{delta}.{src}to{dst}."
             report.extend(verify_psi(psi, seed=seed), prefix=prefix)
             report.extend(verify_psi_inclusion(psi), prefix=prefix)
@@ -226,7 +223,6 @@ def sweep_psi(
 def sweep_chains(
     deltas=DEFAULT_DELTAS,
     places=DEFAULT_PLACES,
-    prime_bound: int = 100_000,
 ) -> Report:
     """Verify chain intersections for division algebras.
 
@@ -240,20 +236,18 @@ def sweep_chains(
     for delta in deltas:
         if delta == 1:
             continue
-        params = AlgebraParams.create(delta, 1, prime_bound=prime_bound)
+        params = AlgebraParams.create(delta, 1)
         for q in _resolve_places(params, places, finite=True):
             try:
                 classify_chain(params, q)
             except CaseMismatchError:
                 skipped += 1
                 continue
-            cb, sub = verify_chain(delta, q, p=params.p, prime_bound=prime_bound)
+            cb, sub = verify_chain(delta, q, p=params.p)
             report.extend(sub, prefix=f"chain.delta{delta}.q{q}.")
             verified += 1
         if delta in TRANSVERSE_FAMILIES:
-            fam = verify_chain_family(
-                delta, TRANSVERSE_FAMILIES[delta], prime_bound=prime_bound
-            )
+            fam = verify_chain_family(delta, TRANSVERSE_FAMILIES[delta])
             report.extend(fam, prefix=f"chain.delta{delta}.family.")
     return _coverage(
         report, "chain", verified, skipped,
@@ -265,11 +259,10 @@ def run_sweep(
     deltas=DEFAULT_DELTAS,
     levels=DEFAULT_LEVELS,
     places=DEFAULT_PLACES,
-    k: int = 20,
+    k: int = DEFAULT_PRECISION,
     seed: int = 0,
     sections=ALL_SECTIONS,
     inject_at_p_sign_flip: bool = False,
-    prime_bound: int = 100_000,
 ) -> Report:
     """Run the selected verification sections and fold them into one report."""
     report = Report()
@@ -280,15 +273,14 @@ def run_sweep(
             sweep_splittings(
                 deltas, levels, places, k=k,
                 inject_at_p_sign_flip=inject_at_p_sign_flip,
-                prime_bound=prime_bound,
             )
         )
     if "degeneracy" in sections:
-        report.extend(sweep_degeneracies(deltas, levels, places, k=k, prime_bound=prime_bound))
+        report.extend(sweep_degeneracies(deltas, levels, places, k=k))
     if "psi" in sections:
-        report.extend(sweep_psi(deltas, levels, seed=seed, prime_bound=prime_bound))
+        report.extend(sweep_psi(deltas, levels, seed=seed))
     if "chain" in sections:
-        report.extend(sweep_chains(deltas, places, prime_bound=prime_bound))
+        report.extend(sweep_chains(deltas, places))
     if report.vacuous:
         raise InvalidParametersError("verification sweep selected no checks")
     return report

@@ -155,11 +155,12 @@ def test_level_one_lattice_frozen():
 
 def test_pairwise_and_global_triviality():
     for delta, qs in TRANSVERSE_FAMILIES.items():
-        pairs = pairwise_intersections(delta, qs)
+        lattices = {q: chain_lattice_level_one(delta, q) for q in qs}
+        pairs = pairwise_intersections(lattices)
         assert len(pairs) == len(qs) * (len(qs) - 1) // 2
         for (q1, q2), lat in pairs.items():
             assert lat.denom == 1 and lat.rows == ((1, 0, 0, 0),), (delta, q1, q2)
-        glob = global_intersection(delta, qs)
+        glob = global_intersection(lattices)
         assert glob.rows == ((1, 0, 0, 0),)
 
 

@@ -263,3 +263,26 @@ def test_split_precision_below_the_check_margin_exit_four(capsys, place, precisi
     else:
         assert err == ""
         assert "all pass" in out
+
+
+# The product of the odd primes 3 to 47: no admissible prime lies below the
+# fixed search bound, and each command reaches the search by its own path.
+NO_PRIME_DELTA = "307444891294245705"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("construct", "--delta", NO_PRIME_DELTA),
+        ("psi", "--delta", NO_PRIME_DELTA, "--src", "2", "--dst", "1"),
+        ("chain", "--delta", NO_PRIME_DELTA, "--q", "2"),
+        ("verify", "--deltas", NO_PRIME_DELTA, "--levels", "1", "--sections", "split"),
+    ],
+    ids=["construct", "psi", "chain", "verify"],
+)
+def test_exhausted_prime_search_exit_three(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert code == 3
+    assert out == ""
+    assert "no admissible prime below 100000" in err
+    assert "Traceback" not in err
