@@ -55,6 +55,7 @@ from .quat import (
     element_from_coords,
     hashimoto_basis,
     pretty,
+    scaled_coords,
 )
 from .report import Report
 from .split import at_p_root
@@ -65,6 +66,9 @@ CHAIN_DIRECT = "direct"
 CHAIN_AUX = "aux"
 
 DEFAULT_DEPTHS = (8, 10, 12)
+# Largest oracle depth verify_chain accepts: the oracle's cost grows faster
+# than linearly in the depth, and this keeps every chain call bounded.
+MAX_DEPTH = 1000
 DEFAULT_AUX_BOUND = 200
 
 # Prime families whose chain rings are pairwise transverse under the generic
@@ -324,9 +328,7 @@ def chain_oracle(
 
 
 def _is_sublattice(sub: ZLattice4, sup: ZLattice4) -> bool:
-    return all(
-        sup.contains([Fraction(x, sub.denom) for x in row]) for row in sub.rows
-    )
+    return all(sup.contains_scaled(row, sub.denom) for row in sub.rows)
 
 
 def verify_chain(
@@ -345,6 +347,10 @@ def verify_chain(
         raise InvalidParametersError(
             f"oracle depths must be a non-empty list of positive integers: {list(depths)}"
         )
+    if depths[-1] > MAX_DEPTH:
+        raise InvalidParametersError(
+            f"oracle depth {depths[-1]} exceeds the bound {MAX_DEPTH}"
+        )
     cb = chain_closed_form(delta, q, p=p)
     params = cb.params
     report = Report()
@@ -352,11 +358,9 @@ def verify_chain(
     closed = cb.lattice()
     report.add("closed.rank", closed.rank == 2, "closed-form span has rank 2")
 
-    ring_ok = True
-    for u in cb.basis:
-        for v in cb.basis:
-            if not closed.contains(list(coords_in_hashimoto(u * v))):
-                ring_ok = False
+    ring_ok = all(
+        closed.contains_scaled(*scaled_coords(u * v)) for u in cb.basis for v in cb.basis
+    )
     report.add("closed.ring", ring_ok, "closed-form span is multiplicatively closed")
 
     symbolic = chain_kernel_exact(params, q, prefer_y_zero=True)
@@ -415,11 +419,11 @@ def chain_lattice_level_one(
     params_n = _aux_params(params, q)
     lat_n = chain_kernel_exact(params_n, q, prefer_y_zero=False)
     psi = build_psi(delta, params_n.level, 1, p=params.p)
-    rows = []
-    for row in lat_n.rows:
-        u = element_from_coords(params_n, [Fraction(x, lat_n.denom) for x in row])
-        rows.append(list(coords_in_hashimoto(psi.apply(u))))
-    return coords_lattice(params, rows)
+    images = [
+        psi.apply(element_from_coords(params_n, [Fraction(x, lat_n.denom) for x in row]))
+        for row in lat_n.rows
+    ]
+    return coefficient_lattice(params, images)
 
 
 def pairwise_intersections(lattices: dict) -> dict:

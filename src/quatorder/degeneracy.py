@@ -23,17 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
-from .exact import ZLattice4, congruence_kernel, reduced_discriminant
+from .exact import ZLattice4, congruence_kernel, det_int, reduced_discriminant
 from .numth import PadicNum, is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
     coords_in_hashimoto,
     coords_lattice,
+    coords_product,
     hashimoto_basis,
+    order_lattice,
     pretty,
+    scaled_coords,
+    structure_constants,
     unit_coords_lattice,
 )
 from .report import Report
@@ -102,8 +107,6 @@ class DegeneracyPair:
         return coefficient_lattice(self.params, self.g)
 
     def to_json(self) -> dict:
-        from .exact import det_frac
-
         f_coords, g_coords = self.f_coords, self.g_coords
         return {
             "q": self.q,
@@ -113,9 +116,14 @@ class DegeneracyPair:
             "f_coords": [[str(c) for c in row] for row in f_coords],
             "g_coords": [[str(c) for c in row] for row in g_coords],
             "constants": self.constants.to_json(),
-            "det_f": str(det_frac(f_coords)),
-            "det_g": str(det_frac(g_coords)),
+            "det_f": str(_coords_det([scaled_coords(u) for u in self.f])),
+            "det_g": str(_coords_det([scaled_coords(u) for u in self.g])),
         }
+
+
+def _coords_det(coords) -> Fraction:
+    """Determinant of four order-basis coordinate vectors given scaled."""
+    return Fraction(det_int([list(nums) for nums, _ in coords]), prod(den for _, den in coords))
 
 
 def classify_degeneracy(params: AlgebraParams, q: int) -> str:
@@ -233,10 +241,11 @@ def _side_kernel(pair: DegeneracyPair, side: str) -> ZLattice4:
 
 
 def verify_degeneracy(pair: DegeneracyPair) -> Report:
-    """Replay every certificate of the two embedded copies."""
-    from .exact import det_frac
-    from .quat import order_lattice
+    """Replay every certificate of the two embedded copies.
 
+    Coordinates stay integer-scaled: closure multiplies coordinate vectors
+    through the order's structure constants and tests scaled membership.
+    """
     params = pair.params
     q = pair.q
     s = pair.splitting
@@ -245,13 +254,15 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
 
     r_lat = order_lattice(params)
     identity = unit_coords_lattice(params)
+    table = structure_constants(params)
     expected_disc = params.dn * q
+    lattices = {}
 
     for side, basis in (("f", pair.f), ("g", pair.g)):
-        coords = [list(coords_in_hashimoto(u)) for u in basis]
-        lat = coefficient_lattice(params, basis)
+        coords = [scaled_coords(u) for u in basis]
+        lat = lattices[side] = coefficient_lattice(params, basis)
 
-        in_order = all(r_lat.contains(list(u.coefficients())) for u in basis)
+        in_order = all(r_lat.contains_scaled(u.numerators, u.denominator) for u in basis)
         report.add(f"membership.{side}.order", in_order, "all four lie in the level-N order")
 
         for idx, u in enumerate(basis, start=1):
@@ -268,7 +279,7 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
                 why or f"image satisfies the level-Nq congruence at {q}",
             )
 
-        det = det_frac(coords)
+        det = _coords_det(coords)
         report.add(
             f"determinant.{side}",
             abs(det) == q,
@@ -280,12 +291,9 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             f"index in the level-N order = {q}",
         )
 
-        closed = True
-        for u in basis:
-            for v in basis:
-                w = u * v
-                if not lat.contains(list(coords_in_hashimoto(w))):
-                    closed = False
+        closed = all(
+            lat.contains_scaled(*coords_product(table, u, v)) for u in coords for v in coords
+        )
         report.add(
             f"closure.{side}",
             closed,
@@ -304,7 +312,7 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             "basis span = independently solved congruence kernel",
         )
 
-    inter = pair.f_lattice().intersect(pair.g_lattice())
+    inter = lattices["f"].intersect(lattices["g"])
     report.add(
         "intersection.index",
         inter.index_in(identity) == q * q,

@@ -19,10 +19,17 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _rational(x):
+def as_rational(x):
     """x itself when it is an int or a Fraction (both carry numerator and
     denominator), otherwise Fraction(x)."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _scaled_vector(vec) -> tuple[list[int], int]:
+    """(int numerators, common denominator) of a vector of rationals."""
+    xs = [as_rational(x) for x in vec]
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def is_perfect_square(n: int) -> bool:
@@ -57,17 +64,6 @@ def det_int(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def det_frac(rows) -> Fraction:
-    n = len(rows)
-    scaled = []
-    scale = Fraction(1)
-    for r in rows:
-        d = lcm(*[Fraction(x).denominator for x in r]) if r else 1
-        scale /= d
-        scaled.append([int(Fraction(x) * d) for x in r])
-    return scale * det_int(scaled) if n else Fraction(1)
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -164,7 +160,7 @@ class QuadRat:
     __slots__ = ("_a", "_b", "_den", "_rad")
 
     def __init__(self, a, b, d):
-        a, b, d = _rational(a), _rational(b), _rational(d)
+        a, b, d = as_rational(a), as_rational(b), as_rational(d)
         den = lcm(a.denominator, b.denominator)
         self._a = a.numerator * (den // a.denominator)
         self._b = b.numerator * (den // b.denominator)
@@ -319,21 +315,26 @@ class ZLattice4:
     intersecting lattices that live in different coordinate systems.
     """
 
-    __slots__ = ("denom", "rows", "ambient")
+    __slots__ = ("denom", "rows", "ambient", "_pivots")
 
     def __init__(self, denom: int, rows: tuple, ambient=None):
         self.denom = denom
         self.rows = rows
         self.ambient = ambient
+        self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
 
     @classmethod
     def from_rows(cls, rational_rows, ambient=None) -> "ZLattice4":
-        rows = [[_rational(x) for x in r] for r in rational_rows]
-        for r in rows:
-            if len(r) != 4:
+        return cls.from_scaled_rows([_scaled_vector(r) for r in rational_rows], ambient)
+
+    @classmethod
+    def from_scaled_rows(cls, scaled_rows, ambient=None) -> "ZLattice4":
+        """The lattice spanned by rows given as (four int numerators, denominator > 0)."""
+        for nums, _ in scaled_rows:
+            if len(nums) != 4:
                 raise InvalidParametersError("ZLattice4 rows must have length 4")
-        d = lcm(*[x.denominator for r in rows for x in r])
-        ints = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+        d = lcm(*[den for _, den in scaled_rows])
+        ints = [[n * (d // den) for n in nums] for nums, den in scaled_rows]
         return cls._from_scaled(d, ints, ambient)
 
     @classmethod
@@ -362,19 +363,27 @@ class ZLattice4:
         return [[x * f for x in r] for r in self.rows]
 
     def contains(self, vec) -> bool:
+        return self.contains_scaled(*_scaled_vector(vec))
+
+    def contains_scaled(self, nums, den: int) -> bool:
+        """Whether (1/den)·nums lies in the lattice, for den > 0.
+
+        nums need not be reduced against den, so integrality is decided per
+        coordinate.
+        """
+        d = self.denom
         w = []
-        for x in vec:
-            x = _rational(x)
-            num, den = x.numerator * self.denom, x.denominator
-            if num % den:
+        for n in nums:
+            n *= d
+            if n % den:
                 return False
-            w.append(num // den)
-        for row in self.rows:
-            pc = next(j for j, x in enumerate(row) if x)
-            if w[pc] % row[pc]:
+            w.append(n // den)
+        for row, pc in zip(self.rows, self._pivots):
+            t, r = divmod(w[pc], row[pc])
+            if r:
                 return False
-            t = w[pc] // row[pc]
-            w = [x - t * y for x, y in zip(w, row)]
+            if t:
+                w = [x - t * y for x, y in zip(w, row)]
         return not any(w)
 
     def _check_ambient(self, other: "ZLattice4"):
@@ -407,10 +416,10 @@ class ZLattice4:
         d = lcm(self.denom, superlattice.denom)
         num = det_int(self.scaled_rows(d))
         den = det_int(superlattice.scaled_rows(d))
-        ratio = Fraction(abs(num), abs(den))
-        if ratio.denominator != 1:
+        index, rest = divmod(abs(num), abs(den))
+        if rest:
             raise InvalidParametersError("not a sublattice")
-        return int(ratio)
+        return index
 
     def __eq__(self, other):
         return (

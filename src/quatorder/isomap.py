@@ -20,9 +20,9 @@ index [target order : image] = N/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     InvalidParametersError,
@@ -35,10 +35,11 @@ from .quat import (
     AlgebraParams,
     QuatElem,
     coefficient_lattice,
-    coords_in_hashimoto,
     gens,
     hashimoto_basis,
+    one,
     pretty,
+    scaled_coords,
     unit_coords_lattice,
 )
 from .report import Report
@@ -72,18 +73,21 @@ def solve_conic(m_level: int, p: int, n_level: int, w_bound: int = DEFAULT_CONIC
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsiMap:
     """Explicit isomorphism from the level-N presentation to the level-M one.
 
     beta and delta are the coefficients of the image of i; src and dst are
-    the two parameter sets, sharing the same discriminant and prime p.
+    the two parameter sets, sharing the same discriminant and prime p.  The
+    map is frozen: ``apply`` uses an integer matrix derived once from them.
     """
 
     src: AlgebraParams
     dst: AlgebraParams
     beta: Fraction
     delta: Fraction
+    # (4x4 int matrix M, denominator D): ψ sends numerators w over d to M·w over D·d.
+    _matrix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.src.delta != self.dst.delta:
@@ -92,6 +96,12 @@ class PsiMap:
             raise InvalidParametersError("level maps require a shared prime p")
         if self.conic_residual() != 0:
             raise InvalidParametersError("coefficients do not satisfy the level conic")
+        # Columns are the images of 1, i, j, k, scaled to one common denominator.
+        images = (one(self.dst), self.image_i(), self.image_j(), self.image_k())
+        den = lcm(*[v.denominator for v in images])
+        cols = [[n * (den // v.denominator) for n in v.numerators] for v in images]
+        matrix = tuple(zip(*cols))
+        object.__setattr__(self, "_matrix", (matrix, den))
 
     def image_i(self) -> QuatElem:
         i, _, k = gens(self.dst)
@@ -105,11 +115,15 @@ class PsiMap:
         return i * (self.src.p * self.delta) + k * self.beta
 
     def apply(self, u: QuatElem) -> QuatElem:
-        if u.params != self.src:
+        if u.params is not self.src and u.params != self.src:
             raise InvalidParametersError("element belongs to a different presentation")
-        x, y, z, t = u.coefficients()
-        out = QuatElem(self.dst, x, 0, 0, 0)
-        return out + self.image_i() * y + self.image_j() * z + self.image_k() * t
+        matrix, den = self._matrix
+        w = u.numerators
+        return QuatElem._scaled(
+            self.dst,
+            *[r0 * w[0] + r1 * w[1] + r2 * w[2] + r3 * w[3] for r0, r1, r2, r3 in matrix],
+            den * u.denominator,
+        )
 
     def conic_residual(self) -> Fraction:
         n, m, p = self.src.level, self.dst.level, self.src.p
@@ -229,6 +243,12 @@ def verify_psi(psi: PsiMap, seed: int = 0) -> Report:
     return report
 
 
+def _coords_equal(scaled, values) -> bool:
+    """Whether scaled coordinates (nums, den) equal the given rationals."""
+    nums, den = scaled
+    return all(n * v.denominator == v.numerator * den for n, v in zip(nums, values))
+
+
 def verify_psi_inclusion(psi: PsiMap) -> Report:
     """Check that the map carries the level-N order into the level-M order.
 
@@ -247,11 +267,11 @@ def verify_psi_inclusion(psi: PsiMap) -> Report:
     basis_src = hashimoto_basis(psi.src)
     basis_dst = hashimoto_basis(psi.dst)
     images = [psi.apply(e) for e in basis_src]
-    coords = [list(coords_in_hashimoto(u)) for u in images]
+    coords = [scaled_coords(u) for u in images]
 
     report.add(
         "inclusion.integer_coords",
-        all(c.denominator == 1 for row in coords for c in row),
+        all(n % den == 0 for nums, den in coords for n in nums),
         "order basis images have integer coordinates downstairs",
     )
     report.add("inclusion.e1", images[0] == basis_dst[0], "unit maps to the unit")
@@ -260,12 +280,12 @@ def verify_psi_inclusion(psi: PsiMap) -> Report:
     fm = inclusion_coordinate_formulas(psi)
     report.add(
         "inclusion.formula.e3",
-        coords[2] == [fm["A3"], fm["B3"], fm["C3"], fm["D3"]],
+        _coords_equal(coords[2], [fm["A3"], fm["B3"], fm["C3"], fm["D3"]]),
         "third basis image matches the closed form",
     )
     report.add(
         "inclusion.formula.e4",
-        coords[3] == [fm["A4"], fm["B4"], fm["C4"], fm["D4"]],
+        _coords_equal(coords[3], [fm["A4"], fm["B4"], fm["C4"], fm["D4"]]),
         "fourth basis image matches the closed form",
     )
     report.add(
@@ -293,7 +313,7 @@ def verify_psi_inclusion(psi: PsiMap) -> Report:
     )
     report.add(
         "inclusion.norm_preserved",
-        all(psi.apply(e).reduced_norm() == e.reduced_norm() for e in basis_src),
+        all(img.reduced_norm() == e.reduced_norm() for img, e in zip(images, basis_src)),
         "reduced norms of the basis are preserved",
     )
     return report

@@ -25,6 +25,7 @@ from .errors import (
     PrecisionLossError,
     SearchExhaustedError,
 )
+from .exact import as_rational
 
 INFINITE_PLACE = "inf"
 
@@ -86,33 +87,34 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and prod(prime_factors(n)) == abs(n)
 
 
-def valuation(x, q: int) -> int:
-    """q-adic valuation of a nonzero int or Fraction."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
+def _strip(n: int, d: int, q: int) -> tuple[int, int, int]:
+    """(v, n', d') with n/d = q^v · n'/d' and q dividing neither n' nor d'; n, d nonzero."""
     v = 0
-    n = x.numerator
     while n % q == 0:
         n //= q
         v += 1
-    d = x.denominator
     while d % q == 0:
         d //= q
         v -= 1
-    return v
+    return v, n, d
+
+
+def valuation(x, q: int) -> int:
+    """q-adic valuation of a nonzero int or Fraction."""
+    x = as_rational(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        raise ValueError("valuation of zero")
+    return _strip(n, d, q)[0]
 
 
 def unit_residue(x, q: int, modulus: int) -> int:
     """Residue of the q-unit part of x modulo ``modulus`` (a power of q)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no unit part")
+    x = as_rational(x)
     n, d = x.numerator, x.denominator
-    while n % q == 0:
-        n //= q
-    while d % q == 0:
-        d //= q
+    if n == 0:
+        raise ValueError("zero has no unit part")
+    _, n, d = _strip(n, d, q)
     return n * pow(d, -1, modulus) % modulus
 
 
@@ -214,11 +216,17 @@ class PadicNum:
 
     @classmethod
     def from_rational(cls, x, q: int, prec: int) -> "PadicNum":
-        x = Fraction(x)
-        if x == 0:
+        x = as_rational(x)
+        return cls.from_ratio(x.numerator, x.denominator, q, prec)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int, q: int, prec: int) -> "PadicNum":
+        """num/den for ints with den > 0, not necessarily in lowest terms."""
+        if num == 0:
             return cls(q, _ZERO_VAL, 0, 0)
-        v = valuation(x, q)
-        return cls(q, v, unit_residue(x, q, q**prec), prec)
+        v, n, d = _strip(num, den, q)
+        mod = q**prec
+        return cls(q, v, n * pow(d, -1, mod) % mod, prec)
 
     @classmethod
     def exact_zero(cls, q: int) -> "PadicNum":

@@ -18,6 +18,9 @@ the representation is canonical.  Sums, products, conjugates, norms and
 traces run in integer arithmetic and divide once; ``.x/.y/.z/.t`` and
 ``coefficients()`` hand out ``Fraction`` values for the public API.  Every
 order-basis denominator divides 2p, so the common denominator stays small.
+Order-basis coordinates are integer-scaled the same way (``scaled_coords``),
+and products of coordinate vectors go through the order's integer
+structure constants.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import numth
-from .errors import InvalidParametersError
-from .exact import ZLattice4, frac_to_str, reduced_discriminant
+from .errors import InvalidParametersError, NotAnOrderBasisError
+from .exact import ZLattice4, as_rational, frac_to_str, reduced_discriminant
 
 
 def check_admissible_p(delta: int, level: int, p: int) -> None:
@@ -67,12 +70,14 @@ class AlgebraParams:
 
     @classmethod
     def create(cls, delta: int, level: int, *, p: int | None = None) -> "AlgebraParams":
-        """The algebra at p (default: the smallest admissible p) with its smallest a."""
+        """The algebra at p (default: the smallest admissible p) with its smallest a.
+
+        p is resolved first; each (Δ, N, p) then yields one shared instance,
+        so the per-algebra caches below hit on identity.
+        """
         if p is None:
             p = numth.find_hashimoto_prime(delta, level)
-        else:
-            check_admissible_p(delta, level, p)
-        return cls(delta, level, p, numth.find_a(delta, level, p))
+        return _params_at(delta, level, p)
 
     @property
     def dn(self) -> int:
@@ -80,6 +85,13 @@ class AlgebraParams:
 
     def to_json(self) -> dict:
         return {"delta": self.delta, "level": self.level, "p": self.p, "a": self.a}
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _params_at(delta: int, level: int, p: int) -> AlgebraParams:
+    """The validated algebra at an explicit p (a failed check raises and is not cached)."""
+    check_admissible_p(delta, level, p)
+    return AlgebraParams(delta, level, p, numth.find_a(delta, level, p))
 
 
 class QuatElem:
@@ -163,7 +175,7 @@ class QuatElem:
                 c * den2 + c2 * den, d * den2 + d2 * den,
                 den * den2,
             )
-        s = Fraction(other)
+        s = as_rational(other)
         sd = s.denominator
         return QuatElem._scaled(
             self.params, a * sd + s.numerator * den, b * sd, c * sd, d * sd, den * sd
@@ -187,7 +199,7 @@ class QuatElem:
     def __mul__(self, other):
         a1, b1, c1, d1 = self._num
         if not isinstance(other, QuatElem):
-            s = Fraction(other)
+            s = as_rational(other)
             n = s.numerator
             return QuatElem._scaled(
                 self.params, a1 * n, b1 * n, c1 * n, d1 * n, self._den * s.denominator
@@ -297,43 +309,94 @@ def hashimoto_basis(params: AlgebraParams) -> tuple[QuatElem, QuatElem, QuatElem
     return (e1, e2, e3, e4)
 
 
-def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Coefficients (c₁..c₄) of u over the order basis; always solvable."""
+def scaled_coords(u: QuatElem) -> tuple[tuple[int, int, int, int], int]:
+    """Coordinates (c₁..c₄) of u over the order basis as (int numerators, denominator).
+
+    The denominator is u's own and is not reduced against the numerators,
+    so a coordinate is integral exactly when its numerator is divisible by it.
+    """
     params = u.params
     x, y, z, t = u.numerators
-    den = u.denominator
     w = t - y
     if params.delta == 1:
         m, c4 = params.level, w
     else:
         m, c4 = params.a * params.dn, params.p * w
-    return (
-        Fraction(x - z + m * w, den),
-        Fraction(2 * z - 2 * m * w, den),
-        Fraction(2 * y, den),
-        Fraction(c4, den),
-    )
+    return (x - z + m * w, 2 * z - 2 * m * w, 2 * y, c4), u.denominator
+
+
+def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Coefficients (c₁..c₄) of u over the order basis; always solvable."""
+    nums, den = scaled_coords(u)
+    return tuple(Fraction(n, den) for n in nums)
+
+
+@lru_cache(maxsize=1024)
+def structure_constants(params: AlgebraParams) -> tuple:
+    """T[a][b] = the integer order-basis coordinates of e_a·e_b.
+
+    Computed once per algebra from the quaternion products; R(N) is a ring,
+    so every entry is an integer.
+    """
+    e = hashimoto_basis(params)
+    table = []
+    for u in e:
+        row = []
+        for v in e:
+            nums, den = scaled_coords(u * v)
+            if any(n % den for n in nums):
+                raise NotAnOrderBasisError(f"e·e' leaves the order for {params}")
+            row.append(tuple(n // den for n in nums))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def coords_product(table: tuple, u, v) -> tuple[list[int], int]:
+    """Scaled coordinates of the product of two elements given by scaled coordinates.
+
+    The bilinear form Σ uₐ·v_b·T[a][b] of the algebra's ``structure_constants``
+    table T on the numerators, over the product of the denominators; exact
+    for non-integral coordinates too.
+    """
+    (un, ud), (vn, vd) = u, v
+    out = [0, 0, 0, 0]
+    for ua, row in zip(un, table):
+        if ua:
+            for vb, (t1, t2, t3, t4) in zip(vn, row):
+                if vb:
+                    w = ua * vb
+                    out[0] += w * t1
+                    out[1] += w * t2
+                    out[2] += w * t3
+                    out[3] += w * t4
+    return out, ud * vd
 
 
 def element_from_coords(params: AlgebraParams, coords) -> QuatElem:
     e = hashimoto_basis(params)
     out = QuatElem(params, 0, 0, 0, 0)
     for c, basis_elem in zip(coords, e):
-        out = out + basis_elem * Fraction(c)
+        out = out + basis_elem * c
     return out
 
 
+@lru_cache(maxsize=1024)
 def order_lattice(params: AlgebraParams) -> ZLattice4:
     """R(N) as a lattice in (1, i, j, k)-coordinates."""
-    rows = [list(e.coefficients()) for e in hashimoto_basis(params)]
-    return ZLattice4.from_rows(rows, ambient=("quat", params.delta, params.level, params.p))
+    rows = [(e.numerators, e.denominator) for e in hashimoto_basis(params)]
+    return ZLattice4.from_scaled_rows(rows, ambient=("quat", params.delta, params.level, params.p))
+
+
+def _coords_ambient(params: AlgebraParams) -> tuple:
+    return ("coords", params.delta, params.level, params.p)
 
 
 def coords_lattice(params: AlgebraParams, rows) -> ZLattice4:
     """Lattice spanned by coordinate vectors over the order basis of R(N)."""
-    return ZLattice4.from_rows(rows, ambient=("coords", params.delta, params.level, params.p))
+    return ZLattice4.from_rows(rows, ambient=_coords_ambient(params))
 
 
+@lru_cache(maxsize=1024)
 def unit_coords_lattice(params: AlgebraParams) -> ZLattice4:
     """R(N) itself in its own coordinates: the identity lattice Z^4."""
     return coords_lattice(params, [[int(i == j) for j in range(4)] for i in range(4)])
@@ -341,13 +404,15 @@ def unit_coords_lattice(params: AlgebraParams) -> ZLattice4:
 
 def coefficient_lattice(params: AlgebraParams, elems) -> ZLattice4:
     """Lattice of order-basis coordinate vectors of the given elements."""
-    return coords_lattice(params, [list(coords_in_hashimoto(e)) for e in elems])
+    return ZLattice4.from_scaled_rows(
+        [scaled_coords(e) for e in elems], ambient=_coords_ambient(params)
+    )
 
 
 def phi_membership(u: QuatElem, order: ZLattice4 | None = None) -> bool:
     """Whether u lies in the norm-one group of the order (default R(N))."""
     lattice = order if order is not None else order_lattice(u.params)
-    return lattice.contains(u.coefficients()) and u.reduced_norm() == 1
+    return lattice.contains_scaled(u.numerators, u.denominator) and u.reduced_norm() == 1
 
 
 def order_discriminant(params: AlgebraParams) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from .errors import (
     CaseMismatchError,
@@ -82,10 +83,6 @@ class PadicQuad:
         self.a = a
         self.b = b
         self.rad = rad
-
-    @classmethod
-    def from_rational(cls, value, q: int, prec: int, rad: int) -> "PadicQuad":
-        return cls(PadicNum.from_rational(value, q, prec), PadicNum.exact_zero(q), rad)
 
     @classmethod
     def root(cls, q: int, prec: int, rad: int) -> "PadicQuad":
@@ -296,22 +293,24 @@ class LocalSplitting:
         """Lift num/den (den > 0, not necessarily reduced), memoised by the pair."""
         lifted = self._scalars.get((num, den))
         if lifted is None:
-            lifted = self._scalars[num, den] = self._lift(Fraction(num, den))
+            lifted = self._scalars[num, den] = self._lift(num, den)
         return lifted
 
-    def _lift(self, value: Fraction):
+    def _lift(self, num: int, den: int):
         if self.case in (CASE_RATIONAL,):
-            return value
+            return Fraction(num, den)
         if self.case == CASE_ARCHIMEDEAN:
-            return QuadRat(value, Fraction(0), Fraction(self.params.p))
+            return QuadRat(Fraction(num, den), 0, self.params.p)
         q = self.place
-        if value != 0 and valuation(value, q) <= -self.precision:
+        lifted = PadicNum.from_ratio(num, den, q, self.precision)
+        if num and lifted.val <= -self.precision:
             raise PrecisionLossError(
-                f"denominator power of {q} in {value} exceeds working precision {self.precision}"
+                f"denominator power of {q} in {Fraction(num, den)} exceeds working precision "
+                f"{self.precision}"
             )
         if self.case == CASE_RAMIFIED:
-            return PadicQuad.from_rational(value, q, self.precision, self.params.p)
-        return PadicNum.from_rational(value, q, self.precision)
+            return PadicQuad(lifted, PadicNum.exact_zero(q), self.params.p)
+        return lifted
 
     def one(self) -> Mat2:
         return self._one
@@ -529,12 +528,37 @@ def build_splitting(
     )
 
 
+# The permutations of 0..3 in lexicographic order, each with its sign.
+_S4 = tuple(
+    (perm, -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2 else 1)
+    for perm in permutations(range(4))
+)
+
+
 def _det4(rows):
     """Determinant of a 4x4 matrix over any commutative coefficient ring.
 
     Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
     times the signed complementary minor of rows 2, 3 (30 ring products).
+    Over Z_q[sqrt(rad)] it is the 24-term permutation sum instead: there the
+    precision is tracked per component, and a Laplace minor can lose a digit
+    that a product in the permutation sum keeps.  A term with an exact-zero
+    factor is an exact zero, which leaves a sum unchanged in value and
+    precision, so such terms are skipped after the first one.
     """
+    if isinstance(rows[0][0], PadicQuad):
+        live = [[not _exact_zero(x) for x in row] for row in rows]
+        acc = None
+        for perm, sign in _S4:
+            if acc is not None and not (
+                live[0][perm[0]] and live[1][perm[1]] and live[2][perm[2]] and live[3][perm[3]]
+            ):
+                continue
+            term = rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]] * rows[3][perm[3]]
+            if sign < 0:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
     r0, r1, r2, r3 = rows
 
     def top(i, j):

@@ -181,6 +181,19 @@ def test_chain_bad_depths_exit_two(capsys, depths):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("depths, expected", [("8,1000", 0), ("8,1001", 2)])
+def test_chain_depth_bound(capsys, depths, expected):
+    code, out, err = run(capsys, "chain", "--delta", "35", "--q", "11", "--depths", depths)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert out == ""
+        assert "oracle depth 1001 exceeds the bound 1000" in err
+    else:
+        assert err == ""
+        assert "oracle depth 1000, stabilized: True" in out
+
+
 def test_chain_family_duplicate_primes_exit_two(capsys):
     code, out, err = run(
         capsys, "chain", "--delta", "35", "--q", "19", "--family", "3,3"

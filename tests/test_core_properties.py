@@ -10,7 +10,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatorder import split
@@ -23,13 +23,17 @@ from quatorder.exact import (
     left_kernel,
     reduced_discriminant,
 )
-from quatorder.numth import PadicNum
+from quatorder.isomap import build_psi
+from quatorder.numth import PadicNum, unit_residue, valuation
 from quatorder.quat import (
     AlgebraParams,
     QuatElem,
     coords_in_hashimoto,
+    coords_product,
     element_from_coords,
     hashimoto_basis,
+    scaled_coords,
+    structure_constants,
 )
 from quatorder.split import PadicQuad
 
@@ -360,6 +364,26 @@ def assert_det_agrees(rows):
         assert (g - w).is_zero_mod(w.abs_prec)
 
 
+def _quad_example():
+    """A 3-adic matrix over Z_3[√2] whose Laplace expansion would know the
+    determinant's rational part to O(3^0) where the permutation sum knows it
+    to O(3^1): per-component precision tracking is not associative."""
+
+    def n(val=None, unit=0, prec=0):
+        return PadicNum.exact_zero(3) if val is None else PadicNum(3, val, unit, prec)
+
+    entries = [
+        [(n(0, 2, 2), n()), (n(0, 7, 2), n()), (n(), n(1, 2, 2)), (n(), n())],
+        [(n(0, 2, 2), n(0, 4, 2)), (n(), n(1, 1, 1)), (n(), n()), (n(), n())],
+        [(n(), n()), (n(), n()), (n(0, 2, 3), n(0, 5, 2)), (n(), n(0, 2, 2))],
+        [(n(), n()), (n(0, 1, 1), n()), (n(1, 1, 3), n()), (n(), n(-1, 2, 1))],
+    ]
+    return [[PadicQuad(a, b, 2) for a, b in row] for row in entries]
+
+
+QUAD_PRECISION_EXAMPLE = _quad_example()
+
+
 def test_laplace_det_matches_permutation_sum_on_trace_forms():
     for index in range(len(MODELS)):
         spl = local_model(index)
@@ -411,6 +435,7 @@ def test_laplace_det_matches_permutation_sum_over_padics(rows):
 
 @SETTINGS
 @given(padic_quad_matrices())
+@example(QUAD_PRECISION_EXAMPLE)
 def test_laplace_det_matches_permutation_sum_over_padic_quadratics(rows):
     assert_det_agrees(rows)
 
@@ -498,3 +523,145 @@ def test_from_rows_and_intersect_match_fraction_reference(rows, other):
         g = [sum(c * row[j] for c, row in zip(w[: len(a)], a)) for j in range(4)]
         gens.append([Fraction(x, d) for x in g])
     assert (meet.denom, meet.rows) == ref_from_rows(gens)
+
+
+# --- the integer lattice layer against its Fraction routes ------------------------
+
+
+@SETTINGS
+@given(params_st)
+def test_structure_constants_are_the_basis_products(params):
+    e = hashimoto_basis(params)
+    table = structure_constants(params)
+    for a in range(4):
+        for b in range(4):
+            assert table[a][b] == coords_in_hashimoto(e[a] * e[b])
+            assert all(type(t) is int for t in table[a][b])
+
+
+@SETTINGS
+@given(params_st, coeffs_st, coeffs_st)
+def test_structure_constant_product_matches_quaternion_product(params, cu, cv):
+    # cu, cv are order-basis coordinates, generally not integral.
+    u, v = element_from_coords(params, cu), element_from_coords(params, cv)
+    nums, den = coords_product(structure_constants(params), scaled_coords(u), scaled_coords(v))
+    assert tuple(Fraction(n, den) for n in nums) == coords_in_hashimoto(u * v)
+
+
+def ref_contains(lat, vec):
+    """Membership with every coordinate a Fraction: scale by the lattice
+    denominator, then reduce along the HNF pivots."""
+    w = []
+    for x in vec:
+        y = Fraction(x) * lat.denom
+        if y.denominator != 1:
+            return False
+        w.append(int(y))
+    for row in lat.rows:
+        pc = next(j for j, x in enumerate(row) if x)
+        if w[pc] % row[pc]:
+            return False
+        t = w[pc] // row[pc]
+        w = [x - t * y for x, y in zip(w, row)]
+    return not any(w)
+
+
+@SETTINGS
+@given(
+    lattice_rows_st,
+    st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.integers(1, 12),
+    st.integers(1, 6),
+)
+def test_scaled_membership_matches_fraction_contains(rows, combo, shift, shift_den, unreduce):
+    lat = ZLattice4.from_rows(rows)
+    # A lattice vector, sometimes pushed off the lattice by shift/shift_den.
+    vec = [Fraction(0)] * 4
+    for c, row in zip(combo, lat.basis()):
+        vec = [x + c * y for x, y in zip(vec, row)]
+    if combo[-1] % 2:
+        vec = [x + Fraction(s, shift_den * lat.denom) for x, s in zip(vec, shift)]
+    den = lcm(*[x.denominator for x in vec]) * unreduce
+    nums = [int(x * den) for x in vec]
+    want = ref_contains(lat, vec)
+    assert lat.contains_scaled(nums, den) == want
+    assert lat.contains(vec) == want
+
+
+PSI_PAIRS = [(35, 9, 3), (35, 3, 17), (6, 25, 5), (1, 15, 5), (10, 21, 7), (35, 99, 11)]
+
+
+@functools.cache
+def _psi(index):
+    return build_psi(*PSI_PAIRS[index])
+
+
+@SETTINGS
+@given(st.integers(0, len(PSI_PAIRS) - 1), coeffs_st)
+def test_matrix_psi_matches_images_of_the_generators(index, cu):
+    psi = _psi(index)
+    u = QuatElem(psi.src, *cu)
+    x, y, z, t = cu
+    want = QuatElem(psi.dst, x, 0, 0, 0) + psi.image_i() * y + psi.image_j() * z + psi.image_k() * t
+    assert psi.apply(u) == want
+    assert_canonical(psi.apply(u))
+
+
+def ref_valuation(x, q):
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("valuation of zero")
+    v, n, d = 0, x.numerator, x.denominator
+    while n % q == 0:
+        n, v = n // q, v + 1
+    while d % q == 0:
+        d, v = d // q, v - 1
+    return v
+
+
+def ref_unit_residue(x, q, modulus):
+    x = Fraction(x) / Fraction(q) ** ref_valuation(x, q)
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+@SETTINGS
+@given(
+    st.one_of(st.integers(-10**6, 10**6), rational_st),
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    padic_prec_st,
+)
+def test_fraction_free_qadic_reads_match_fraction_oracle(x, q, prec):
+    lifted = PadicNum.from_rational(x, q, prec)
+    if x == 0:
+        for fn in (lambda: valuation(x, q), lambda: unit_residue(x, q, q)):
+            with pytest.raises(ValueError):
+                fn()
+        assert (lifted.unit, lifted.prec) == (0, 0) and lifted.val >= 10**9
+        return
+    v, mod = ref_valuation(x, q), q**prec
+    assert valuation(x, q) == v
+    assert unit_residue(x, q, mod) == ref_unit_residue(x, q, mod)
+    assert (lifted.val, lifted.unit, lifted.prec) == (v, ref_unit_residue(x, q, mod), prec)
+    f = Fraction(x)
+    scale = q * 7 + 1
+    again = PadicNum.from_ratio(f.numerator * scale, f.denominator * scale, q, prec)
+    assert (again.val, again.unit, again.prec) == (lifted.val, lifted.unit, lifted.prec)
+
+
+@SETTINGS
+@given(params_st, coeffs_st)
+def test_integrality_is_decided_per_coordinate(params, cu):
+    u = QuatElem(params, *cu)
+    nums, den = scaled_coords(u)
+    assert [n % den == 0 for n in nums] == [c.denominator == 1 for c in coords_in_hashimoto(u)]
+
+
+def test_integral_coordinates_can_sit_over_a_denominator():
+    params = AlgebraParams.create(35, 3)
+    nums, den = scaled_coords(hashimoto_basis(params)[1])  # e2 = (1+j)/2
+    assert den == 2 and nums == (0, 2, 0, 0)
+    assert all(n % den == 0 for n in nums)
+    unit = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    assert unit.contains_scaled((2, 4, 0, -6), 2)
+    assert not unit.contains_scaled((2, 4, 1, -6), 2)

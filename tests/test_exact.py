@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,7 +9,6 @@ from quatorder.exact import (
     QuadRat,
     ZLattice4,
     congruence_kernel,
-    det_frac,
     det_int,
     frac_to_str,
     hnf,
@@ -26,6 +26,17 @@ def test_frac_string_roundtrip():
 def test_is_perfect_square():
     assert is_perfect_square(0) and is_perfect_square(1) and is_perfect_square(525**2)
     assert not is_perfect_square(2) and not is_perfect_square(-4)
+
+
+def det_frac(rows) -> Fraction:
+    """Reference determinant over Q: clear each row's denominators, then det_int."""
+    scale = Fraction(1)
+    scaled = []
+    for r in rows:
+        d = lcm(*[Fraction(x).denominator for x in r])
+        scale /= d
+        scaled.append([int(Fraction(x) * d) for x in r])
+    return scale * det_int(scaled)
 
 
 def test_det_int_matches_det_frac():

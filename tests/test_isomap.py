@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,13 @@ def test_json_payload():
     assert blob["beta"] == "8/17"
     assert blob["delta"] == "1/17"
     assert set(blob["images"]) == {"i", "j", "k"}
+
+
+def test_psi_map_is_frozen():
+    psi = build_psi(35, 9, 3)
+    u = hashimoto_basis(psi.src)[3]
+    image = psi.apply(u)
+    with pytest.raises(FrozenInstanceError):
+        psi.beta = Fraction(4)
+    assert psi.beta == Fraction(-4)
+    assert psi.apply(u) == image

@@ -146,3 +146,26 @@ def test_admissible_p_rule_is_shared():
         with pytest.raises(InvalidParametersError) as via_create:
             AlgebraParams.create(delta, level, p=p)
         assert str(via_create.value) == reason
+
+
+def test_create_builds_each_algebra_once(monkeypatch):
+    from quatorder import quat
+    from quatorder.verify import run_sweep
+
+    quat._params_at.cache_clear()
+    built = []
+    post_init = AlgebraParams.__post_init__
+
+    def counted(self):
+        built.append((self.delta, self.level, self.p))
+        post_init(self)
+
+    monkeypatch.setattr(AlgebraParams, "__post_init__", counted)
+    report = run_sweep(deltas=(35,), levels=(1, 3, 9), sections=("psi", "chain"))
+    assert report.passed
+    assert sorted(built) == [(35, 1, 13), (35, 3, 13), (35, 9, 13), (35, 29, 13)]
+    assert AlgebraParams.create(35, 3) is AlgebraParams.create(35, 3, p=13)
+    for _ in range(2):
+        with pytest.raises(InvalidParametersError):
+            AlgebraParams.create(35, 3, p=11)
+    assert len(built) == 4
