@@ -162,8 +162,8 @@ def _cmd_split(args) -> int:
     params = _params_from_args(args)
     place = params.p if args.place == "p" else args.place
     splitting = build_splitting(params, place, k=args.precision)
+    sj = splitting.to_json()  # first: a model too large to print exits 2 before it is verified
     report = verify_splitting(splitting)
-    sj = splitting.to_json()
     payload = {"splitting": sj, "verification": report.to_json()}
     lines = [
         f"delta={params.delta} level={params.level} p={params.p} place={place}",

@@ -55,7 +55,7 @@ def solve_conic(m_level: int, p: int, n_level: int, w_bound: int = DEFAULT_CONIC
     ascending numerators u for the sqrt(p)-part until v^2 = N*w^2/M + p*u^2
     is a perfect square.  Returns (beta, delta) = (v/w, u/w) with v, u >= 0.
     """
-    if m_level < 1 or n_level < 1 or p < 1:
+    if m_level < 1 or n_level < 1 or p < 1 or w_bound < 1:
         raise InvalidParametersError("conic parameters must be positive")
     for w in range(1, w_bound + 1):
         nw2 = n_level * w * w
@@ -159,6 +159,8 @@ def build_psi(
     the sign of beta is normalized so the map respects the orders, matching
     a_src * beta = a_dst mod p.
     """
+    if w_bound < 1:
+        raise InvalidParametersError(f"the conic denominator bound must be positive: {w_bound}")
     if p is None:
         p = find_hashimoto_prime(delta, src_level * dst_level)
     src = AlgebraParams.create(delta, src_level, p=p)

@@ -14,6 +14,7 @@ package constructs, so they are pinned by tests.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -61,25 +62,68 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending (trial division, memoised)."""
+    """Distinct prime factors of |n|, ascending (memoised)."""
     return list(_prime_factors(abs(n)))
+
+
+# Trial division stops below this bound; a cofactor below its square is prime.
+_TRIAL_BOUND = 1000
+# Pollard-Brent steps whose differences are multiplied together per gcd.
+_RHO_BATCH = 64
 
 
 @lru_cache(maxsize=1024)
 def _prime_factors(n: int) -> tuple[int, ...]:
-    if n <= 1:
-        return ()
-    out = []
+    """Trial division below _TRIAL_BOUND; each cofactor left is then either
+    prime (Miller-Rabin) or split by Pollard-Brent rho."""
+    found = set()
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            found.add(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            found.add(m)
+        else:
+            f = _rho_divisor(m)
+            todo += [f, m // f]
+    return tuple(sorted(found))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below
+    _TRIAL_BOUND: Pollard's rho in Brent's variant (Brent, BIT 20, 1980),
+    iterating x -> x² + c from x = 2 with the fixed seeds c = 1, 2, 3, ...
+    until a gcd splits n, so the divisor found is deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot the collision: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def is_squarefree(n: int) -> bool:
@@ -201,20 +245,6 @@ class PadicNum:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _normalized(cls, q: int, shift: int, residue: int, digits: int) -> "PadicNum":
-        """Build shift-scaled value from residue known mod q**digits."""
-        if digits <= 0:
-            return cls(q, shift, 0, 0)
-        residue %= q**digits
-        if residue == 0:
-            return cls(q, shift + digits, 0, 0)
-        j = 0
-        while residue % q == 0:
-            residue //= q
-            j += 1
-        return cls(q, shift + j, residue % q ** (digits - j), digits - j)
-
-    @classmethod
     def from_rational(cls, x, q: int, prec: int) -> "PadicNum":
         x = as_rational(x)
         return cls.from_ratio(x.numerator, x.denominator, q, prec)
@@ -269,27 +299,38 @@ class PadicNum:
         return (self - other).is_zero_mod(m)
 
     # -- arithmetic -------------------------------------------------------
-
-    def _check(self, other: "PadicNum"):
-        if self.q != other.q:
-            raise InvalidParametersError("mixed residue characteristics")
-
-    def _shifted_int(self, base: int, digits: int) -> int:
-        if self.unit == 0:
-            return 0
-        return self.unit * self.q ** (self.val - base) % self.q**digits
+    # Each operation is one body on the four fields: these are the innermost
+    # loops of every q-adic certificate.  A sum is known modulo the smaller
+    # absolute precision m and computed on the digits from the smaller
+    # valuation up to m; a zero keeps m (or the sentinel) as its valuation.
 
     def __add__(self, other):
         if not isinstance(other, PadicNum):
             return NotImplemented
-        self._check(other)
-        m = min(self.abs_prec, other.abs_prec)
-        base = min(self.val, other.val)
+        q = self.q
+        if other.q != q:
+            raise InvalidParametersError("mixed residue characteristics")
+        sv, su, ov, ou = self.val, self.unit, other.val, other.unit
+        m = sv + self.prec  # the absolute precision: a zero has prec 0
+        om = ov + other.prec
+        if om < m:
+            m = om
+        base = sv if sv < ov else ov
         digits = m - base
         if digits <= 0:
-            return PadicNum(self.q, m, 0, 0)
-        r = self._shifted_int(base, digits) + other._shifted_int(base, digits)
-        return PadicNum._normalized(self.q, base, r, digits)
+            return PadicNum(q, m, 0, 0)
+        if sv > base:
+            su = su * q ** (sv - base) if su and sv < m else 0
+        if ov > base:
+            ou = ou * q ** (ov - base) if ou and ov < m else 0
+        r = (su + ou) % q**digits
+        if not r:
+            return PadicNum(q, m, 0, 0)
+        while not r % q:
+            r //= q
+            base += 1
+            digits -= 1
+        return PadicNum(q, base, r, digits)
 
     def __neg__(self):
         if self.unit == 0:
@@ -299,29 +340,56 @@ class PadicNum:
     def __sub__(self, other):
         if not isinstance(other, PadicNum):
             return NotImplemented
-        return self + (-other)
+        q = self.q
+        if other.q != q:
+            raise InvalidParametersError("mixed residue characteristics")
+        sv, su, ov, ou = self.val, self.unit, other.val, other.unit
+        m = sv + self.prec  # the absolute precision: a zero has prec 0
+        om = ov + other.prec
+        if om < m:
+            m = om
+        base = sv if sv < ov else ov
+        digits = m - base
+        if digits <= 0:
+            return PadicNum(q, m, 0, 0)
+        if sv > base:
+            su = su * q ** (sv - base) if su and sv < m else 0
+        if ov > base:
+            ou = ou * q ** (ov - base) if ou and ov < m else 0
+        r = (su - ou) % q**digits
+        if not r:
+            return PadicNum(q, m, 0, 0)
+        while not r % q:
+            r //= q
+            base += 1
+            digits -= 1
+        return PadicNum(q, base, r, digits)
 
     def __mul__(self, other):
         if not isinstance(other, PadicNum):
             return NotImplemented
-        self._check(other)
-        if self.unit == 0 or other.unit == 0:
-            return PadicNum(self.q, min(self.val + other.val, _ZERO_VAL), 0, 0)
-        prec = min(self.prec, other.prec)
-        unit = self.unit * other.unit % self.q**prec
-        return PadicNum(self.q, self.val + other.val, unit, prec)
+        q = self.q
+        if other.q != q:
+            raise InvalidParametersError("mixed residue characteristics")
+        if not (self.unit and other.unit):
+            val = self.val + other.val
+            return PadicNum(q, val if val < _ZERO_VAL else _ZERO_VAL, 0, 0)
+        prec = self.prec if self.prec < other.prec else other.prec
+        return PadicNum(q, self.val + other.val, self.unit * other.unit % q**prec, prec)
 
     def __truediv__(self, other):
         if not isinstance(other, PadicNum):
             return NotImplemented
-        self._check(other)
+        q = self.q
+        if other.q != q:
+            raise InvalidParametersError("mixed residue characteristics")
         if other.unit == 0:
             raise ZeroDivisionError("division by an (indistinguishable-from-)zero value")
-        prec = min(self.prec, other.prec) if self.unit else other.prec
         if self.unit == 0:
-            return PadicNum(self.q, self.val - other.val, 0, 0)
-        unit = self.unit * pow(other.unit, -1, self.q**prec) % self.q**prec
-        return PadicNum(self.q, self.val - other.val, unit, prec)
+            return PadicNum(q, self.val - other.val, 0, 0)
+        prec = self.prec if self.prec < other.prec else other.prec
+        mod = q**prec
+        return PadicNum(q, self.val - other.val, self.unit * pow(other.unit, -1, mod) % mod, prec)
 
     def __repr__(self):
         if self.unit == 0:
@@ -329,8 +397,24 @@ class PadicNum:
         return f"{self.unit}*{self.q}^{self.val} + O({self.q}^{self.abs_prec})"
 
     def to_json(self) -> dict:
+        """The residue as a decimal string: modulo q**prec beside "val" when
+        the valuation is negative, else modulo q**abs_prec.
+
+        Raises InvalidParametersError up front when that modulus has more
+        decimal digits than the interpreter converts to text
+        (``sys.get_int_max_str_digits``, 4300 by default).
+        """
         m = self.abs_prec
         body = {"q": self.q, "prec": m}
+        if self.unit:
+            digits = self.prec if self.val < 0 else m
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and self.q**digits > 10**limit:
+                raise InvalidParametersError(
+                    f"a residue modulo {self.q}^{digits} can have more than {limit} decimal "
+                    f"digits, the interpreter's limit for integer-to-text conversion "
+                    f"(sys.get_int_max_str_digits); lower the precision"
+                )
         if self.unit and self.val < 0:
             body["val"] = self.val
             body["residue"] = str(self.unit % self.q**self.prec)

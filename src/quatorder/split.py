@@ -115,24 +115,39 @@ class PadicQuad:
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return PadicQuad(self.a - o.a, self.b - o.b, self.rad)
 
     def __rsub__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        return o + (-self)
+        return PadicQuad(o.a - self.a, o.b - self.b, self.rad)
 
     def __mul__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        rad = _radicand(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
-        return PadicQuad(
-            self.a * o.a + rad * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.rad,
-        )
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        if ob.unit:
+            rad = _radicand(self.rad, a.q, max(a.prec, b.prec, 1))
+            return PadicQuad(a * oa + rad * b * ob, a * ob + b * oa, self.rad)
+        # A right factor with a zero b part (every lifted scalar): rad*b*ob
+        # and a*ob are zeros O(q^t) and O(q^s), their valuations capped at
+        # the sentinel as PadicNum products cap them.  Adding such a zero
+        # changes x = a*oa or y = b*oa only below its absolute precision, so
+        # the sum is formed only there: the fields match the general formula.
+        q = a.q
+        x, y = a * oa, b * oa
+        t = (0 if self.rad % q else valuation(self.rad, q)) + b.val
+        if t > _ZERO_VAL and not b.unit:
+            t = _ZERO_VAL
+        t = min(t + ob.val, _ZERO_VAL)
+        if t < x.val + x.prec:
+            x = x + PadicNum(q, t, 0, 0)
+        s = min(a.val + ob.val, _ZERO_VAL)
+        if s < y.val + y.prec:
+            y = PadicNum(q, s, 0, 0) + y
+        return PadicQuad(x, y, self.rad)
 
     __rmul__ = __mul__
 
@@ -158,10 +173,9 @@ class PadicQuad:
         """
         a, b = self.a, self.b
         q = a.q
-        if m:
-            den = PadicNum.from_rational(Fraction(q) ** m, q, max(a.prec, b.prec, 1))
-            a = a / den
-            b = b / den
+        if m:  # divide by q^m: the valuations shift, units and precisions stay
+            a = PadicNum(q, a.val - m, a.unit, a.prec)
+            b = PadicNum(q, b.val - m, b.unit, b.prec)
         if not ((a + a).val_at_least(0) and (b + b).val_at_least(0)):
             return False
         rad = _radicand(self.rad, q, max(a.prec, b.prec, 1))

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
+from quatorder import cli
 from quatorder.cli import main
+from quatorder.split import verify_splitting
 
 
 def run(capsys, *argv):
@@ -299,3 +302,73 @@ def test_exhausted_prime_search_exit_three(capsys, command):
     assert out == ""
     assert "no admissible prime below 100000" in err
     assert "Traceback" not in err
+
+
+# A model whose q-adic residues could print with more decimal digits than the
+# interpreter converts to text is rejected before it is verified.  The
+# ramified model at 5 prints residues modulo 5^(precision + 1); 5^6151 has
+# 4300 digits and 5^6152 has 4301.
+@pytest.mark.parametrize(
+    "place, precision, expected",
+    [("5", "8000", 2), ("1000000007", "500", 2), ("5", "6151", 2), ("5", "6150", 0)],
+)
+@pytest.mark.parametrize("output", [(), ("--json",)], ids=["text", "json"])
+def test_split_beyond_the_integer_string_limit_exit_two(
+    capsys, monkeypatch, place, precision, expected, output
+):
+    verified = []
+    monkeypatch.setattr(
+        cli, "verify_splitting", lambda s: verified.append(s) or verify_splitting(s)
+    )
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(
+            capsys, "split", "--delta", "35", "--place", place, "--precision", precision, *output
+        )
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert out == ""
+        assert "more than 4300 decimal digits" in err
+        assert verified == []
+    else:
+        assert err == ""
+        assert len(verified) == 1
+        assert ("all pass" in out) if not output else json.loads(out)["verification"]["all_pass"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("degeneracy", "--delta", "35", "--q", "1000000007", "--precision", "500"),
+        ("chain", "--delta", "35", "--q", "1000000007"),
+        ("verify", "--deltas", "35", "--levels", "1", "--places", "1000000007",
+         "--precision", "500", "--sections", "split,degeneracy"),
+    ],
+    ids=["degeneracy", "chain", "verify"],
+)
+def test_other_commands_keep_working_on_the_same_moduli(capsys, command):
+    code, out, err = run(capsys, *command, "--json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["verification"]["all_pass"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_psi_nonpositive_w_bound_exit_two(capsys, bound):
+    code, out, err = run(
+        capsys, "psi", "--delta", "35", "--src", "9", "--dst", "3", "--w-bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the conic denominator bound must be positive: {bound}\n"
+
+
+def test_construct_factors_a_product_of_two_primes_near_a_billion(capsys):
+    code, out, err = run(capsys, "construct", "--delta", "1000000016000000063")
+    assert code == 0
+    assert err == ""
+    assert "delta=1000000016000000063 level=1 p=13 a=6" in out

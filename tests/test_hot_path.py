@@ -1,12 +1,16 @@
-"""The degeneracy and level-map certificates never cross into ``Fraction``.
+"""Call-count guards on the certificates' innermost loops.
 
+The degeneracy and level-map certificates never cross into ``Fraction``.
 Both run on integer-scaled coordinates: ``scaled_coords``, scaled lattice
 membership, the structure-constant product and the integer matrix of ψ.
 Under the standard-library profiler, no ``Fraction.__new__`` call may be
-reached from the four ``Fraction`` boundary functions below.  The profiler
-records each caller -> callee edge, so the functions reachable from the
-boundary are known exactly; a boundary function that never runs reaches
-nothing.
+reached from the four ``Fraction`` boundary functions below, nor from the
+q-adic valuation test over Z_q[√p].  The profiler records each caller ->
+callee edge, so the functions reachable from the boundary are known
+exactly; a boundary function that never runs reaches nothing.
+
+The ramified splitting certificate makes an exact number of ``PadicNum``
+products and sums: scalar products in Z_q[√p] take two of them.
 """
 
 import cProfile
@@ -16,7 +20,9 @@ from fractions import Fraction
 from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
+from quatorder.numth import PadicNum
 from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
+from quatorder.split import CASE_RAMIFIED, PadicQuad, build_splitting, verify_splitting
 
 BOUNDARY = (coords_in_hashimoto, QuatElem.coefficients, ZLattice4.contains, PsiMap.apply)
 
@@ -26,17 +32,21 @@ def _key(func):
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
 
-def fractions_from_boundary(run) -> dict:
-    """Fraction.__new__ calls per caller, over callers reachable from BOUNDARY."""
+def profile(run) -> dict:
     prof = cProfile.Profile()
     prof.runcall(run)
-    stats = pstats.Stats(prof).stats
+    return pstats.Stats(prof).stats
+
+
+def fractions_from_boundary(run, boundary=BOUNDARY) -> dict:
+    """Fraction.__new__ calls per caller, over callers reachable from boundary."""
+    stats = profile(run)
     callees = {}
     for callee, (_, _, _, _, callers) in stats.items():
         for caller in callers:
             callees.setdefault(caller, set()).add(callee)
     reached = set()
-    todo = [_key(f) for f in BOUNDARY]
+    todo = [_key(f) for f in boundary]
     while todo:
         fn = todo.pop()
         if fn not in reached:
@@ -69,3 +79,32 @@ def test_level_map_certificates_make_no_fraction_at_the_boundary():
 
     assert fractions_from_boundary(run) == {}
     assert all(r.passed for r in reports)
+
+
+def ramified_model():
+    spl = build_splitting(AlgebraParams.create(35, 3), 5)
+    assert spl.case == CASE_RAMIFIED
+    return spl
+
+
+def test_ramified_splitting_certificate_makes_the_measured_padic_calls():
+    spl = ramified_model()
+    reports = []
+    stats = profile(lambda: reports.append(verify_splitting(spl)))
+    calls = {name: stats[_key(getattr(PadicNum, name))][1] for name in ("__mul__", "__add__")}
+    assert calls == {"__mul__": 446, "__add__": 271}
+    assert reports[0].passed
+
+
+def test_qadic_valuation_test_makes_no_fraction():
+    spl = ramified_model()
+    entries = [e for m in (spl.mat_i, spl.mat_j, spl.mat_k) for e in m.entries()]
+    assert all(isinstance(e, PadicQuad) for e in entries)
+    seen = []
+
+    def run():
+        for m in (-1, 1, 2):
+            seen.extend(e.val_at_least(m) for e in entries)
+
+    assert fractions_from_boundary(run, (PadicQuad.val_at_least,)) == {}
+    assert True in seen and False in seen

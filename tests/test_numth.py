@@ -207,6 +207,52 @@ def test_prime_factors_hands_out_fresh_lists(n):
     assert all(is_prime(ell) and n % ell == 0 for ell in expected)
 
 
+def trial_division(n):
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division_on_small_numbers():
+    for n in range(1, 20_000):
+        assert prime_factors(n) == trial_division(n)
+
+
+@SETTINGS
+@given(st.integers(1, 10**6 - 1))
+def test_prime_factors_match_trial_division_below_a_million(n):
+    assert prime_factors(n) == trial_division(n)
+
+
+# Primes above the trial-division bound of 1000, so their products reach
+# Pollard-Brent rho; SMALL_PRIMES end just below it.
+BIG_PRIMES = (1009, 7919, 104723, 104729, 999983, 1000003, 1000000007, 1000000009)
+SMALL_PRIMES = (2, 3, 5, 7, 991, 997)
+
+
+@SETTINGS
+@given(
+    st.lists(st.sampled_from(BIG_PRIMES), min_size=1, max_size=3),
+    st.lists(st.sampled_from(SMALL_PRIMES), max_size=3),
+    st.integers(1, 2),
+)
+def test_prime_factors_split_products_of_large_primes(big, small, power):
+    n = prod(big) ** power * prod(small)
+    assert prime_factors(n) == sorted(set(big) | set(small))
+    assert prime_factors(-n) == prime_factors(n)
+
+
+def test_prime_factors_of_a_product_of_two_primes_near_a_billion():
+    assert prime_factors(1000000016000000063) == [1000000007, 1000000009]
+    assert prime_factors((2**31 - 1) * (2**61 - 1)) == [2**31 - 1, 2**61 - 1]
+
+
 def test_repeated_prime_search_does_not_scan_again(monkeypatch):
     from quatorder import numth
 
