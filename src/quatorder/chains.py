@@ -31,7 +31,6 @@ from math import gcd
 from .errors import (
     CaseMismatchError,
     InvalidParametersError,
-    PrecisionLossError,
     RamifiedPlaceError,
     SearchExhaustedError,
 )
@@ -58,7 +57,7 @@ from .quat import (
     scaled_coords,
 )
 from .report import Report
-from .split import at_p_root
+from .split import CHECK_MARGIN, at_p_root
 
 CHAIN_SQUARE = "square"
 CHAIN_AT_P = "at_p"
@@ -306,22 +305,16 @@ def _qadic_ll(params: AlgebraParams, q: int, k: int):
     return [c * scale for c in coeffs]
 
 
-def chain_oracle(
-    params: AlgebraParams, q: int, depth: int, k: int | None = None
-) -> ZLattice4:
+def chain_oracle(params: AlgebraParams, q: int, depth: int) -> ZLattice4:
     """Depth-n congruence kernel {v : ll(v) = 0 mod q^depth} as a lattice.
 
-    Needs at least depth + 5 digits of working precision so truncation in
-    the Hensel witnesses cannot contaminate the asserted digits.
+    The Hensel witnesses carry CHECK_MARGIN digits beyond the depth, so
+    their truncation cannot contaminate the asserted digits.
     """
     if depth < 1:
         raise InvalidParametersError(f"depth must be positive: {depth}")
-    if k is None:
-        k = depth + 6
-    if k <= depth + 4:
-        raise PrecisionLossError(f"oracle at depth {depth} needs precision > {depth + 4}")
     lam = valuation(2 * params.p, q)
-    coeffs = _qadic_ll(params, q, k)
+    coeffs = _qadic_ll(params, q, depth + CHECK_MARGIN)
     modulus = q ** (depth + lam)
     residues = [c.residue(depth + lam) for c in coeffs]
     return coords_lattice(params, congruence_kernel([residues], modulus))

@@ -11,16 +11,15 @@ Subcommands build the objects of the library and verify them in one step:
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid parameters,
 3 unsupported case (ramified place, non-dividing level, exhausted search),
-4 insufficient working precision.  The working precision defaults to
-split.DEFAULT_PRECISION digits; QUATORDER_PRECISION or --precision override
-it.  Output is plain text, or canonical JSON under --json.
+4 insufficient working precision.  The working precision is --precision
+q-adic digits, split.DEFAULT_PRECISION by default.  Output is plain text, or
+canonical JSON under --json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chains import DEFAULT_DEPTHS, verify_chain, verify_chain_family
@@ -31,7 +30,6 @@ from .errors import (
     QuatOrderError,
 )
 from .isomap import (
-    DEFAULT_CONIC_BOUND,
     build_psi,
     inclusion_coordinate_formulas,
     verify_psi,
@@ -48,21 +46,6 @@ from .verify import (
     DEFAULT_PLACES,
     run_sweep,
 )
-
-
-def _default_precision() -> int:
-    raw = os.environ.get("QUATORDER_PRECISION", "")
-    if not raw:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParametersError(
-            f"QUATORDER_PRECISION must be an integer: {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParametersError(f"QUATORDER_PRECISION must be positive: {value}")
-    return value
 
 
 def _parse_place(raw: str):
@@ -195,7 +178,7 @@ def _cmd_degeneracy(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    psi = build_psi(args.delta, args.src, args.dst, p=args.p, w_bound=args.w_bound)
+    psi = build_psi(args.delta, args.src, args.dst, p=args.p)
     report = verify_psi(psi, seed=args.seed)
     pj = psi.to_json()
     payload = {"psi": pj}
@@ -295,21 +278,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--place", type=_parse_place, required=True,
                     help="prime, 'p' for the splitting prime, or 'inf'")
-    sp.add_argument("--precision", type=int, default=None, help="q-adic working digits")
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                    help="q-adic working digits")
     sp.set_defaults(func=_cmd_split)
 
     sp = sub.add_parser("degeneracy", help="level-raising embeddings at a prime")
     common(sp)
     sp.add_argument("--q", type=int, required=True, help="prime to raise the level by")
-    sp.add_argument("--precision", type=int, default=None, help="q-adic working digits")
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                    help="q-adic working digits")
     sp.set_defaults(func=_cmd_degeneracy)
 
     sp = sub.add_parser("psi", help="isomorphism between two levels")
     common(sp, level=False)
     sp.add_argument("--src", type=int, required=True, help="source level")
     sp.add_argument("--dst", type=int, required=True, help="destination level")
-    sp.add_argument("--w-bound", type=int, default=DEFAULT_CONIC_BOUND,
-                    help="denominator bound for the conic search")
     sp.add_argument("--seed", type=int, default=0, help="seed for sample checks")
     sp.set_defaults(func=_cmd_psi)
 
@@ -328,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--places", type=str,
                     default=",".join(str(q) for q in DEFAULT_PLACES))
     sp.add_argument("--sections", type=str, default=",".join(ALL_SECTIONS))
-    sp.add_argument("--precision", type=int, default=None)
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--inject-at-p-sign-flip", action="store_true",
                     help=argparse.SUPPRESS)
@@ -342,8 +325,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "precision") and args.precision is None:
-            args.precision = _default_precision()
         return args.func(args)
     except InvalidParametersError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,9 +153,9 @@ def degeneracy_bases(
     coefficients themselves are exact integers.
     """
     case = classify_degeneracy(params, q)
+    splitting = build_splitting(params, q, k=k)
     if k < 8:
         raise PrecisionLossError(f"precision too small to read residues reliably: {k}")
-    splitting = build_splitting(params, q, k=k)
     e1, e2, e3, e4 = hashimoto_basis(params)
     dn = params.dn
     a = params.a

@@ -150,7 +150,6 @@ def build_psi(
     src_level: int,
     dst_level: int,
     p: int | None = None,
-    w_bound: int = DEFAULT_CONIC_BOUND,
 ) -> PsiMap:
     """Construct the level map from src_level to dst_level.
 
@@ -159,8 +158,6 @@ def build_psi(
     the sign of beta is normalized so the map respects the orders, matching
     a_src * beta = a_dst mod p.
     """
-    if w_bound < 1:
-        raise InvalidParametersError(f"the conic denominator bound must be positive: {w_bound}")
     if p is None:
         p = find_hashimoto_prime(delta, src_level * dst_level)
     src = AlgebraParams.create(delta, src_level, p=p)
@@ -171,7 +168,7 @@ def build_psi(
         beta = Fraction(m + n, 2 * m)
         dlt = Fraction(m - n, 2 * m)
     else:
-        beta, dlt = solve_conic(m, p, n, w_bound=w_bound)
+        beta, dlt = solve_conic(m, p, n)
         if n % m == 0 and (src.a * beta.numerator - dst.a * beta.denominator) % p != 0:
             beta = -beta
 

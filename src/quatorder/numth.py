@@ -299,10 +299,11 @@ class PadicNum:
         return (self - other).is_zero_mod(m)
 
     # -- arithmetic -------------------------------------------------------
-    # Each operation is one body on the four fields: these are the innermost
-    # loops of every q-adic certificate.  A sum is known modulo the smaller
-    # absolute precision m and computed on the digits from the smaller
-    # valuation up to m; a zero keeps m (or the sentinel) as its valuation.
+    # Each operation but subtraction (a negation and a sum) is one body on
+    # the four fields: these are the innermost loops of every q-adic
+    # certificate.  A sum is known modulo the smaller absolute precision m
+    # and computed on the digits from the smaller valuation up to m; a zero
+    # keeps m (or the sentinel) as its valuation.
 
     def __add__(self, other):
         if not isinstance(other, PadicNum):
@@ -340,30 +341,7 @@ class PadicNum:
     def __sub__(self, other):
         if not isinstance(other, PadicNum):
             return NotImplemented
-        q = self.q
-        if other.q != q:
-            raise InvalidParametersError("mixed residue characteristics")
-        sv, su, ov, ou = self.val, self.unit, other.val, other.unit
-        m = sv + self.prec  # the absolute precision: a zero has prec 0
-        om = ov + other.prec
-        if om < m:
-            m = om
-        base = sv if sv < ov else ov
-        digits = m - base
-        if digits <= 0:
-            return PadicNum(q, m, 0, 0)
-        if sv > base:
-            su = su * q ** (sv - base) if su and sv < m else 0
-        if ov > base:
-            ou = ou * q ** (ov - base) if ou and ov < m else 0
-        r = (su - ou) % q**digits
-        if not r:
-            return PadicNum(q, m, 0, 0)
-        while not r % q:
-            r //= q
-            base += 1
-            digits -= 1
-        return PadicNum(q, base, r, digits)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, PadicNum):
@@ -431,19 +409,10 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     """
     if k < 1:
         raise InvalidParametersError("precision must be >= 1")
-    if isinstance(a, PadicNum):
-        if a.q != q:
-            raise InvalidParametersError("mixed residue characteristics")
-        if a.unit == 0 or a.val != 0:
-            raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
-        if a.prec < k:
-            raise PrecisionLossError(f"input known mod {q}^{a.prec}, need {q}^{k}")
-        residue_mod = lambda m: a.unit % q**m
-    else:
-        fa = Fraction(a)
-        if fa == 0 or valuation(fa, q) != 0:
-            raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
-        residue_mod = lambda m: unit_residue(fa, q, q**m)
+    fa = Fraction(a)
+    if fa == 0 or valuation(fa, q) != 0:
+        raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
+    residue_mod = lambda m: unit_residue(fa, q, q**m)
 
     if q == 2:
         if residue_mod(3) != 1:

@@ -59,6 +59,10 @@ CHECK_MARGIN = 6
 # q-adic working digits when the caller names none.
 DEFAULT_PRECISION = 20
 
+# Decimal digits of the largest modulus q**k a model at a finite place
+# works modulo, so the working precision bounds the time a model takes.
+MAX_MODULUS_DIGITS = 10_000
+
 
 @lru_cache(maxsize=256)
 def _radicand(rad: int, q: int, prec: int) -> PadicNum:
@@ -113,15 +117,10 @@ class PadicQuad:
 
     def __sub__(self, other):
         o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        return PadicQuad(self.a - o.a, self.b - o.b, self.rad)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        return PadicQuad(o.a - self.a, o.b - self.b, self.rad)
+        return (-self) + other
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -444,16 +443,30 @@ class LocalSplitting:
         }
 
 
+def _modulus_too_large(q: int, k: int) -> bool:
+    """Whether q**k has more than MAX_MODULUS_DIGITS decimal digits.
+
+    With b = q.bit_length(), 2**(k*(b-1)) <= q**k < 2**(k*b), and
+    8**d < 10**d < 2**(10*d/3): q**k is formed only between those bounds.
+    """
+    bits = k * q.bit_length()
+    if bits <= 3 * MAX_MODULUS_DIGITS:
+        return False
+    if 3 * (bits - k) >= 10 * MAX_MODULUS_DIGITS:
+        return True
+    return q**k >= 10**MAX_MODULUS_DIGITS
+
+
 def build_splitting(
     params: AlgebraParams,
     place,
     k: int = DEFAULT_PRECISION,
-    prefer_y_zero: bool = False,
     _flip_at_p_root: bool = False,
 ) -> LocalSplitting:
     """Construct the matrix model of the algebra at one place.
 
-    k is the number of q-adic digits carried by truncated coefficients.  The
+    k is the number of q-adic digits carried by truncated coefficients; at a
+    finite place q**k may have at most MAX_MODULUS_DIGITS decimal digits.  The
     hidden _flip_at_p_root switch deliberately picks the wrong root of -dn at
     the prime p; it exists so the verification layer can prove it would catch
     that mistake.
@@ -488,6 +501,11 @@ def build_splitting(
         return LocalSplitting(params, place, case, k, mi, mj, mk, {}, shape)
 
     q = place
+    if _modulus_too_large(q, k):
+        raise InvalidParametersError(
+            f"precision {k} at {q}: the modulus {q}^{k} has more than "
+            f"{MAX_MODULUS_DIGITS} decimal digits; lower the precision"
+        )
 
     def pn(value) -> PadicNum:
         return PadicNum.from_rational(value, q, k)
@@ -504,7 +522,7 @@ def build_splitting(
         )
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
-        x, y = solve_norm_equation(p, Fraction(-dn), q, k, prefer_y_zero=prefer_y_zero)
+        x, y = solve_norm_equation(p, Fraction(-dn), q, k)
         mi = Mat2(x, -pn(p) * y, y, -x)
         mj = Mat2(PadicNum.exact_zero(q), pn(p), pn(1), PadicNum.exact_zero(q))
         mk = mi * mj
@@ -526,7 +544,7 @@ def build_splitting(
         return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": s}, shape)
 
     # Ramified place q | delta: coefficients live in Z_q[sqrt(p)].
-    x, y = solve_norm_equation(p, Fraction(-dn, q), q, k, prefer_y_zero=prefer_y_zero)
+    x, y = solve_norm_equation(p, Fraction(-dn, q), q, k)
     z0 = PadicNum.exact_zero(q)
     pq = lambda u, v: PadicQuad(u, v, p)
     zero = pq(z0, z0)

@@ -19,7 +19,6 @@ from quatorder.chains import (
 from quatorder.errors import (
     CaseMismatchError,
     InvalidParametersError,
-    PrecisionLossError,
     RamifiedPlaceError,
 )
 from quatorder.quat import AlgebraParams, pretty
@@ -118,8 +117,6 @@ def test_oracle_contains_and_descends():
 def test_oracle_depth_guards():
     with pytest.raises(InvalidParametersError):
         chain_oracle(D35, 11, 0)
-    with pytest.raises(PrecisionLossError):
-        chain_oracle(D35, 11, 8, k=12)
 
 
 def test_verify_chain_all_cases():

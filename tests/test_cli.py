@@ -1,9 +1,10 @@
 import json
 import sys
+from functools import partial
 
 import pytest
 
-from quatorder import cli
+from quatorder import chains, cli, isomap, split
 from quatorder.cli import main
 from quatorder.split import verify_splitting
 
@@ -129,7 +130,7 @@ def test_invalid_parameters_exit_two(capsys):
     assert "error:" in err
 
 
-def test_unsupported_case_exit_three(capsys):
+def test_unsupported_case_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "chain", "--delta", "1", "--q", "5")
     assert code == 3
     assert "rank 3" in err
@@ -138,35 +139,19 @@ def test_unsupported_case_exit_three(capsys):
     assert code == 3
     assert "discriminant" in err
 
-    code, _, err = run(
-        capsys, "psi", "--delta", "35", "--src", "3", "--dst", "17", "--w-bound", "2"
-    )
+    monkeypatch.setattr(isomap, "solve_conic", partial(isomap.solve_conic, w_bound=2))
+    code, _, err = run(capsys, "psi", "--delta", "35", "--src", "3", "--dst", "17")
     assert code == 3
     assert "no rational point" in err
+    assert "denominator <= 2" in err
 
 
-def test_env_precision_too_small_exit_four(capsys, monkeypatch):
-    monkeypatch.setenv("QUATORDER_PRECISION", "7")
-    code, _, err = run(capsys, "degeneracy", "--delta", "35", "--level", "3", "--q", "11")
+def test_precision_too_small_exit_four(capsys):
+    code, _, err = run(
+        capsys, "degeneracy", "--delta", "35", "--level", "3", "--q", "11", "--precision", "7"
+    )
     assert code == 4
     assert "precision" in err
-
-
-def test_env_precision_garbage_exit_two(capsys, monkeypatch):
-    monkeypatch.setenv("QUATORDER_PRECISION", "abc")
-    code, _, err = run(capsys, "split", "--delta", "35", "--level", "3", "--place", "11")
-    assert code == 2
-    assert "QUATORDER_PRECISION" in err
-
-
-def test_precision_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("QUATORDER_PRECISION", "7")
-    code, _, _ = run(
-        capsys,
-        "degeneracy", "--delta", "35", "--level", "3", "--q", "11",
-        "--precision", "20",
-    )
-    assert code == 0
 
 
 def test_unknown_section_exit_two(capsys):
@@ -281,6 +266,77 @@ def test_split_precision_below_the_check_margin_exit_four(capsys, place, precisi
         assert "all pass" in out
 
 
+SPLIT_11 = ("split", "--delta", "35", "--level", "3", "--place", "11")
+DEGENERACY_11 = ("degeneracy", "--delta", "35", "--level", "3", "--q", "11")
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [SPLIT_11, DEGENERACY_11, ("verify", "--sections", "degeneracy")],
+    ids=["split", "degeneracy", "verify"],
+)
+def test_nonpositive_precision_exit_two(capsys, command, precision):
+    code, out, err = run(capsys, *command, "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: precision must be positive: {precision}\n"
+
+
+# At a finite place the working modulus q^k may have at most 10,000 decimal
+# digits: 11^9600 has 9998, (10^9+7)^1111 has 10,000 and (10^9+7)^1112 has
+# 10,009.  Beyond that the command exits 2 before any q-adic lift.
+DEGENERACY_1E9 = ("degeneracy", "--delta", "35", "--q", "1000000007")
+VERIFY_1E9 = ("verify", "--deltas", "35", "--levels", "1", "--places", "1000000007",
+              "--sections", "split,degeneracy")
+
+
+@pytest.mark.parametrize(
+    "command, q, precision, expected",
+    [
+        (SPLIT_11, 11, 20000, 2),
+        (DEGENERACY_11, 11, 20000, 2),
+        (DEGENERACY_11, 11, 9600, 0),
+        (DEGENERACY_1E9, 1000000007, 8000, 2),
+        (DEGENERACY_1E9, 1000000007, 1112, 2),
+        (VERIFY_1E9, 1000000007, 8000, 2),
+        (VERIFY_1E9, 1000000007, 1111, 0),
+    ],
+    ids=["split-11", "degeneracy-11", "degeneracy-11-inside", "degeneracy-1e9",
+         "degeneracy-1e9-boundary", "verify-1e9", "verify-1e9-inside"],
+)
+def test_precision_beyond_the_modulus_ceiling_exit_two(
+    capsys, monkeypatch, command, q, precision, expected
+):
+    lifts = []
+    for name in ("hensel_sqrt", "solve_norm_equation"):
+        lift = getattr(split, name)
+        monkeypatch.setattr(
+            split, name, lambda *a, _f=lift, **kw: lifts.append(a) or _f(*a, **kw)
+        )
+    code, out, err = run(capsys, *command, "--precision", str(precision))
+    assert code == expected
+    if expected == 2:
+        assert out == ""
+        assert err == (
+            f"error: precision {precision} at {q}: the modulus {q}^{precision} has more "
+            f"than 10000 decimal digits; lower the precision\n"
+        )
+        assert lifts == []
+    else:
+        assert err == ""
+        assert lifts
+        assert "all pass" in out
+
+
+def test_exhausted_auxiliary_level_search_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(chains, "DEFAULT_AUX_BOUND", 2)
+    code, out, err = run(capsys, "chain", "--delta", "15", "--q", "7")
+    assert code == 3
+    assert out == ""
+    assert err == "error: no auxiliary level <= 2 for delta=15, p=17, q=7\n"
+
+
 # The product of the odd primes 3 to 47: no admissible prime lies below the
 # fixed search bound, and each command reaches the search by its own path.
 NO_PRIME_DELTA = "307444891294245705"
@@ -355,16 +411,6 @@ def test_other_commands_keep_working_on_the_same_moduli(capsys, command):
     assert code == 0
     assert err == ""
     assert json.loads(out)["verification"]["all_pass"]
-
-
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_psi_nonpositive_w_bound_exit_two(capsys, bound):
-    code, out, err = run(
-        capsys, "psi", "--delta", "35", "--src", "9", "--dst", "3", "--w-bound", bound
-    )
-    assert code == 2
-    assert out == ""
-    assert err == f"error: the conic denominator bound must be positive: {bound}\n"
 
 
 def test_construct_factors_a_product_of_two_primes_near_a_billion(capsys):

@@ -92,7 +92,8 @@ def test_ramified_splitting_certificate_makes_the_measured_padic_calls():
     reports = []
     stats = profile(lambda: reports.append(verify_splitting(spl)))
     calls = {name: stats[_key(getattr(PadicNum, name))][1] for name in ("__mul__", "__add__")}
-    assert calls == {"__mul__": 446, "__add__": 271}
+    # 271 sums and 50 differences, each a negation and a sum
+    assert calls == {"__mul__": 446, "__add__": 321}
     assert reports[0].passed
 
 

@@ -3,6 +3,9 @@
 A definition counts as used when its name appears, as a whole word, more
 often across the package, the tests, the demos and the benchmark than it is
 defined in the package.  Dunder methods are exempt: the language calls them.
+
+No module of the package reads the environment, so each value has one way
+to be set: a command-line option or a constant.
 """
 
 import ast
@@ -13,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quatorder"
 SEARCHED = ("src", "tests", "demos", "perfbench")
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _definitions() -> Counter:
@@ -33,3 +37,15 @@ def test_no_unused_definitions():
     words = Counter(re.findall(r"\w+", text))
     dead = sorted(name for name, n in defined.items() if words[name] <= n)
     assert dead == [], f"defined but never referenced: {dead}"
+
+
+def test_no_module_reads_the_environment():
+    readers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+        or (isinstance(node, ast.Name) and node.id in ENVIRONMENT)
+        or (isinstance(node, ast.alias) and node.name in ENVIRONMENT)
+    )
+    assert readers == [], f"modules reading the environment: {readers}"

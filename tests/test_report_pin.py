@@ -75,8 +75,7 @@ def _pinned_calls():
 
 
 @pytest.mark.parametrize("key, digest", _pinned_calls())
-def test_single_object_output_matches_frozen_digest(capsys, monkeypatch, key, digest):
-    monkeypatch.delenv("QUATORDER_PRECISION", raising=False)
+def test_single_object_output_matches_frozen_digest(capsys, key, digest):
     code = main(key.split())
     out = capsys.readouterr().out
     assert code == 0

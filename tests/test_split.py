@@ -140,10 +140,3 @@ def test_precision_guard():
     spl = build_splitting(params, 11, k=6)
     with pytest.raises(PrecisionLossError):
         spl.scalar(Fraction(1, 11**7))
-
-
-def test_prefer_y_zero_convention():
-    params = AlgebraParams(35, 1, 13, 6)
-    spl = build_splitting(params, 11, prefer_y_zero=True)
-    report = verify_splitting(spl)
-    assert report.passed, report.failures()
