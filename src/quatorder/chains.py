@@ -43,11 +43,11 @@ from .numth import (
     is_square_unit,
     legendre,
     solve_norm_equation,
-    valuation,
 )
 from .quat import (
     AlgebraParams,
     QuatElem,
+    basis_digit_cost,
     coefficient_lattice,
     coords_in_hashimoto,
     coords_lattice,
@@ -57,7 +57,7 @@ from .quat import (
     scaled_coords,
 )
 from .report import Report
-from .split import CHECK_MARGIN, at_p_root
+from .split import at_p_root
 
 CHAIN_SQUARE = "square"
 CHAIN_AT_P = "at_p"
@@ -308,16 +308,14 @@ def _qadic_ll(params: AlgebraParams, q: int, k: int):
 def chain_oracle(params: AlgebraParams, q: int, depth: int) -> ZLattice4:
     """Depth-n congruence kernel {v : ll(v) = 0 mod q^depth} as a lattice.
 
-    The Hensel witnesses carry CHECK_MARGIN digits beyond the depth, so
-    their truncation cannot contaminate the asserted digits.
+    Scaling by 2p to clear the order-basis denominators costs λ = v_q(2p)
+    digits: the witnesses are lifted, and the kernel read, to depth + λ digits.
     """
     if depth < 1:
         raise InvalidParametersError(f"depth must be positive: {depth}")
-    lam = valuation(2 * params.p, q)
-    coeffs = _qadic_ll(params, q, depth + CHECK_MARGIN)
-    modulus = q ** (depth + lam)
-    residues = [c.residue(depth + lam) for c in coeffs]
-    return coords_lattice(params, congruence_kernel([residues], modulus))
+    digits = depth + basis_digit_cost(params, q)
+    residues = [c.residue(digits) for c in _qadic_ll(params, q, digits)]
+    return coords_lattice(params, congruence_kernel([residues], q**digits))
 
 
 def _is_sublattice(sub: ZLattice4, sup: ZLattice4) -> bool:

@@ -417,10 +417,9 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     if q == 2:
         if residue_mod(3) != 1:
             raise NoSquareRootError("2-adic squares among units are ≡ 1 mod 8")
-        if k <= 2:
-            return PadicNum(2, 0, 1 % 2**k if k > 1 else 1, k)
+        # x² ≡ a (mod 2^(k+1)) fixes x mod 2^k up to sign, one digit short of it does not.
         x, m = 1, 3
-        while m < k:
+        while m <= k:
             if (x * x - residue_mod(m + 1)) % 2 ** (m + 1):
                 x += 1 << (m - 1)
             m += 1

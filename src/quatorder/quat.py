@@ -309,6 +309,11 @@ def hashimoto_basis(params: AlgebraParams) -> tuple[QuatElem, QuatElem, QuatElem
     return (e1, e2, e3, e4)
 
 
+def basis_digit_cost(params: AlgebraParams, q: int) -> int:
+    """λ = v_q(2p): the q-adic digits an order-basis image costs, its denominator dividing 2p."""
+    return numth.valuation(2 * params.p, q)
+
+
 def scaled_coords(u: QuatElem) -> tuple[tuple[int, int, int, int], int]:
     """Coordinates (c₁..c₄) of u over the order basis as (int numerators, denominator).
 

@@ -14,7 +14,7 @@ be sent to explicit 2x2 matrices over a concrete coefficient ring:
 The resulting map phi is checked, never trusted: verify_splitting replays the
 defining relations, the integrality of the order basis images, the shape of
 the image lattice, and the discriminant of the trace form, all at a stated
-q-adic accuracy.
+q-adic accuracy: the working precision less the v_q(2p) digits the basis costs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .numth import (
     solve_norm_equation,
     valuation,
 )
-from .quat import AlgebraParams, QuatElem, hashimoto_basis
+from .quat import AlgebraParams, QuatElem, basis_digit_cost, hashimoto_basis
 from .report import Report
 
 # Case labels for the five matrix models.
@@ -50,11 +50,6 @@ CASE_UNRAMIFIED_SQUARE = "unramified_square"
 CASE_AT_P = "at_p"
 CASE_RAMIFIED = "ramified"
 CASE_ARCHIMEDEAN = "archimedean"
-
-# Digits below the working precision that the check level leaves
-# unasserted, so Newton-iteration round-off in the last digits never
-# masquerades as a genuine failure.
-CHECK_MARGIN = 6
 
 # q-adic working digits when the caller names none.
 DEFAULT_PRECISION = 20
@@ -349,15 +344,17 @@ class LocalSplitting:
         return self._scalar(0, 1) if acc is None else acc
 
     def check_level(self) -> int:
-        """q-adic level the certificates assert: precision minus CHECK_MARGIN.
+        """q-adic level the certificates assert: precision minus λ = v_q(2p).
 
-        Exact coefficient rings ignore the level; a truncated model with no
-        digit left above the margin raises PrecisionLossError.
+        The order-basis images cost λ digits (``quat.basis_digit_cost``); exact
+        coefficient rings ignore the level.  No digit left raises PrecisionLossError.
         """
-        level = self.precision - CHECK_MARGIN
-        if level < 1 and self.case not in (CASE_RATIONAL, CASE_ARCHIMEDEAN):
+        exact = self.case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
+        level = self.precision - (0 if exact else basis_digit_cost(self.params, self.place))
+        if level < 1:
             raise PrecisionLossError(
-                f"precision {self.precision} is not above the {CHECK_MARGIN}-digit check margin"
+                f"precision {self.precision} leaves no digit to assert at {self.place}, "
+                f"where the order basis costs {self.precision - level}"
             )
         return level
 

@@ -265,6 +265,7 @@ def run_sweep(
     inject_at_p_sign_flip: bool = False,
 ) -> Report:
     """Run the selected verification sections and fold them into one report."""
+    deltas, levels = tuple(dict.fromkeys(deltas)), tuple(dict.fromkeys(levels))  # repeats run once
     report = Report()
     if "numth" in sections:
         report.extend(sweep_numth(seed=seed))

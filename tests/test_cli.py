@@ -147,11 +147,18 @@ def test_unsupported_case_exit_three(capsys, monkeypatch):
 
 
 def test_precision_too_small_exit_four(capsys):
-    code, _, err = run(
-        capsys, "degeneracy", "--delta", "35", "--level", "3", "--q", "11", "--precision", "7"
-    )
-    assert code == 4
-    assert "precision" in err
+    # The order basis costs v_q(2p) = 1 digit at q = p and at q = 2, so one
+    # digit of working precision leaves none to assert there.
+    for argv in (
+        ("split", "--delta", "35", "--level", "3", "--place", "13"),
+        ("split", "--delta", "6", "--place", "2"),
+        ("degeneracy", "--delta", "35", "--level", "3", "--q", "13"),
+    ):
+        code, out, err = run(capsys, *argv, "--precision", "1")
+        assert code == 4, argv
+        assert out == ""
+        assert "precision" in err
+        assert "Traceback" not in err
 
 
 def test_unknown_section_exit_two(capsys):
@@ -250,9 +257,14 @@ def test_verify_section_that_verifies_nothing_is_not_a_failure(capsys, selection
 
 @pytest.mark.parametrize(
     "place, precision, expected",
-    [("11", "2", 4), ("11", "6", 4), ("11", "7", 0), ("inf", "2", 0)],
+    [
+        ("11", "2", 0), ("11", "6", 0), ("11", "7", 0), ("inf", "2", 0),
+        ("13", "1", 4), ("13", "2", 0), ("13", "6", 0),
+    ],
 )
 def test_split_precision_below_the_check_margin_exit_four(capsys, place, precision, expected):
+    # The asserted level is the precision less v_q(2p): 0 digits at q = 11,
+    # 1 at q = p = 13; exit 4 only when no digit is left to assert.
     code, out, err = run(
         capsys, "split", "--delta", "35", "--level", "3", "--place", place,
         "--precision", precision,
@@ -260,10 +272,30 @@ def test_split_precision_below_the_check_margin_exit_four(capsys, place, precisi
     assert code == expected
     if expected == 4:
         assert out == ""
-        assert "check margin" in err
+        assert "leaves no digit to assert" in err
     else:
         assert err == ""
         assert "all pass" in out
+
+
+@pytest.mark.parametrize("q", ["11", "13"])
+@pytest.mark.parametrize("precision", ["2", "6"])
+def test_degeneracy_at_low_precision_certifies(capsys, q, precision):
+    code, out, err = run(
+        capsys, "degeneracy", "--delta", "35", "--level", "3", "--q", q, "--precision", precision
+    )
+    assert code == 0
+    assert err == ""
+    assert "all pass" in out
+
+
+def test_verify_runs_each_repeated_delta_and_level_once(capsys):
+    code, once, _ = run(capsys, "verify", "--json", "--deltas", "35", "--levels", "1,3")
+    assert code == 0
+    for deltas, levels in (("35,35", "1,3"), ("35", "1,3,3,1")):
+        code, repeated, _ = run(capsys, "verify", "--json", "--deltas", deltas, "--levels", levels)
+        assert code == 0
+        assert repeated == once, (deltas, levels)
 
 
 SPLIT_11 = ("split", "--delta", "35", "--level", "3", "--place", "11")

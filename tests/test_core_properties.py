@@ -740,6 +740,62 @@ def test_from_rows_and_intersect_match_fraction_reference(rows, other):
     assert (meet.denom, meet.rows) == ref_from_rows(gens)
 
 
+# --- hnf is canonical under unimodular row transforms ----------------------------
+
+
+@st.composite
+def matrix_and_unimodular(draw):
+    """An integer matrix A and a unimodular U built from elementary row operations."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m))
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    ops = st.tuples(st.sampled_from(("add", "swap", "negate")), st.integers(0, m - 1),
+                    st.integers(0, m - 1), st.integers(-6, 6))
+    for op, i, j, t in draw(st.lists(ops, max_size=12)):
+        if op == "add" and i != j:
+            u[i] = [x + t * y for x, y in zip(u[i], u[j])]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif op == "negate":
+            u[i] = [-x for x in u[i]]
+    return a, u
+
+
+def fraction_rank(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@SETTINGS
+@given(matrix_and_unimodular())
+@example(([[0, 0], [0, 0]], [[1, 0], [0, 1]]))  # only zero rows
+@example(([[2, 4, 6], [1, 2, 3], [0, 0, 0]], [[0, 1, 0], [1, -2, 0], [0, 0, -1]]))
+def test_hnf_is_canonical_under_unimodular_row_transforms(data):
+    a, u = data
+    ua = [[sum(c * row[j] for c, row in zip(urow, a)) for j in range(len(a[0]))] for urow in u]
+    h = hnf(a)
+    assert hnf(ua) == h
+    # zero rows are dropped: one row per unit of rank
+    assert all(any(r) for r in h)
+    assert len(h) == fraction_rank(a)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in h]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert h[i][c] > 0
+        assert all(0 <= h[r][c] < h[i][c] for r in range(i))
+
+
 # --- the integer lattice layer against its Fraction routes ------------------------
 
 

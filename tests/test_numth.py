@@ -103,6 +103,20 @@ def test_hensel_squares_high_precision():
                 x = rng.randint(1, 50_000)
             r = hensel_sqrt(x * x, q, 24)
             assert (r * r - PadicNum.from_rational(x * x, q, 24)).is_zero_mod(24)
+            assert r.residue(24) in (x % q**24, -x % q**24), (q, x)
+
+
+def test_two_adic_root_agrees_with_a_deeper_lift():
+    """Every digit a 2-adic root claims is a digit of the root.
+
+    x² ≡ a (mod 2^k) fixes x only mod 2^(k-1) up to sign, so a lift that
+    stops there gets its last digit wrong in about half the cases.
+    """
+    assert hensel_sqrt(9, 2, 3).residue(3) == 5  # -3, the root ≡ 1 (mod 4)
+    for a in range(1, 2000, 8):
+        deep = hensel_sqrt(a, 2, 40).residue(40)
+        for k in range(1, 30):
+            assert hensel_sqrt(a, 2, k).residue(k) == deep % 2**k, (a, k)
 
 
 def test_hensel_canonical_choice():
