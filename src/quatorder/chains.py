@@ -333,7 +333,7 @@ def verify_chain(
     Returns the closed-form basis (annotated with the deepest oracle depth
     and the overall outcome) together with the detailed report.
     """
-    depths = tuple(sorted(depths))
+    depths = tuple(sorted(set(depths)))  # a repeated depth runs once
     if not depths or depths[0] < 1:
         raise InvalidParametersError(
             f"oracle depths must be a non-empty list of positive integers: {list(depths)}"

@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid parameters,
 3 unsupported case (ramified place, non-dividing level, exhausted search),
 4 insufficient working precision.  The working precision is --precision
 q-adic digits, split.DEFAULT_PRECISION by default.  Output is plain text, or
-canonical JSON under --json.
+under --json one compact line of canonical JSON with sorted keys (an indent
+would switch the json module to its pure-Python encoder).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _parse_int_list(raw: str, what: str) -> tuple:
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

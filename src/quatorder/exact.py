@@ -68,20 +68,9 @@ def det_int(rows: list[list[int]]) -> int:
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Canonical row HNF; zero rows dropped."""
-    h, _ = hnf_with_transform(rows)
-    return [r for r in h if any(r)]
-
-
-def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Return (H, U) with U unimodular, U @ rows == H, H in row HNF.
-
-    H keeps its zero rows (at the bottom) so the corresponding rows of U form
-    a basis of the left kernel.
-    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     rank = 0
     for col in range(n):
         # clear the column below position `rank` by gcd elimination
@@ -93,13 +82,11 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
             if piv is None:
                 break
             a[rank], a[piv] = a[piv], a[rank]
-            u[rank], u[piv] = u[piv], u[rank]
             done = True
             for i in range(rank + 1, m):
                 if a[i][col]:
                     t = a[i][col] // a[rank][col]
                     a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
-                    u[i] = [x - t * y for x, y in zip(u[i], u[rank])]
                     if a[i][col]:
                         done = False
             if done:
@@ -108,21 +95,28 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
             continue
         if a[rank][col] < 0:
             a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
         for i in range(rank):
             t = a[i][col] // a[rank][col]
             if t:
                 a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
-                u[i] = [x - t * y for x, y in zip(u[i], u[rank])]
         rank += 1
-    return a, u
+    return a[:rank]
+
+
+def _vanishing_part(gens: list[list[int]], n: int) -> list[list[int]]:
+    """HNF of {w : (0, w) in the span of gens}, for rows (x, w) with x of length n.
+
+    The rows of hnf(gens) that vanish on the first n columns span exactly those
+    (0, w), and they are in HNF themselves, so their w parts are the answer.
+    """
+    return [r[n:] for r in hnf(gens) if not any(r[:n])]
 
 
 def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (HNF) of {u : u @ rows == 0}."""
-    h, u = hnf_with_transform(rows)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf(ker) if ker else []
+    """Basis (HNF) of {u : u @ rows == 0}: the vanishing part of {(u @ rows, u)}."""
+    m = len(rows)
+    gens = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return _vanishing_part(gens, len(rows[0]) if m else 0)
 
 
 def right_kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -134,13 +128,17 @@ def right_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 
 def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
-    """Basis (HNF) of {v in Z^n : rows @ v ≡ 0 (mod modulus)}."""
+    """Basis (HNF) of {v in Z^n : rows @ v ≡ 0 (mod modulus)}.
+
+    The vanishing part of the lattice spanned by (rowsᵀ·e_i, e_i) and
+    (modulus·e_j, 0), which is {(rows @ v + modulus·w, v)}.
+    """
     if not rows:
         raise InvalidParametersError("empty congruence system")
     r, n = len(rows), len(rows[0])
-    aug = [list(rows[i]) + [modulus if j == i else 0 for j in range(r)] for i in range(r)]
-    ker = right_kernel(aug)
-    return hnf([v[:n] for v in ker])
+    gens = [[row[i] for row in rows] + [int(i == j) for j in range(n)] for i in range(n)]
+    gens += [[modulus if j == i else 0 for j in range(r)] + [0] * n for i in range(r)]
+    return _vanishing_part(gens, r)
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +392,10 @@ class ZLattice4:
         self._check_ambient(other)
         if not self.rows or not other.rows:
             return ZLattice4(1, (), self.ambient or other.ambient)
+        # Zassenhaus: (a, a) and (b, 0) span {(a + b, a)}, whose vanishing part is A ∩ B
         d = lcm(self.denom, other.denom)
-        a = self.scaled_rows(d)
-        b = other.scaled_rows(d)
-        stacked = a + [[-x for x in r] for r in b]
-        ker = left_kernel(stacked)
-        gens = []
-        for u in ker:
-            g = [0, 0, 0, 0]
-            for coef, row in zip(u[: len(a)], a):
-                for j in range(4):
-                    g[j] += coef * row[j]
-            gens.append(g)
+        gens = [r + r for r in self.scaled_rows(d)] + [r + [0] * 4 for r in other.scaled_rows(d)]
+        gens = _vanishing_part(gens, 4)
         return ZLattice4._from_scaled(d, gens, self.ambient or other.ambient)
 
     def index_in(self, superlattice: "ZLattice4") -> int:

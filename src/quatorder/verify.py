@@ -23,6 +23,7 @@ from .errors import CaseMismatchError, InvalidParametersError
 from .isomap import build_psi, verify_psi, verify_psi_inclusion
 from .numth import (
     INFINITE_PLACE,
+    _validate_delta_level,
     find_hashimoto_prime,
     hensel_sqrt,
     hilbert_symbol,
@@ -266,6 +267,11 @@ def run_sweep(
 ) -> Report:
     """Run the selected verification sections and fold them into one report."""
     deltas, levels = tuple(dict.fromkeys(deltas)), tuple(dict.fromkeys(levels))  # repeats run once
+    # every value on its own, before any section runs; a pair need not be coprime
+    for delta in deltas:
+        _validate_delta_level(delta, 1)
+    for level in levels:
+        _validate_delta_level(1, level)
     report = Report()
     if "numth" in sections:
         report.extend(sweep_numth(seed=seed))

@@ -450,3 +450,57 @@ def test_construct_factors_a_product_of_two_primes_near_a_billion(capsys):
     assert code == 0
     assert err == ""
     assert "delta=1000000016000000063 level=1 p=13 a=6" in out
+
+
+@pytest.mark.parametrize(
+    "deltas, levels, message",
+    [
+        ("35", "1,0", "level 0 must be a positive integer"),
+        ("35", "1,-3", "level -3 must be a positive integer"),
+        ("35,0", "1", "discriminant 0 must be a positive squarefree integer"),
+        ("35,5", "1", "discriminant 5 must have an even number of prime factors"),
+    ],
+)
+@pytest.mark.parametrize("section", ["numth", "split", "degeneracy", "psi", "chain"])
+def test_verify_rejects_a_bad_delta_or_level_before_any_section(
+    capsys, section, deltas, levels, message
+):
+    code, out, err = run(
+        capsys, "verify", "--sections", section, "--deltas", deltas, "--levels", levels
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_chain_runs_each_repeated_depth_once(capsys):
+    code, once, _ = run(capsys, "chain", "--delta", "35", "--q", "11", "--depths", "8,10", "--json")
+    assert code == 0
+    code, repeated, _ = run(
+        capsys, "chain", "--delta", "35", "--q", "11", "--depths", "8,8,10,8", "--json"
+    )
+    assert code == 0
+    assert repeated == once
+    ids = [c["id"] for c in json.loads(repeated)["verification"]["checks"]]
+    assert len(ids) == len(set(ids))
+    assert "oracle.descending.depth8_8" not in ids
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("construct", "--delta", "35", "--level", "3"),
+        ("split", "--delta", "35", "--level", "3", "--place", "11"),
+        ("degeneracy", "--delta", "35", "--level", "3", "--q", "11"),
+        ("psi", "--delta", "35", "--src", "9", "--dst", "3"),
+        ("chain", "--delta", "35", "--q", "11"),
+        ("verify", "--deltas", "35", "--levels", "1,3"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_json_is_one_compact_sorted_line(capsys, command):
+    # an indent would switch json.dumps to its pure-Python encoder
+    code, out, err = run(capsys, *command, "--json")
+    assert code == 0
+    assert err == ""
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"

@@ -740,7 +740,7 @@ def test_from_rows_and_intersect_match_fraction_reference(rows, other):
     assert (meet.denom, meet.rows) == ref_from_rows(gens)
 
 
-# --- hnf is canonical under unimodular row transforms ----------------------------
+# --- hnf is idempotent and canonical under unimodular row transforms ------------
 
 
 @st.composite
@@ -786,6 +786,8 @@ def test_hnf_is_canonical_under_unimodular_row_transforms(data):
     ua = [[sum(c * row[j] for c, row in zip(urow, a)) for j in range(len(a[0]))] for urow in u]
     h = hnf(a)
     assert hnf(ua) == h
+    assert hnf(h) == h
+    assert hnf(ua + [[0] * len(a[0])]) == h
     # zero rows are dropped: one row per unit of rank
     assert all(any(r) for r in h)
     assert len(h) == fraction_rank(a)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatorder.errors import AmbientMismatchError, InvalidParametersError
 from quatorder.exact import (
@@ -117,3 +120,76 @@ def test_rational_quadrat_hashes_like_its_value():
     assert QuadRat(Fraction(-3, 4), 0, Fraction(2, 3)) in {Fraction(-3, 4)}
     assert {QuadRat(0, 0, 5): "zero"}[0] == "zero"
     assert QuadRat(13, 1, 13) not in {13}
+
+
+# --- the HNF layer against brute-force oracles ------------------------------------
+# Hypothesis runs derandomized with no example database, as in
+# tests/test_core_properties.py.
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def int_matrix(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def in_echelon_span(basis, vec) -> bool:
+    """Whether vec is an integer combination of echelon rows with positive pivots."""
+    w = list(vec)
+    for row in basis:
+        pc = next(j for j, x in enumerate(row) if x)
+        t, r = divmod(w[pc], row[pc])
+        if r:
+            return False
+        w = [x - t * y for x, y in zip(w, row)]
+    return not any(w)
+
+
+def times(u, a):
+    return [sum(c * row[j] for c, row in zip(u, a)) for j in range(len(a[0]))]
+
+
+@SETTINGS
+@given(int_matrix())
+@example([[1, 0], [2, 0], [0, 1]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[3, 6], [2, 4], [5, 10], [1, 2]])
+def test_left_kernel_is_the_whole_kernel(a):
+    m = len(a)
+    ker = left_kernel(a)
+    for u in ker:
+        assert times(u, a) == [0] * len(a[0])
+    assert hnf(ker) == ker
+    # len(hnf(a)) is rank_Q(a): tests/test_core_properties.py checks it by elimination over Q
+    assert len(ker) == m - len(hnf(a))
+    for u in product(range(-2, 3), repeat=m):
+        if times(u, a) == [0] * len(a[0]):
+            assert in_echelon_span(ker, u), u
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=2
+        )
+    ),
+    st.integers(1, 30),
+)
+@example([[1, 2, 3]], 30)
+@example([[0, 0]], 7)
+@example([[6, 10, 15], [2, 0, 4]], 30)
+def test_congruence_kernel_index_counts_the_solutions(rows, modulus):
+    n = len(rows[0])
+    basis = congruence_kernel(rows, modulus)
+    assert len(basis) == n
+    for v in basis:
+        assert all(sum(c * x for c, x in zip(row, v)) % modulus == 0 for row in rows)
+    solutions = sum(
+        all(sum(c * x for c, x in zip(row, v)) % modulus == 0 for row in rows)
+        for v in product(range(modulus), repeat=n)
+    )
+    assert abs(det_int(basis)) * solutions == modulus**n

@@ -11,14 +11,18 @@ exactly; a boundary function that never runs reaches nothing.
 
 The ramified splitting certificate makes an exact number of ``PadicNum``
 products and sums: scalar products in Z_q[√p] take two of them.
+
+The lattice certificates run one elimination per kernel: a congruence
+kernel is one ``hnf`` call, and a lattice intersection two (the kernel and
+the reduction of its result).
 """
 
 import cProfile
 import pstats
 from fractions import Fraction
 
-from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
-from quatorder.exact import ZLattice4
+from quatorder.degeneracy import _side_kernel, degeneracy_bases, verify_degeneracy
+from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum
 from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
@@ -38,8 +42,8 @@ def profile(run) -> dict:
     return pstats.Stats(prof).stats
 
 
-def fractions_from_boundary(run, boundary=BOUNDARY) -> dict:
-    """Fraction.__new__ calls per caller, over callers reachable from boundary."""
+def calls_from_boundary(run, target, boundary) -> dict:
+    """target's calls per caller, over callers reachable from boundary."""
     stats = profile(run)
     callees = {}
     for callee, (_, _, _, _, callers) in stats.items():
@@ -52,9 +56,14 @@ def fractions_from_boundary(run, boundary=BOUNDARY) -> dict:
         if fn not in reached:
             reached.add(fn)
             todo.extend(callees.get(fn, ()))
-    new = _key(Fraction.__new__)
-    callers = stats[new][4] if new in stats else {}
+    key = _key(target)
+    callers = stats[key][4] if key in stats else {}
     return {caller: counts[1] for caller, counts in callers.items() if caller in reached}
+
+
+def fractions_from_boundary(run, boundary=BOUNDARY) -> dict:
+    """Fraction.__new__ calls per caller, over callers reachable from boundary."""
+    return calls_from_boundary(run, Fraction.__new__, boundary)
 
 
 def test_degeneracy_certificate_makes_no_fraction_at_the_boundary():
@@ -109,3 +118,18 @@ def test_qadic_valuation_test_makes_no_fraction():
 
     assert fractions_from_boundary(run, (PadicQuad.val_at_least,)) == {}
     assert True in seen and False in seen
+
+
+def test_lattice_certificates_run_one_elimination_per_kernel():
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    sides = []
+    calls = calls_from_boundary(
+        lambda: sides.append(_side_kernel(pair, "f")), hnf, (congruence_kernel,)
+    )
+    assert sum(calls.values()) == 1
+    sides.append(_side_kernel(pair, "g"))
+    inter = []
+    stats = profile(lambda: inter.append(sides[0].intersect(sides[1])))
+    assert stats[_key(hnf)][1] == 2
+    identity = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    assert inter[0].index_in(identity) == 11 * 11
