@@ -11,7 +11,9 @@ lower-left functional.  Three independent routes compute it:
 * the exact kernel of the lower-left functional written symbolically over a
   real quadratic field Q(theta),
 * q-adic congruence kernels at increasing finite depths, which must descend,
-  contain the closed form, and grow in index by exactly q per digit.
+  contain the closed form, and grow in index by exactly q per digit.  They
+  read the certified split model at q = p and where p is a q-adic square,
+  and the pure-root model elsewhere; route two stays the independent check.
 
 At primes where neither p nor -dn is a q-adic square the lower-left
 functional only takes the quadratic shape after an auxiliary level N with
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CaseMismatchError,
@@ -34,15 +36,13 @@ from .errors import (
     RamifiedPlaceError,
     SearchExhaustedError,
 )
-from .exact import ZLattice4, congruence_kernel, is_perfect_square, right_kernel
+from .exact import ZLattice4, congruence_kernel, is_perfect_square
 from .numth import (
-    PadicNum,
     hashimoto_violation,
     hensel_sqrt,
     is_prime,
     is_square_unit,
     legendre,
-    solve_norm_equation,
 )
 from .quat import (
     AlgebraParams,
@@ -57,7 +57,7 @@ from .quat import (
     scaled_coords,
 )
 from .report import Report
-from .split import at_p_root
+from .split import build_splitting, check_modulus
 
 CHAIN_SQUARE = "square"
 CHAIN_AT_P = "at_p"
@@ -265,57 +265,39 @@ def chain_kernel_exact(
         theta_d.denominator
     ):
         raise InvalidParametersError("degenerate witness: theta is rational")
-    den = 1
-    for c in alpha + beta:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in alpha + beta))
     rows = [
         [int(c * den) for c in alpha],
         [int(c * den) for c in beta],
     ]
-    return coords_lattice(params, right_kernel(rows))
+    return coords_lattice(params, congruence_kernel(rows, 0))
 
 
 # ---------------------------------------------------------------------------
 # route three: q-adic congruence kernels at finite depth
 
 
-def _qadic_ll(params: AlgebraParams, q: int, k: int):
-    """ll(e_i) as q-adic numbers, scaled by 2p to clear denominators."""
-    dn, p, a = params.dn, params.p, params.a
-
-    def pn(v):
-        return PadicNum.from_rational(v, q, k)
-
-    scale = pn(2 * p)
-    if q == p:
-        s = at_p_root(params, k)
-        coeffs = [pn(0), pn(Fraction(p, 2)), pn(Fraction(p, 2)) * s, pn(a * dn) + s]
-    elif is_square_unit(p, q):
-        omega = hensel_sqrt(p, q, k)
-        coeffs = [
-            pn(0),
-            pn(0),
-            pn(Fraction(dn, 2)) * (omega - pn(1)),
-            pn(Fraction(dn, p)) * omega,
-        ]
-    else:
-        x, y = solve_norm_equation(p, Fraction(-dn), q, k, prefer_y_zero=True)
-        half = pn(Fraction(1, 2))
-        coeffs = [pn(0), half, (y - x) * half, (pn(a * dn) - x) / pn(p)]
-    return [c * scale for c in coeffs]
-
-
 def chain_oracle(params: AlgebraParams, q: int, depth: int) -> ZLattice4:
     """Depth-n congruence kernel {v : ll(v) = 0 mod q^depth} as a lattice.
 
-    Scaling by 2p to clear the order-basis denominators costs λ = v_q(2p)
-    digits: the witnesses are lifted, and the kernel read, to depth + λ digits.
+    At q = p and where p is a q-adic square, ll is read off the certified
+    split model; elsewhere -dn = r² in Z_q, and the pure-root model
+    i -> [[r, 0], [0, -r]], j -> [[0, p], [1, 0]] gives it.  Scaling by 2p to
+    clear the order-basis denominators costs λ = v_q(2p) digits: the model is
+    lifted, and the kernel read, to depth + λ digits.
     """
     if depth < 1:
         raise InvalidParametersError(f"depth must be positive: {depth}")
     digits = depth + basis_digit_cost(params, q)
-    residues = [c.residue(digits) for c in _qadic_ll(params, q, digits)]
-    return coords_lattice(params, congruence_kernel([residues], q**digits))
+    mod = q**digits
+    if classify_chain(params, q) in (CHAIN_AT_P, CHAIN_SQUARE):
+        model = build_splitting(params, q, digits)
+        scale = model.scalar(2 * params.p)
+        residues = [(model.lower_left(e) * scale).residue(digits) for e in hashimoto_basis(params)]
+    else:  # 2p·ll(e_i) = (0, p, -p·r, 2(a·dn - r))
+        r, p = hensel_sqrt(-params.dn, q, digits).residue(digits), params.p
+        residues = [x % mod for x in (0, p, -p * r, 2 * (params.a * params.dn - r))]
+    return coords_lattice(params, congruence_kernel([residues], mod))
 
 
 def _is_sublattice(sub: ZLattice4, sup: ZLattice4) -> bool:
@@ -344,6 +326,7 @@ def verify_chain(
         )
     cb = chain_closed_form(delta, q, p=p)
     params = cb.params
+    check_modulus(q, depths[-1] + basis_digit_cost(params, q), "oracle depth", depths[-1])
     report = Report()
 
     closed = cb.lattice()

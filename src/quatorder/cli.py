@@ -144,7 +144,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_split(args) -> int:
     params = _params_from_args(args)
-    place = params.p if args.place == "p" else args.place
+    place = _parse_place(args.place)
+    if place == "p" and params.delta == 1:
+        raise InvalidParametersError("the split algebra (delta = 1) has no splitting prime")
+    place = params.p if place == "p" else place
     splitting = build_splitting(params, place, k=args.precision)
     sj = splitting.to_json()  # first: a model too large to print exits 2 before it is verified
     report = verify_splitting(splitting)
@@ -277,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("split", help="local matrix model at one place")
     common(sp)
-    sp.add_argument("--place", type=_parse_place, required=True,
+    sp.add_argument("--place", type=str, required=True,
                     help="prime, 'p' for the splitting prime, or 'inf'")
     sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                     help="q-adic working digits")

@@ -112,26 +112,13 @@ def _vanishing_part(gens: list[list[int]], n: int) -> list[list[int]]:
     return [r[n:] for r in hnf(gens) if not any(r[:n])]
 
 
-def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (HNF) of {u : u @ rows == 0}: the vanishing part of {(u @ rows, u)}."""
-    m = len(rows)
-    gens = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    return _vanishing_part(gens, len(rows[0]) if m else 0)
-
-
-def right_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (HNF) of {v : rows @ v == 0}, vectors as rows."""
-    if not rows:
-        return []
-    t = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return left_kernel(t)
-
-
 def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
     """Basis (HNF) of {v in Z^n : rows @ v ≡ 0 (mod modulus)}.
 
     The vanishing part of the lattice spanned by (rowsᵀ·e_i, e_i) and
-    (modulus·e_j, 0), which is {(rows @ v + modulus·w, v)}.
+    (modulus·e_j, 0), which is {(rows @ v + modulus·w, v)}.  Modulus 0 gives
+    the exact kernel {v : rows @ v = 0}: its modulus generators are zero rows,
+    which ``hnf`` drops.
     """
     if not rows:
         raise InvalidParametersError("empty congruence system")
@@ -423,9 +410,6 @@ class ZLattice4:
 
     def __repr__(self):
         return f"ZLattice4(1/{self.denom} * {list(map(list, self.rows))})"
-
-    def to_json(self) -> list:
-        return [[frac_to_str(x) for x in row] for row in self.basis()]
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,16 @@ DEFAULT_CONIC_BOUND = 400
 PSI_SAMPLES = 12
 
 
-def solve_conic(m_level: int, p: int, n_level: int, w_bound: int = DEFAULT_CONIC_BOUND):
+def solve_conic(m_level: int, p: int, n_level: int):
     """Smallest-denominator rational point on M*x^2 - p*M*y^2 = N.
 
-    Scans denominators w = 1..w_bound and, for each w with M | N*w^2,
+    Scans denominators w = 1..DEFAULT_CONIC_BOUND and, for each w with M | N*w^2,
     ascending numerators u for the sqrt(p)-part until v^2 = N*w^2/M + p*u^2
     is a perfect square.  Returns (beta, delta) = (v/w, u/w) with v, u >= 0.
     """
-    if m_level < 1 or n_level < 1 or p < 1 or w_bound < 1:
+    if m_level < 1 or n_level < 1 or p < 1:
         raise InvalidParametersError("conic parameters must be positive")
-    for w in range(1, w_bound + 1):
+    for w in range(1, DEFAULT_CONIC_BOUND + 1):
         nw2 = n_level * w * w
         if nw2 % m_level:
             continue
@@ -69,7 +69,7 @@ def solve_conic(m_level: int, p: int, n_level: int, w_bound: int = DEFAULT_CONIC
                 return Fraction(isqrt(v2), w), Fraction(u, w)
     raise SearchExhaustedError(
         f"no rational point on {m_level}x^2 - {p * m_level}y^2 = {n_level} "
-        f"with denominator <= {w_bound}"
+        f"with denominator <= {DEFAULT_CONIC_BOUND}"
     )
 
 

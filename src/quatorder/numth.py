@@ -36,6 +36,9 @@ _ZERO_VAL = 10**9
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Largest candidate the admissible-prime search tries.
+DEFAULT_PRIME_BOUND = 100_000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid far beyond desk scale)."""
@@ -70,6 +73,9 @@ def prime_factors(n: int) -> list[int]:
 _TRIAL_BOUND = 1000
 # Pollard-Brent steps whose differences are multiplied together per gcd.
 _RHO_BATCH = 64
+# Most x -> x² + c steps one rho search takes: a factor near 10^9 takes some
+# 50,000 steps, one of 16 digits would take about 10^8.
+_RHO_BUDGET = 1 << 20
 
 
 @lru_cache(maxsize=1024)
@@ -99,12 +105,19 @@ def _rho_divisor(n: int) -> int:
     """A proper divisor of a composite n with no prime factor below
     _TRIAL_BOUND: Pollard's rho in Brent's variant (Brent, BIT 20, 1980),
     iterating x -> x² + c from x = 2 with the fixed seeds c = 1, 2, 3, ...
-    until a gcd splits n, so the divisor found is deterministic."""
-    c = 0
+    until a gcd splits n, so the divisor found is deterministic.  Raises
+    SearchExhaustedError rather than take more than _RHO_BUDGET steps."""
+    c = steps = 0
     while True:
         c += 1
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r steps to advance x, at most r more to compare
+            if steps > _RHO_BUDGET:
+                raise SearchExhaustedError(
+                    f"no divisor of the composite {n} within the factoring budget "
+                    f"of {_RHO_BUDGET} Pollard-Brent rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -441,16 +454,13 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     return PadicNum(q, 0, x, k)
 
 
-def solve_norm_equation(
-    p: int, t, q: int, k: int, *, prefer_y_zero: bool = False
-) -> tuple[PadicNum, PadicNum]:
+def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[PadicNum, PadicNum]:
     """Solve x² - p·y² = t over Z_q, p a nonsquare q-unit, t a q-unit.
 
     Returns (x, y) to precision k.  Deterministic: x₀ = 0, 1, 2, ... is the
     first integer making (x₀² - t)/p a square unit (or zero) in Z_q, and y is
     its canonical Hensel root, so x is always an exact integer and y the root
-    of an explicit rational.  With prefer_y_zero=True the branch (√t, 0) is
-    taken whenever t is a square in Z_q.
+    of an explicit rational.
     """
     t = Fraction(t)
     if not is_prime(q):
@@ -474,9 +484,6 @@ def solve_norm_equation(
             if c != 0 and valuation(c, 2) == 0 and unit_residue(c, 2, 8) == 1:
                 return PadicNum.from_rational(x0, 2, k), hensel_sqrt(c, 2, k)
         raise NotANormError(f"{t} admits no representation at q=2")
-
-    if prefer_y_zero and legendre(unit_residue(t, q, q), q) == 1:
-        return hensel_sqrt(t, q, k), zero
 
     pinv = pow(p % q, -1, q)
     tres = unit_residue(t, q, q)
@@ -554,8 +561,9 @@ def hashimoto_violation(delta: int, level: int, p: int) -> str | None:
     return None
 
 
-def find_hashimoto_prime(delta: int, level: int, bound: int = 100_000) -> int:
-    """Smallest prime p with no ``hashimoto_violation``; p = 1 for delta = 1.
+def find_hashimoto_prime(delta: int, level: int) -> int:
+    """Smallest prime p <= DEFAULT_PRIME_BOUND with no ``hashimoto_violation``;
+    p = 1 for delta = 1.
 
     The search is memoised; validation runs on every call, and a failed
     search raises again instead of being cached.
@@ -563,9 +571,11 @@ def find_hashimoto_prime(delta: int, level: int, bound: int = 100_000) -> int:
     _validate_delta_level(delta, level)
     if delta == 1:
         return 1
-    return _first_admissible_prime(delta, level, bound)
+    return _first_admissible_prime(delta, level, DEFAULT_PRIME_BOUND)
 
 
+# The bound is part of the cache key, so a search under another bound never
+# reads a stale entry.
 @lru_cache(maxsize=1024)
 def _first_admissible_prime(delta: int, level: int, bound: int) -> int:
     for p in range(5, bound + 1, 4):

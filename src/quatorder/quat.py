@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from . import numth
 from .errors import InvalidParametersError, NotAnOrderBasisError
-from .exact import ZLattice4, as_rational, frac_to_str, reduced_discriminant
+from .exact import ZLattice4, as_rational, reduced_discriminant
 
 
 def check_admissible_p(delta: int, level: int, p: int) -> None:
@@ -82,9 +82,6 @@ class AlgebraParams:
     @property
     def dn(self) -> int:
         return self.delta * self.level
-
-    def to_json(self) -> dict:
-        return {"delta": self.delta, "level": self.level, "p": self.p, "a": self.a}
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -248,14 +245,6 @@ class QuatElem:
 
     def __str__(self):
         return pretty(self)
-
-    def to_json(self) -> dict:
-        return {
-            "x": frac_to_str(self.x),
-            "y": frac_to_str(self.y),
-            "z": frac_to_str(self.z),
-            "t": frac_to_str(self.t),
-        }
 
 
 def one(params: AlgebraParams) -> QuatElem:

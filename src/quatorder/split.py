@@ -440,18 +440,22 @@ class LocalSplitting:
         }
 
 
-def _modulus_too_large(q: int, k: int) -> bool:
-    """Whether q**k has more than MAX_MODULUS_DIGITS decimal digits.
+def check_modulus(q: int, k: int, setting: str, value: int) -> None:
+    """Refuse a modulus q**k of more than MAX_MODULUS_DIGITS decimal digits,
+    naming the setting (and its value) that asked for it.
 
     With b = q.bit_length(), 2**(k*(b-1)) <= q**k < 2**(k*b), and
     8**d < 10**d < 2**(10*d/3): q**k is formed only between those bounds.
     """
     bits = k * q.bit_length()
     if bits <= 3 * MAX_MODULUS_DIGITS:
-        return False
-    if 3 * (bits - k) >= 10 * MAX_MODULUS_DIGITS:
-        return True
-    return q**k >= 10**MAX_MODULUS_DIGITS
+        return
+    if 3 * (bits - k) < 10 * MAX_MODULUS_DIGITS and q**k < 10**MAX_MODULUS_DIGITS:
+        return
+    raise InvalidParametersError(
+        f"{setting} {value} at {q}: the modulus {q}^{k} has more than "
+        f"{MAX_MODULUS_DIGITS} decimal digits; lower the {setting}"
+    )
 
 
 def build_splitting(
@@ -498,11 +502,7 @@ def build_splitting(
         return LocalSplitting(params, place, case, k, mi, mj, mk, {}, shape)
 
     q = place
-    if _modulus_too_large(q, k):
-        raise InvalidParametersError(
-            f"precision {k} at {q}: the modulus {q}^{k} has more than "
-            f"{MAX_MODULUS_DIGITS} decimal digits; lower the precision"
-        )
+    check_modulus(q, k, "precision", k)
 
     def pn(value) -> PadicNum:
         return PadicNum.from_rational(value, q, k)

@@ -114,6 +114,41 @@ def test_oracle_contains_and_descends():
     assert deep.index_in(shallow) == 11 ** 4
 
 
+# HNF rows of chain_oracle on delta = 35, one chain per case: q = 13 (at p),
+# q = 3 (p a square), q = 11 (direct) and q = 19 (aux, level 3).
+ORACLE_ROWS = {
+    (13, 8): ((0, 1, 0, 400764169), (0, 0, 1, 267654127), (0, 0, 0, 815730721)),
+    (13, 12): (
+        (0, 1, 0, 15304324820850),
+        (0, 0, 1, 12876577085112),
+        (0, 0, 0, 23298085122481),
+    ),
+    (3, 8): ((0, 1, 0, 0), (0, 0, 1, 5226), (0, 0, 0, 6561)),
+    (3, 12): ((0, 1, 0, 0), (0, 0, 1, 320154), (0, 0, 0, 531441)),
+    (11, 8): ((0, 1, 0, 202884831), (0, 0, 1, 158782243), (0, 0, 0, 214358881)),
+    (11, 12): (
+        (0, 1, 0, 1461058658846),
+        (0, 0, 1, 2312876749352),
+        (0, 0, 0, 3138428376721),
+    ),
+    (19, 8): ((0, 1, 0, 1940403893), (0, 0, 1, 8793520149), (0, 0, 0, 16983563041)),
+    (19, 12): (
+        (0, 1, 0, 1028407633225566),
+        (0, 0, 1, 1241490268254208),
+        (0, 0, 0, 2213314919066161),
+    ),
+}
+
+
+@pytest.mark.parametrize("q,depth", sorted(ORACLE_ROWS))
+def test_oracle_lattice_frozen_per_case(q, depth):
+    cb = chain_closed_form(35, q)
+    assert cb.params.level == (3 if q == 19 else 1)
+    lat = chain_oracle(cb.params, q, depth)
+    assert lat.denom == 1
+    assert lat.rows == ((1, 0, 0, 0),) + ORACLE_ROWS[q, depth]
+
+
 def test_oracle_depth_guards():
     with pytest.raises(InvalidParametersError):
         chain_oracle(D35, 11, 0)

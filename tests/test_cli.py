@@ -1,6 +1,5 @@
 import json
 import sys
-from functools import partial
 
 import pytest
 
@@ -62,6 +61,21 @@ def test_split_place_tokens(capsys):
     code, out, _ = run(capsys, "split", "--delta", "35", "--level", "3", "--place", "inf")
     assert code == 0
     assert "case: archimedean" in out
+
+
+@pytest.mark.parametrize("place", ["x", "1.5", "", "q"])
+def test_split_unparsable_place_exit_two(capsys, place):
+    code, out, err = run(capsys, "split", "--delta", "35", "--place", place)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: place must be a prime, 'p', or 'inf': {place!r}\n"
+
+
+def test_split_place_p_in_the_split_algebra_exit_two(capsys):
+    code, out, err = run(capsys, "split", "--delta", "1", "--place", "p")
+    assert code == 2
+    assert out == ""
+    assert "the split algebra (delta = 1) has no splitting prime" in err
 
 
 def test_degeneracy_command(capsys):
@@ -139,7 +153,7 @@ def test_unsupported_case_exit_three(capsys, monkeypatch):
     assert code == 3
     assert "discriminant" in err
 
-    monkeypatch.setattr(isomap, "solve_conic", partial(isomap.solve_conic, w_bound=2))
+    monkeypatch.setattr(isomap, "DEFAULT_CONIC_BOUND", 2)
     code, _, err = run(capsys, "psi", "--delta", "35", "--src", "3", "--dst", "17")
     assert code == 3
     assert "no rational point" in err
@@ -187,6 +201,37 @@ def test_chain_depth_bound(capsys, depths, expected):
     else:
         assert err == ""
         assert "oracle depth 1000, stabilized: True" in out
+
+
+# One prime near 10^10 per chain case of delta = 35: the oracle modulus
+# q^(1000 + λ) has more than 10000 decimal digits, q^(998 + λ) does not.
+CHAIN_BIG_Q = [
+    ("10000000097", "10000000097", 1001),  # at p (an admissible p given by --p)
+    ("10000000019", None, 1000),  # square
+    ("10000000259", None, 1000),  # direct
+    ("10000000069", None, 1000),  # aux
+]
+
+
+@pytest.mark.parametrize("q, p, digits", CHAIN_BIG_Q, ids=["at_p", "square", "direct", "aux"])
+def test_chain_modulus_beyond_the_ceiling_exit_two(capsys, q, p, digits):
+    argv = ["chain", "--delta", "35", "--q", q, "--depths", "8,1000"]
+    argv += ["--p", p] if p else []
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: oracle depth 1000 at {q}: the modulus {q}^{digits} has more than "
+        f"10000 decimal digits; lower the oracle depth\n"
+    )
+
+
+def test_chain_modulus_inside_the_ceiling_certifies(capsys):
+    code, out, err = run(capsys, "chain", "--delta", "35", "--q", "10000000019",
+                         "--depths", "8,998")
+    assert code == 0
+    assert err == ""
+    assert "all pass" in out
 
 
 def test_chain_family_duplicate_primes_exit_two(capsys):
@@ -450,6 +495,18 @@ def test_construct_factors_a_product_of_two_primes_near_a_billion(capsys):
     assert code == 0
     assert err == ""
     assert "delta=1000000016000000063 level=1 p=13 a=6" in out
+
+
+def test_construct_semiprime_beyond_the_factoring_budget_exit_three(capsys):
+    # two 16-digit primes: rho would need about 10^8 steps to split their product
+    delta = 1000000000000037 * 1000000001000003
+    code, out, err = run(capsys, "construct", "--delta", str(delta))
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: no divisor of the composite {delta} within the factoring budget "
+        f"of 1048576 Pollard-Brent rho steps\n"
+    )
 
 
 @pytest.mark.parametrize(

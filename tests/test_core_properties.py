@@ -24,9 +24,9 @@ from quatorder.errors import InvalidParametersError, PrecisionLossError
 from quatorder.exact import (
     QuadRat,
     ZLattice4,
+    congruence_kernel,
     gram_trace_matrix,
     hnf,
-    left_kernel,
     reduced_discriminant,
 )
 from quatorder.isomap import build_psi
@@ -734,7 +734,8 @@ def test_from_rows_and_intersect_match_fraction_reference(rows, other):
     d = lcm(lat.denom, lat2.denom)
     a, b = lat.scaled_rows(d), lat2.scaled_rows(d)
     gens = []
-    for w in left_kernel(a + [[-x for x in r] for r in b]):
+    stacked = a + [[-x for x in r] for r in b]
+    for w in congruence_kernel([list(col) for col in zip(*stacked)], 0):
         g = [sum(c * row[j] for c, row in zip(w[: len(a)], a)) for j in range(4)]
         gens.append([Fraction(x, d) for x in g])
     assert (meet.denom, meet.rows) == ref_from_rows(gens)

@@ -16,8 +16,6 @@ from quatorder.exact import (
     frac_to_str,
     hnf,
     is_perfect_square,
-    left_kernel,
-    right_kernel,
 )
 
 
@@ -58,10 +56,16 @@ def test_hnf_canonical():
     assert abs(det_int(rows)) == abs(det_int([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def test_kernels():
-    k = right_kernel([[1, 0, 0, 0], [0, 1, 0, 0]])
+    # congruence_kernel(rows, 0) is the exact kernel {v : rows @ v = 0}
+    k = congruence_kernel([[1, 0, 0, 0], [0, 1, 0, 0]], 0)
     assert sorted(k) == [[0, 0, 0, 1], [0, 0, 1, 0]]
-    lk = left_kernel([[1, 0], [2, 0], [0, 1]])
+    # and congruence_kernel(Aᵀ, 0) the left kernel {u : u @ A = 0}
+    lk = congruence_kernel(transpose([[1, 0], [2, 0], [0, 1]]), 0)
     assert len(lk) == 1 and lk[0][0] * 2 == lk[0][1] * -1 or len(lk) == 1
     # the kernel vector kills the rows
     v = lk[0]
@@ -159,7 +163,7 @@ def times(u, a):
 @example([[3, 6], [2, 4], [5, 10], [1, 2]])
 def test_left_kernel_is_the_whole_kernel(a):
     m = len(a)
-    ker = left_kernel(a)
+    ker = congruence_kernel(transpose(a), 0)
     for u in ker:
         assert times(u, a) == [0] * len(a[0])
     assert hnf(ker) == ker

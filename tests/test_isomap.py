@@ -25,9 +25,12 @@ def test_solve_conic_smallest_denominator():
     assert solve_conic(1, 13, 1) == (Fraction(1), Fraction(0))
 
 
-def test_solve_conic_exhausted():
+def test_solve_conic_exhausted(monkeypatch):
+    from quatorder import isomap
+
+    monkeypatch.setattr(isomap, "DEFAULT_CONIC_BOUND", 2)
     with pytest.raises(SearchExhaustedError):
-        solve_conic(17, 13, 3, w_bound=2)
+        solve_conic(17, 13, 3)
 
 
 def test_flagship_level_three_to_seventeen():

@@ -2,7 +2,8 @@
 
 A definition counts as used when its name appears, as a whole word, more
 often across the package, the tests, the demos and the benchmark than it is
-defined in the package.  Dunder methods are exempt: the language calls them.
+defined in the package.  The package's ``__init__.py`` is not searched: a
+re-export is not a use.  Dunder methods are exempt: the language calls them.
 
 No module of the package reads the environment, so each value has one way
 to be set: a command-line option or a constant.
@@ -32,7 +33,10 @@ def _definitions() -> Counter:
 def test_no_unused_definitions():
     defined = _definitions()
     text = "\n".join(
-        path.read_text() for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))
+        path.read_text()
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path != PACKAGE / "__init__.py"
     )
     words = Counter(re.findall(r"\w+", text))
     dead = sorted(name for name, n in defined.items() if words[name] <= n)

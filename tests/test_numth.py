@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -129,14 +130,13 @@ def test_hensel_canonical_choice():
 
 
 def test_solve_norm_equation_conventions():
-    # x^2 - 13 y^2 = -105 over Z_11, both witness conventions
+    # x^2 - 13 y^2 = -105 over Z_11: x0 = 0 already makes 105/13 a square
+    # unit mod 11, so x is an exact zero and y the canonical root of 105/13
     x, y = solve_norm_equation(13, -105, 11, 12)
     lhs = x * x - PadicNum.from_rational(13, 11, 12) * y * y
     assert lhs.eq_mod(PadicNum.from_rational(-105, 11, 12), 12)
-    x0, y0 = solve_norm_equation(13, -105, 11, 12, prefer_y_zero=True)
-    assert y0.is_zero_mod(12)
-    lhs0 = x0 * x0 - PadicNum.from_rational(13, 11, 12) * y0 * y0
-    assert lhs0.eq_mod(PadicNum.from_rational(-105, 11, 12), 12)
+    assert x.is_zero_mod(12)
+    assert y.residue(12) == hensel_sqrt(Fraction(105, 13), 11, 12).residue(12)
 
 
 def test_solve_norm_equation_two_adic():
@@ -170,13 +170,16 @@ def test_hilbert_symbol_known_values():
     assert hilbert_symbol(-105, 13, 13) == 1
 
 
-def test_find_hashimoto_prime_flagship():
+def test_find_hashimoto_prime_flagship(monkeypatch):
+    from quatorder import numth
+
     assert find_hashimoto_prime(35, 3) == 13
     assert find_hashimoto_prime(35, 1) == 13
     assert find_hashimoto_prime(6, 1) == 5
     assert find_hashimoto_prime(1, 6) == 1
+    monkeypatch.setattr(numth, "DEFAULT_PRIME_BOUND", 5)
     with pytest.raises(SearchExhaustedError):
-        find_hashimoto_prime(35, 3, bound=5)
+        find_hashimoto_prime(35, 3)
 
 
 def test_find_a_values():
@@ -279,14 +282,17 @@ def test_repeated_prime_search_does_not_scan_again(monkeypatch):
     real = numth.hashimoto_violation
     monkeypatch.setattr(numth, "hashimoto_violation", counting)
     # A bound no other test uses, so the first call is a genuine search.
-    assert find_hashimoto_prime(35, 3, bound=99_989) == 13
+    monkeypatch.setattr(numth, "DEFAULT_PRIME_BOUND", 99_989)
+    assert find_hashimoto_prime(35, 3) == 13
     assert scanned == [5, 9, 13]
-    assert find_hashimoto_prime(35, 3, bound=99_989) == 13
+    assert find_hashimoto_prime(35, 3) == 13
     assert scanned == [5, 9, 13]
     # Failed searches and bad input are never cached.
     for _ in range(2):
+        monkeypatch.setattr(numth, "DEFAULT_PRIME_BOUND", 9)
         with pytest.raises(SearchExhaustedError):
-            find_hashimoto_prime(35, 3, bound=9)
+            find_hashimoto_prime(35, 3)
+        monkeypatch.setattr(numth, "DEFAULT_PRIME_BOUND", 99_989)
         with pytest.raises(InvalidParametersError):
-            find_hashimoto_prime(35, 5, bound=99_989)
+            find_hashimoto_prime(35, 5)
     assert scanned == [5, 9, 13, 5, 9, 5, 9]
