@@ -26,7 +26,6 @@ down to Z, whose only norm-one elements are 1 and -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,7 +76,6 @@ DEFAULT_AUX_BOUND = 200
 TRANSVERSE_FAMILIES = {35: (3, 11, 13, 19), 6: (5, 7, 11, 13)}
 
 
-@dataclass
 class ChainBasis:
     """Rank-2 basis of the chain intersection at q.
 
@@ -85,13 +83,13 @@ class ChainBasis:
     case where it is the level used to reach the quadratic shape.
     """
 
-    params: AlgebraParams
-    q: int
-    case: str
-    basis: tuple
-    aux_level: int | None = None
-    oracle_depth: int | None = None
-    stabilized: bool | None = None
+    __slots__ = ("params", "q", "case", "basis", "aux_level", "oracle_depth", "stabilized")
+
+    def __init__(self, params: AlgebraParams, q: int, case: str, basis: tuple,
+                 aux_level: int | None = None, oracle_depth: int | None = None,
+                 stabilized: bool | None = None):
+        self.params, self.q, self.case, self.basis = params, q, case, basis
+        self.aux_level, self.oracle_depth, self.stabilized = aux_level, oracle_depth, stabilized
 
     def lattice(self) -> ZLattice4:
         return coefficient_lattice(self.params, self.basis)

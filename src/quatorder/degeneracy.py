@@ -21,7 +21,6 @@ the two copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -68,29 +67,27 @@ _DEG_CASES = {
 }
 
 
-@dataclass(frozen=True)
 class DegeneracyConstants:
     """The integer residues entering the closed basis formulas."""
 
-    case: str
-    q: int
-    values: dict
+    __slots__ = ("case", "q", "values")
+
+    def __init__(self, case: str, q: int, values: dict):
+        self.case, self.q, self.values = case, q, values
 
     def to_json(self) -> dict:
         return {"case": self.case, "q": self.q, **{k: int(v) for k, v in self.values.items()}}
 
 
-@dataclass
 class DegeneracyPair:
     """Bases f and g of the two level-Nq copies inside the level-N order."""
 
-    params: AlgebraParams
-    q: int
-    case: str
-    constants: DegeneracyConstants
-    f: tuple
-    g: tuple
-    splitting: LocalSplitting
+    __slots__ = ("params", "q", "case", "constants", "f", "g", "splitting")
+
+    def __init__(self, params: AlgebraParams, q: int, case: str, constants: DegeneracyConstants,
+                 f: tuple, g: tuple, splitting: LocalSplitting):
+        self.params, self.q, self.case, self.constants = params, q, case, constants
+        self.f, self.g, self.splitting = f, g, splitting
 
     @property
     def f_coords(self) -> list[list[Fraction]]:

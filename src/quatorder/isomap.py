@@ -20,7 +20,6 @@ index [target order : image] = N/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -73,7 +72,6 @@ def solve_conic(m_level: int, p: int, n_level: int):
     )
 
 
-@dataclass(frozen=True)
 class PsiMap:
     """Explicit isomorphism from the level-N presentation to the level-M one.
 
@@ -82,26 +80,29 @@ class PsiMap:
     map is frozen: ``apply`` uses an integer matrix derived once from them.
     """
 
-    src: AlgebraParams
-    dst: AlgebraParams
-    beta: Fraction
-    delta: Fraction
-    # (4x4 int matrix M, denominator D): ψ sends numerators w over d to M·w over D·d.
-    _matrix: tuple = field(init=False, repr=False, compare=False)
+    # _matrix = (4x4 int matrix M, denominator D): ψ sends numerators w over d to M·w over D·d.
+    __slots__ = ("src", "dst", "beta", "delta", "_matrix")
 
-    def __post_init__(self):
-        if self.src.delta != self.dst.delta:
+    def __init__(self, src: AlgebraParams, dst: AlgebraParams, beta: Fraction, delta: Fraction):
+        for name, value in zip(self.__slots__, (src, dst, beta, delta)):
+            object.__setattr__(self, name, value)
+        if src.delta != dst.delta:
             raise InvalidParametersError("level maps require equal discriminants")
-        if self.src.p != self.dst.p:
+        if src.p != dst.p:
             raise InvalidParametersError("level maps require a shared prime p")
         if self.conic_residual() != 0:
             raise InvalidParametersError("coefficients do not satisfy the level conic")
         # Columns are the images of 1, i, j, k, scaled to one common denominator.
-        images = (one(self.dst), self.image_i(), self.image_j(), self.image_k())
+        images = (one(dst), self.image_i(), self.image_j(), self.image_k())
         den = lcm(*[v.denominator for v in images])
         cols = [[n * (den // v.denominator) for n in v.numerators] for v in images]
-        matrix = tuple(zip(*cols))
-        object.__setattr__(self, "_matrix", (matrix, den))
+        object.__setattr__(self, "_matrix", (tuple(zip(*cols)), den))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def image_i(self) -> QuatElem:
         i, _, k = gens(self.dst)

@@ -25,7 +25,6 @@ structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -47,16 +46,20 @@ def check_admissible_p(delta: int, level: int, p: int) -> None:
         raise InvalidParametersError(why)
 
 
-@dataclass(frozen=True)
 class AlgebraParams:
-    """Validated (Δ, N, p, a) tuple identifying the algebra and its order."""
+    """Validated (Δ, N, p, a) tuple identifying the algebra and its order.
 
-    delta: int
-    level: int
-    p: int
-    a: int
+    Immutable; equal and hashed by (Δ, N, p, a), so instances are cache keys.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("delta", "level", "p", "a")
+
+    def __init__(self, delta: int, level: int, p: int, a: int):
+        for name, value in zip(self.__slots__, (delta, level, p, a)):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self):
         check_admissible_p(self.delta, self.level, self.p)
         if self.delta == 1:
             if self.a != 0:
@@ -67,6 +70,26 @@ class AlgebraParams:
             raise InvalidParametersError("a must be reduced into [0, p)")
         if (self.a * self.a * self.delta * self.level + 1) % p:
             raise InvalidParametersError("a²ΔN ≡ -1 (mod p) fails")
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self.delta, self.level, self.p, self.a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"AlgebraParams(delta={self.delta}, level={self.level}, p={self.p}, a={self.a})"
 
     @classmethod
     def create(cls, delta: int, level: int, *, p: int | None = None) -> "AlgebraParams":

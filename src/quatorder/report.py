@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    check_id: str
-    ok: bool
-    witness: str = ""
+    __slots__ = ("check_id", "ok", "witness")
+
+    def __init__(self, check_id: str, ok: bool, witness: str = ""):
+        self.check_id, self.ok, self.witness = check_id, ok, witness
+
+    def __repr__(self):
+        return f"Check(check_id={self.check_id!r}, ok={self.ok!r}, witness={self.witness!r})"
 
     def to_json(self) -> dict:
         return {"id": self.check_id, "ok": self.ok, "witness": self.witness}
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, ok: bool, witness: str = "") -> Check:
         c = Check(check_id, bool(ok), witness)
@@ -25,8 +28,12 @@ class Report:
         return c
 
     def extend(self, other: "Report", prefix: str = ""):
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.check_id if prefix else c.check_id, c.ok, c.witness))
+        """Append other's checks with prefixed ids; no check is ever mutated, so
+        without a prefix the same objects are shared, not copied."""
+        if prefix:
+            self.checks.extend(Check(prefix + c.check_id, c.ok, c.witness) for c in other.checks)
+        else:
+            self.checks.extend(other.checks)
 
     @property
     def passed(self) -> bool:

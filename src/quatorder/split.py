@@ -19,7 +19,6 @@ q-adic accuracy: the working precision less the v_q(2p) digits the basis costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -233,7 +232,6 @@ def at_p_root(params: AlgebraParams, k: int) -> PadicNum:
     return s
 
 
-@dataclass(frozen=True)
 class OrderShape:
     """The target shape of the order's image inside the 2x2 model.
 
@@ -243,9 +241,10 @@ class OrderShape:
     [q*conj(beta), conj(alpha)]] of the quaternion division ring over Q_q).
     """
 
-    kind: str
-    q: int | None
-    ll_val: int
+    __slots__ = ("kind", "q", "ll_val")
+
+    def __init__(self, kind: str, q: int | None, ll_val: int):
+        self.kind, self.q, self.ll_val = kind, q, ll_val
 
     def describe(self) -> str:
         if self.kind == "triangular":
@@ -257,7 +256,6 @@ class OrderShape:
         return "no integral shape at the real place"
 
 
-@dataclass
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
@@ -267,17 +265,16 @@ class LocalSplitting:
     (the rational and real-place models) ignore it.
     """
 
-    params: AlgebraParams
-    place: object
-    case: str
-    precision: int
-    mat_i: Mat2
-    mat_j: Mat2
-    mat_k: Mat2
-    data: dict
-    shape: OrderShape
+    __slots__ = (
+        "params", "place", "case", "precision", "mat_i", "mat_j", "mat_k", "data", "shape",
+        "_scalars", "_one", "_terms",
+    )
 
-    def __post_init__(self):
+    def __init__(self, params: AlgebraParams, place, case: str, precision: int,
+                 mat_i: Mat2, mat_j: Mat2, mat_k: Mat2, data: dict, shape: OrderShape):
+        self.params, self.place, self.case, self.precision = params, place, case, precision
+        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_k
+        self.data, self.shape = data, shape
         # Lifted scalars by (numerator, denominator) pair, the identity, and
         # for each matrix entry (ul, ur, ll, lr) the (generator index, image
         # entry) pairs of 1, i, j, k whose entry is not an exact zero.

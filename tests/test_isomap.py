@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -160,7 +159,7 @@ def test_psi_map_is_frozen():
     psi = build_psi(35, 9, 3)
     u = hashimoto_basis(psi.src)[3]
     image = psi.apply(u)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         psi.beta = Fraction(4)
     assert psi.beta == Fraction(-4)
     assert psi.apply(u) == image

@@ -49,6 +49,19 @@ def test_params_validation():
         AlgebraParams(1, 6, 5, 0)  # split algebra forces p = 1
 
 
+def test_params_are_immutable_values():
+    params = AlgebraParams(35, 3, 13, 5)
+    with pytest.raises(AttributeError):
+        params.p = 17
+    with pytest.raises(AttributeError):
+        del params.a
+    assert params.p == 13 and params.a == 5
+    shared = AlgebraParams.create(35, 3)
+    assert params == shared and hash(params) == hash(shared)
+    assert params != AlgebraParams(35, 9, 13, 2) and params != (35, 3, 13, 5)
+    assert repr(params) == "AlgebraParams(delta=35, level=3, p=13, a=5)"
+
+
 def test_multiplication_relations():
     params = AlgebraParams(35, 3, 13, 5)
     i, j, k = gens(params)
@@ -154,13 +167,13 @@ def test_create_builds_each_algebra_once(monkeypatch):
 
     quat._params_at.cache_clear()
     built = []
-    post_init = AlgebraParams.__post_init__
+    validate = AlgebraParams._validate
 
     def counted(self):
         built.append((self.delta, self.level, self.p))
-        post_init(self)
+        validate(self)
 
-    monkeypatch.setattr(AlgebraParams, "__post_init__", counted)
+    monkeypatch.setattr(AlgebraParams, "_validate", counted)
     report = run_sweep(deltas=(35,), levels=(1, 3, 9), sections=("psi", "chain"))
     assert report.passed
     assert sorted(built) == [(35, 1, 13), (35, 3, 13), (35, 9, 13), (35, 29, 13)]
