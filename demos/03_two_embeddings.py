@@ -21,7 +21,7 @@ def main():
     q = 11
     pair = degeneracy_bases(params, q)
     print(f"level {params.level} -> {params.level * q} at q = {q}: case {pair.case}")
-    print(f"constants: {pair.constants.values}")
+    print(f"constants: {pair.constants}")
 
     print("\nfirst copy (lower-left congruence):")
     for u in pair.f:

@@ -278,23 +278,21 @@ def chain_kernel_exact(
 def chain_oracle(params: AlgebraParams, q: int, depth: int) -> ZLattice4:
     """Depth-n congruence kernel {v : ll(v) = 0 mod q^depth} as a lattice.
 
-    At q = p and where p is a q-adic square, ll is read off the certified
-    split model; elsewhere -dn = r² in Z_q, and the pure-root model
-    i -> [[r, 0], [0, -r]], j -> [[0, p], [1, 0]] gives it.  Scaling by 2p to
-    clear the order-basis denominators costs λ = v_q(2p) digits: the model is
-    lifted, and the kernel read, to depth + λ digits.
+    At q = p and where p is a q-adic square, the certified split model reads
+    it (``congruence_lattice``); elsewhere -dn = r² in Z_q, and the pure-root
+    model i -> [[r, 0], [0, -r]], j -> [[0, p], [1, 0]] gives it, scaled by 2p.
+    The order-basis images cost λ = v_q(2p) digits: either model works to
+    depth + λ digits.
     """
     if depth < 1:
         raise InvalidParametersError(f"depth must be positive: {depth}")
     digits = depth + basis_digit_cost(params, q)
-    mod = q**digits
     if classify_chain(params, q) in (CHAIN_AT_P, CHAIN_SQUARE):
-        model = build_splitting(params, q, digits)
-        scale = model.scalar(2 * params.p)
-        residues = [(model.lower_left(e) * scale).residue(digits) for e in hashimoto_basis(params)]
-    else:  # 2p·ll(e_i) = (0, p, -p·r, 2(a·dn - r))
-        r, p = hensel_sqrt(-params.dn, q, digits).residue(digits), params.p
-        residues = [x % mod for x in (0, p, -p * r, 2 * (params.a * params.dn - r))]
+        return build_splitting(params, q, digits).congruence_lattice(2, depth)
+    # 2p·ll(e_i) = (0, p, -p·r, 2(a·dn - r))
+    mod = q**digits
+    r, p = hensel_sqrt(-params.dn, q, digits).residue(digits), params.p
+    residues = [x % mod for x in (0, p, -p * r, 2 * (params.a * params.dn - r))]
     return coords_lattice(params, congruence_kernel([residues], mod))
 
 

@@ -211,11 +211,11 @@ def _cmd_chain(args) -> int:
     cb, report = verify_chain(args.delta, args.q, p=args.p, depths=depths)
     cj = cb.to_json()
     payload = {"chain": cj}
-    if args.family:
+    if args.family is not None:
         family = _parse_int_list(args.family, "family")
         fam_report = verify_chain_family(args.delta, family, p=args.p)
         report.extend(fam_report, prefix="family.")
-        payload["family"] = sorted(family)
+        payload["family"] = sorted(set(family))
     payload["verification"] = report.to_json()
     lines = [
         f"delta={args.delta} q={args.q} case={cj['case']} level={cj['level']}"

@@ -24,14 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
-from .exact import ZLattice4, congruence_kernel, det_int, reduced_discriminant
+from .errors import InvalidParametersError, RamifiedPlaceError
+from .exact import ZLattice4, det4, reduced_discriminant
 from .numth import PadicNum, is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
     coords_in_hashimoto,
-    coords_lattice,
     coords_product,
     hashimoto_basis,
     order_lattice,
@@ -67,35 +66,16 @@ _DEG_CASES = {
 }
 
 
-class DegeneracyConstants:
-    """The integer residues entering the closed basis formulas."""
-
-    __slots__ = ("case", "q", "values")
-
-    def __init__(self, case: str, q: int, values: dict):
-        self.case, self.q, self.values = case, q, values
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "q": self.q, **{k: int(v) for k, v in self.values.items()}}
-
-
 class DegeneracyPair:
-    """Bases f and g of the two level-Nq copies inside the level-N order."""
+    """Bases f and g of the two level-Nq copies inside the level-N order;
+    constants names the integer residues their closed formulas read."""
 
     __slots__ = ("params", "q", "case", "constants", "f", "g", "splitting")
 
-    def __init__(self, params: AlgebraParams, q: int, case: str, constants: DegeneracyConstants,
+    def __init__(self, params: AlgebraParams, q: int, case: str, constants: dict,
                  f: tuple, g: tuple, splitting: LocalSplitting):
         self.params, self.q, self.case, self.constants = params, q, case, constants
         self.f, self.g, self.splitting = f, g, splitting
-
-    @property
-    def f_coords(self) -> list[list[Fraction]]:
-        return [list(coords_in_hashimoto(u)) for u in self.f]
-
-    @property
-    def g_coords(self) -> list[list[Fraction]]:
-        return [list(coords_in_hashimoto(u)) for u in self.g]
 
     def f_lattice(self) -> ZLattice4:
         return coefficient_lattice(self.params, self.f)
@@ -104,15 +84,14 @@ class DegeneracyPair:
         return coefficient_lattice(self.params, self.g)
 
     def to_json(self) -> dict:
-        f_coords, g_coords = self.f_coords, self.g_coords
         return {
             "q": self.q,
             "case": self.case,
             "f": [pretty(u) for u in self.f],
             "g": [pretty(u) for u in self.g],
-            "f_coords": [[str(c) for c in row] for row in f_coords],
-            "g_coords": [[str(c) for c in row] for row in g_coords],
-            "constants": self.constants.to_json(),
+            "f_coords": [[str(c) for c in coords_in_hashimoto(u)] for u in self.f],
+            "g_coords": [[str(c) for c in coords_in_hashimoto(u)] for u in self.g],
+            "constants": {"case": self.case, "q": self.q, **self.constants},
             "det_f": str(_coords_det([scaled_coords(u) for u in self.f])),
             "det_g": str(_coords_det([scaled_coords(u) for u in self.g])),
         }
@@ -120,7 +99,7 @@ class DegeneracyPair:
 
 def _coords_det(coords) -> Fraction:
     """Determinant of four order-basis coordinate vectors given scaled."""
-    return Fraction(det_int([list(nums) for nums, _ in coords]), prod(den for _, den in coords))
+    return Fraction(det4([nums for nums, _ in coords]), prod(den for _, den in coords))
 
 
 def classify_degeneracy(params: AlgebraParams, q: int) -> str:
@@ -162,7 +141,7 @@ def degeneracy_bases(
         c1 = (y - x).residue(1)
         c2 = pow(p, -1, q)
         c3 = x.residue(1)
-        consts = DegeneracyConstants(case, q, {"c1": c1, "c2": c2, "c3": c3})
+        consts = {"c1": c1, "c2": c2, "c3": c3}
         f = (e1, e2 * -c1 + e3, e2 * (-2 * c2 * (a * dn - c3)) + e4, e2 * q)
         g = (e1, e2 * c1 + e3, e2 * (-2 * c2 * (a * dn + c3)) + e4, e2 * q)
         return DegeneracyPair(params, q, case, consts, f, g, splitting)
@@ -176,7 +155,7 @@ def degeneracy_bases(
             p_adic = PadicNum.from_rational(p, q, k)
             c = ((p_adic - omega) / two).residue(1)
             cp = ((p_adic + omega) / two).residue(1)
-        consts = DegeneracyConstants(case, q, {"c": c, "c_prime": cp})
+        consts = {"c": c, "c_prime": cp}
         f = (e1, e2, e3 + e4 * -c, e4 * q)
         g = (e1, e2, e3 + e4 * -cp, e4 * q)
         return DegeneracyPair(params, q, case, consts, f, g, splitting)
@@ -188,9 +167,7 @@ def degeneracy_bases(
     c4_lift = s.residue(2)
     b_inv = pow(2 * (a * dn + c4), -1, p)
     a_co = (1 - 2 * b_inv * (a * dn + c4)) // p
-    consts = DegeneracyConstants(
-        case, q, {"c4": c4, "c4_lift": c4_lift, "A": a_co, "B": b_inv}
-    )
+    consts = {"c4": c4, "c4_lift": c4_lift, "A": a_co, "B": b_inv}
     f = (
         e1,
         e2 * -c4 + e3,
@@ -204,35 +181,6 @@ def degeneracy_bases(
         e2 * p,
     )
     return DegeneracyPair(params, q, case, consts, f, g, splitting)
-
-
-def _residue_mod(value, q: int, m: int) -> int:
-    """Canonical residue in [0, q^m) of a q-integral coefficient."""
-    if isinstance(value, PadicNum):
-        return value.residue(m)
-    value = Fraction(value)
-    mod = q**m
-    if value.denominator % q == 0:
-        raise PrecisionLossError(f"{value} is not {q}-integral")
-    return (value.numerator * pow(value.denominator, -1, mod)) % mod
-
-
-def _side_kernel(pair: DegeneracyPair, side: str) -> ZLattice4:
-    """Independent lattice of e-coordinate vectors meeting the q-congruence.
-
-    Reads the relevant matrix entry of each basis image, reduces to integer
-    residues, and solves the congruence with generic lattice machinery; no
-    degeneracy formula enters.
-    """
-    params = pair.params
-    q = pair.q
-    s = pair.splitting
-    m = 1 + s.shape.ll_val if side == "f" else 1
-    basis = hashimoto_basis(params)
-    entries = [s.lower_left(e) if side == "f" else s.upper_right(e) for e in basis]
-    residues = [_residue_mod(v, q, m) for v in entries]
-    rows = congruence_kernel([residues], q**m)
-    return coords_lattice(params, rows)
 
 
 def verify_degeneracy(pair: DegeneracyPair) -> Report:
@@ -301,9 +249,11 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             f"reduced discriminant = {expected_disc}",
         )
 
+        # f deepens the lower-left congruence by a digit; g meets the upper-right one
+        entry, m = (2, 1 + s.shape.ll_val) if side == "f" else (1, 1)
         report.add(
             f"kernel.{side}",
-            lat == _side_kernel(pair, side),
+            lat == s.congruence_lattice(entry, m),
             "basis span = independently solved congruence kernel",
         )
 

@@ -43,27 +43,28 @@ def is_perfect_square(n: int) -> bool:
 # integer matrices
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def det4(rows):
+    """Determinant of a 4x4 matrix over any commutative ring, ints included.
+
+    Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
+    times the signed complementary minor of rows 2, 3 (30 ring products).
+    """
+    r0, r1, r2, r3 = rows
+
+    def top(i, j):
+        return r0[i] * r1[j] - r0[j] * r1[i]
+
+    def bottom(i, j):
+        return r2[i] * r3[j] - r2[j] * r3[i]
+
+    return (
+        top(0, 1) * bottom(2, 3)
+        - top(0, 2) * bottom(1, 3)
+        + top(0, 3) * bottom(1, 2)
+        + top(1, 2) * bottom(0, 3)
+        - top(1, 3) * bottom(0, 2)
+        + top(2, 3) * bottom(0, 1)
+    )
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -259,9 +260,6 @@ class Mat2:
     def __sub__(self, other):
         return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
-    def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def __mul__(self, other):
         if isinstance(other, Mat2):
             return Mat2(
@@ -271,9 +269,6 @@ class Mat2:
                 self.c * other.b + self.d * other.d,
             )
         return Mat2(self.a * other, self.b * other, self.c * other, self.d * other)
-
-    def __rmul__(self, other):
-        return Mat2(other * self.a, other * self.b, other * self.c, other * self.d)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -386,14 +381,16 @@ class ZLattice4:
         return ZLattice4._from_scaled(d, gens, self.ambient or other.ambient)
 
     def index_in(self, superlattice: "ZLattice4") -> int:
-        """[superlattice : self] for two full-rank lattices with self ⊆ superlattice."""
+        """[superlattice : self] for two full-rank lattices with self ⊆ superlattice.
+
+        A rank-4 HNF is upper triangular: (1/d)·rows has covolume prod(diagonal)/d^4.
+        """
         self._check_ambient(superlattice)
         if self.rank != 4 or superlattice.rank != 4:
             raise InvalidParametersError("index needs two rank-4 lattices")
-        d = lcm(self.denom, superlattice.denom)
-        num = det_int(self.scaled_rows(d))
-        den = det_int(superlattice.scaled_rows(d))
-        index, rest = divmod(abs(num), abs(den))
+        num = prod(r[i] for i, r in enumerate(self.rows)) * superlattice.denom**4
+        den = prod(r[i] for i, r in enumerate(superlattice.rows)) * self.denom**4
+        index, rest = divmod(num, den)
         if rest:
             raise InvalidParametersError("not a sublattice")
         return index
@@ -455,7 +452,7 @@ def reduced_discriminant(elems) -> int:
     if len(elems) != 4:
         raise NotAnOrderBasisError("need exactly four elements")
     gram, dens = _scaled_gram(elems)
-    d = Fraction(det_int(gram), prod(dens) ** 2)
+    d = Fraction(det4(gram), prod(dens) ** 2)
     if d == 0:
         raise NotAnOrderBasisError("degenerate trace form")
     if d.denominator != 1 or not is_perfect_square(abs(int(d))):

@@ -436,9 +436,6 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
             if (x * x - residue_mod(m + 1)) % 2 ** (m + 1):
                 x += 1 << (m - 1)
             m += 1
-        x %= 2**k
-        if x % 4 == 3:
-            x = (2**k - x) % 2**k
         return PadicNum(2, 0, x, k)
 
     x = sqrt_mod(residue_mod(1), q)
@@ -449,8 +446,6 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
         m = min(2 * m, k)
         mod = q**m
         x = (x + residue_mod(m) * pow(x, -1, mod)) * pow(2, -1, mod) % mod
-    if x % q > q // 2:
-        x = (q**k - x) % q**k
     return PadicNum(q, 0, x, k)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     PrecisionLossError,
 )
-from .exact import Mat2, QuadRat, ZLattice4, frac_to_str
+from .exact import Mat2, QuadRat, ZLattice4, congruence_kernel, det4, frac_to_str
 from .numth import (
     _ZERO_VAL,
     INFINITE_PLACE,
@@ -39,7 +39,7 @@ from .numth import (
     solve_norm_equation,
     valuation,
 )
-from .quat import AlgebraParams, QuatElem, basis_digit_cost, hashimoto_basis
+from .quat import AlgebraParams, QuatElem, basis_digit_cost, coords_lattice, hashimoto_basis
 from .report import Report
 
 # Case labels for the five matrix models.
@@ -256,13 +256,19 @@ class OrderShape:
         return "no integral shape at the real place"
 
 
+# Order shapes the case fixes; the others follow the level's congruence at q.
+# The admissible p is a q-adic square at every q | N (``hashimoto_violation``),
+# so a non-square, at-p or ramified place has q ∤ N.
+_FIXED_SHAPES = {CASE_ARCHIMEDEAN: "none", CASE_RAMIFIED: "ramified_maximal"}
+
+
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
-    mat_i, mat_j, mat_k are the images of the generators; data holds the
-    case-specific witnesses (norm-form solutions, square roots).  precision is
-    the number of q-adic digits carried internally; exact coefficient rings
-    (the rational and real-place models) ignore it.
+    mat_i, mat_j are the images of i, j, and mat_k = mat_i·mat_j; data holds
+    the case-specific witnesses (norm-form solutions, square roots).
+    precision is the number of q-adic digits carried internally; exact
+    coefficient rings (the rational and real-place models) ignore it.
     """
 
     __slots__ = (
@@ -271,10 +277,14 @@ class LocalSplitting:
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 mat_i: Mat2, mat_j: Mat2, mat_k: Mat2, data: dict, shape: OrderShape):
+                 mat_i: Mat2, mat_j: Mat2, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
-        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_k
-        self.data, self.shape = data, shape
+        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_i * mat_j
+        self.data = data
+        finite = place != INFINITE_PLACE
+        ll_val = valuation(params.level, place) if finite else 0
+        kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
+        self.shape = OrderShape(kind, place if finite else None, ll_val)
         # Lifted scalars by (numerator, denominator) pair, the identity, and
         # for each matrix entry (ul, ur, ll, lr) the (generator index, image
         # entry) pairs of 1, i, j, k whose entry is not an exact zero.
@@ -398,8 +408,6 @@ class LocalSplitting:
                 return False, "lower-right entry is not the conjugate of the upper-left"
             if not (c - b.conj() * self.scalar(Fraction(shape.q))).is_zero_mod(check_level):
                 return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
-            if extra_ll and not self.entry_val_at_least(b, extra_ll):
-                return False, f"upper-right entry valuation below {extra_ll}"
             return True, ""
         for name, e in zip(("ul", "ur", "ll", "lr"), entries):
             if not self.entry_val_at_least(e, 0):
@@ -416,6 +424,24 @@ class LocalSplitting:
     def upper_right(self, u: QuatElem):
         self._check(u)
         return self._entry(self._terms[1], u.numerators, u.denominator)
+
+    def congruence_lattice(self, entry: int, m: int) -> ZLattice4:
+        """Order-basis coordinates whose image has entry 1 (upper-right) or 2
+        (lower-left) ≡ 0 mod q^m, solved from the residues of the basis images
+        (a rational model's entries must be q-integral) by generic lattice
+        machinery; no degeneracy or chain formula enters."""
+        q = self.place
+        mod = q**m
+        residues = []
+        for e in hashimoto_basis(self.params):
+            v = self._entry(self._terms[entry], e.numerators, e.denominator)
+            if isinstance(v, PadicNum):
+                residues.append(v.residue(m))
+            elif v.denominator % q == 0:
+                raise PrecisionLossError(f"{v} is not {q}-integral")
+            else:
+                residues.append(v.numerator * pow(v.denominator, -1, mod) % mod)
+        return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
         def enc(v):
@@ -473,19 +499,13 @@ def build_splitting(
         raise InvalidParametersError(f"precision must be positive: {k}")
     case = classify_place(params, place)
     dn = params.dn
-    n_level = params.level
     p = params.p
-    # Depth of the level's lower-left congruence at a finite place.
-    ll_val = 0 if place == INFINITE_PLACE or n_level % place else valuation(n_level, place)
 
     if case == CASE_RATIONAL:
         fr = Fraction
-        mi = Mat2(fr(0), fr(-1), fr(n_level), fr(0))
+        mi = Mat2(fr(0), fr(-1), fr(params.level), fr(0))
         mj = Mat2(fr(-1), fr(0), fr(0), fr(1))
-        mk = mi * mj
-        shape_q = place if place != INFINITE_PLACE else None
-        shape = OrderShape("triangular" if ll_val else "matrix_ring", shape_q, ll_val)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {}, shape)
+        return LocalSplitting(params, place, case, k, mi, mj, {})
 
     if case == CASE_ARCHIMEDEAN:
         d = Fraction(p)
@@ -494,9 +514,7 @@ def build_splitting(
         theta = QuadRat(Fraction(0), Fraction(1), d)
         mi = Mat2(zero, one, QuadRat(Fraction(-dn), Fraction(0), d), zero)
         mj = Mat2(theta, zero, zero, -theta)
-        mk = mi * mj
-        shape = OrderShape("none", None, 0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {}, shape)
+        return LocalSplitting(params, place, case, k, mi, mj, {})
 
     q = place
     check_modulus(q, k, "precision", k)
@@ -509,21 +527,13 @@ def build_splitting(
         z0 = PadicNum.exact_zero(q)
         mi = Mat2(z0, pn(1), pn(-dn), z0)
         mj = Mat2(-omega, z0, z0, omega)
-        mk = mi * mj
-        shape = OrderShape("triangular" if ll_val else "matrix_ring", q, ll_val)
-        return LocalSplitting(
-            params, place, case, k, mi, mj, mk, {"omega": omega}, shape
-        )
+        return LocalSplitting(params, place, case, k, mi, mj, {"omega": omega})
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
         x, y = solve_norm_equation(p, Fraction(-dn), q, k)
         mi = Mat2(x, -pn(p) * y, y, -x)
         mj = Mat2(PadicNum.exact_zero(q), pn(p), pn(1), PadicNum.exact_zero(q))
-        mk = mi * mj
-        shape = OrderShape("matrix_ring", q, 0)
-        return LocalSplitting(
-            params, place, case, k, mi, mj, mk, {"x": x, "y": y}, shape
-        )
+        return LocalSplitting(params, place, case, k, mi, mj, {"x": x, "y": y})
 
     if case == CASE_AT_P:
         s = at_p_root(params, k)
@@ -532,10 +542,7 @@ def build_splitting(
         z0 = PadicNum.exact_zero(p)
         mi = Mat2(-s, z0, z0, s)
         mj = Mat2(z0, pn(1), pn(p), z0)
-        mk = mi * mj
-        # p does not divide dn, so the order is maximal at its own prime.
-        shape = OrderShape("matrix_ring", p, 0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": s}, shape)
+        return LocalSplitting(params, place, case, k, mi, mj, {"s": s})
 
     # Ramified place q | delta: coefficients live in Z_q[sqrt(p)].
     x, y = solve_norm_equation(p, Fraction(-dn, q), q, k)
@@ -547,11 +554,7 @@ def build_splitting(
     qn = pn(q)
     mi = Mat2(zero, alpha, pq(qn * x, qn * y), zero)
     mj = Mat2(-theta, zero, zero, theta)
-    mk = mi * mj
-    shape = OrderShape("ramified_maximal", q, 0)
-    return LocalSplitting(
-        params, place, case, k, mi, mj, mk, {"x": x, "y": y}, shape
-    )
+    return LocalSplitting(params, place, case, k, mi, mj, {"x": x, "y": y})
 
 
 # The permutations of 0..3 in lexicographic order, each with its sign.
@@ -564,43 +567,27 @@ _S4 = tuple(
 def _det4(rows):
     """Determinant of a 4x4 matrix over any commutative coefficient ring.
 
-    Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
-    times the signed complementary minor of rows 2, 3 (30 ring products).
-    Over Z_q[sqrt(rad)] it is the 24-term permutation sum instead: there the
-    precision is tracked per component, and a Laplace minor can lose a digit
-    that a product in the permutation sum keeps.  A term with an exact-zero
-    factor is an exact zero, which leaves a sum unchanged in value and
-    precision, so such terms are skipped after the first one.
+    ``exact.det4``'s Laplace expansion, except over Z_q[sqrt(rad)], where it is
+    the 24-term permutation sum: there the precision is tracked per component,
+    and a Laplace minor can lose a digit that a product in the permutation sum
+    keeps.  A term with an exact-zero factor is an exact zero, which leaves a
+    sum unchanged in value and precision, so such terms are skipped after the
+    first one.
     """
-    if isinstance(rows[0][0], PadicQuad):
-        live = [[not _exact_zero(x) for x in row] for row in rows]
-        acc = None
-        for perm, sign in _S4:
-            if acc is not None and not (
-                live[0][perm[0]] and live[1][perm[1]] and live[2][perm[2]] and live[3][perm[3]]
-            ):
-                continue
-            term = rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]] * rows[3][perm[3]]
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
-    r0, r1, r2, r3 = rows
-
-    def top(i, j):
-        return r0[i] * r1[j] - r0[j] * r1[i]
-
-    def bottom(i, j):
-        return r2[i] * r3[j] - r2[j] * r3[i]
-
-    return (
-        top(0, 1) * bottom(2, 3)
-        - top(0, 2) * bottom(1, 3)
-        + top(0, 3) * bottom(1, 2)
-        + top(1, 2) * bottom(0, 3)
-        - top(1, 3) * bottom(0, 2)
-        + top(2, 3) * bottom(0, 1)
-    )
+    if not isinstance(rows[0][0], PadicQuad):
+        return det4(rows)
+    live = [[not _exact_zero(x) for x in row] for row in rows]
+    acc = None
+    for perm, sign in _S4:
+        if acc is not None and not (
+            live[0][perm[0]] and live[1][perm[1]] and live[2][perm[2]] and live[3][perm[3]]
+        ):
+            continue
+        term = rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]] * rows[3][perm[3]]
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:

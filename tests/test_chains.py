@@ -21,7 +21,17 @@ from quatorder.errors import (
     InvalidParametersError,
     RamifiedPlaceError,
 )
-from quatorder.quat import AlgebraParams, pretty
+from quatorder.exact import congruence_kernel
+from quatorder.numth import INFINITE_PLACE
+from quatorder.quat import (
+    AlgebraParams,
+    basis_digit_cost,
+    coords_lattice,
+    hashimoto_basis,
+    pretty,
+)
+from quatorder.split import build_splitting
+from quatorder.verify import DEFAULT_DELTAS, DEFAULT_PLACES
 
 
 D35 = AlgebraParams(35, 1, 13, 6)
@@ -147,6 +157,38 @@ def test_oracle_lattice_frozen_per_case(q, depth):
     lat = chain_oracle(cb.params, q, depth)
     assert lat.denom == 1
     assert lat.rows == ((1, 0, 0, 0),) + ORACLE_ROWS[q, depth]
+
+
+def scaled_split_oracle(params, q, depth):
+    """The depth-n oracle read as 2p-scaled lower-left residues of the split
+    model, modulo q^(depth + λ) with λ = v_q(2p)."""
+    digits = depth + basis_digit_cost(params, q)
+    model = build_splitting(params, q, digits)
+    scale = model.scalar(2 * params.p)
+    residues = [(model.lower_left(e) * scale).residue(digits) for e in hashimoto_basis(params)]
+    return coords_lattice(params, congruence_kernel([residues], q**digits))
+
+
+def test_oracle_reads_the_split_model_unscaled():
+    """Unscaled residues mod q^depth cut out the same lattice as 2p-scaled
+    ones mod q^(depth + λ): the basis images are q-integral and v_q(2p) = λ."""
+    chains = []
+    for delta in DEFAULT_DELTAS:
+        if delta == 1:
+            continue
+        params = AlgebraParams.create(delta, 1)
+        places = {params.p if place == "p" else place for place in DEFAULT_PLACES}
+        for q in sorted(places - {INFINITE_PLACE}):
+            if delta % q == 0:
+                continue
+            if classify_chain(params, q) in (CHAIN_AT_P, CHAIN_SQUARE):
+                chains.append((params, q))
+    assert len(chains) == 19
+    for params, q in chains:
+        for depth in range(1, 13):
+            assert chain_oracle(params, q, depth) == scaled_split_oracle(params, q, depth), (
+                params, q, depth,
+            )
 
 
 def test_oracle_depth_guards():

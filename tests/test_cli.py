@@ -243,6 +243,26 @@ def test_chain_family_duplicate_primes_exit_two(capsys):
     assert "two distinct primes" in err
 
 
+def test_chain_empty_family_exit_two(capsys):
+    code, out, err = run(capsys, "chain", "--delta", "35", "--q", "19", "--family", "")
+    assert code == 2
+    assert out == ""
+    assert "a chain family needs at least two distinct primes: []" in err
+
+
+def test_chain_family_prints_the_primes_it_checks(capsys):
+    code, out, err = run(
+        capsys, "chain", "--delta", "35", "--q", "19", "--depths", "4,6",
+        "--family", "3,11,11,13,19", "--json",
+    )
+    assert code == 0
+    assert err == ""
+    blob = json.loads(out)
+    assert blob["family"] == [3, 11, 13, 19]
+    pairwise = [c for c in blob["verification"]["checks"] if ".pairwise." in c["id"]]
+    assert len(pairwise) == 6
+
+
 CONSTRUCT = ("construct", "--delta", "35", "--level", "3")
 PSI = ("psi", "--delta", "35", "--src", "3", "--dst", "1")
 CHAIN = ("chain", "--delta", "35", "--q", "11")

@@ -59,7 +59,7 @@ def test_flagship_constants():
     for q, (case, values) in expected.items():
         pair = degeneracy_bases(FLAGSHIP, q)
         assert pair.case == case
-        assert pair.constants.values == values, (q, pair.constants.values)
+        assert pair.constants == values, (q, pair.constants)
 
 
 def test_flagship_q11_bases():

@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatorder.errors import AmbientMismatchError, InvalidParametersError
@@ -12,7 +11,7 @@ from quatorder.exact import (
     QuadRat,
     ZLattice4,
     congruence_kernel,
-    det_int,
+    det4,
     frac_to_str,
     hnf,
     is_perfect_square,
@@ -30,30 +29,40 @@ def test_is_perfect_square():
 
 
 def det_frac(rows) -> Fraction:
-    """Reference determinant over Q: clear each row's denominators, then det_int."""
-    scale = Fraction(1)
-    scaled = []
-    for r in rows:
-        d = lcm(*[Fraction(x).denominator for x in r])
-        scale /= d
-        scaled.append([int(Fraction(x) * d) for x in r])
-    return scale * det_int(scaled)
+    """Reference determinant over Q of a square matrix of any size, by
+    Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
-def test_det_int_matches_det_frac():
+def test_det4_matches_det_frac():
     rng = random.Random(3)
     for _ in range(25):
         m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        d = det_int(m)
-        df = det_frac([[Fraction(x) for x in row] for row in m])
-        assert Fraction(d) == df
+        d = det4(m)
+        assert type(d) is int and d == det_frac(m)
+        mf = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
+        assert det4(mf) == det_frac(mf)
+    assert det4([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 0, 7]]) == 0
 
 
 def test_hnf_canonical():
     rows = hnf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert rows == [[2, 0, 120], [0, 2, 20], [0, 0, 156]]
     assert hnf(rows) == rows
-    assert abs(det_int(rows)) == abs(det_int([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+    assert abs(det_frac(rows)) == abs(det_frac([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
 
 
 def transpose(a):
@@ -196,4 +205,36 @@ def test_congruence_kernel_index_counts_the_solutions(rows, modulus):
         all(sum(c * x for c, x in zip(row, v)) % modulus == 0 for row in rows)
         for v in product(range(modulus), repeat=n)
     )
-    assert abs(det_int(basis)) * solutions == modulus**n
+    assert abs(det_frac(basis)) * solutions == modulus**n
+
+
+small_rational_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+matrix4_st = st.lists(st.lists(small_rational_st, min_size=4, max_size=4), min_size=4, max_size=4)
+int_matrix4_st = st.lists(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4
+)
+
+
+@SETTINGS
+@given(matrix4_st, int_matrix4_st)
+@example(
+    [[int(i == j) for j in range(4)] for i in range(4)],
+    [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]],
+)
+@example(
+    [[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+)
+def test_index_is_the_determinant_of_the_change_of_basis(lrows, u):
+    """M = U·L has index |det U| in L, read off the two HNF diagonals."""
+    assume(det_frac(lrows) != 0 and det_frac(u) != 0)
+    lat = ZLattice4.from_rows(lrows)
+    sub = ZLattice4.from_rows(
+        [[sum(c * row[j] for c, row in zip(urow, lrows)) for j in range(4)] for urow in u]
+    )
+    assert sub.index_in(lat) == abs(det_frac(u))
+    if abs(det_frac(u)) > 1:
+        with pytest.raises(InvalidParametersError, match="not a sublattice"):
+            lat.index_in(sub)
+    else:
+        assert lat.index_in(sub) == 1

@@ -21,7 +21,7 @@ import cProfile
 import pstats
 from fractions import Fraction
 
-from quatorder.degeneracy import _side_kernel, degeneracy_bases, verify_degeneracy
+from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum
@@ -124,10 +124,10 @@ def test_lattice_certificates_run_one_elimination_per_kernel():
     pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
     sides = []
     calls = calls_from_boundary(
-        lambda: sides.append(_side_kernel(pair, "f")), hnf, (congruence_kernel,)
+        lambda: sides.append(pair.splitting.congruence_lattice(2, 1)), hnf, (congruence_kernel,)
     )
     assert sum(calls.values()) == 1
-    sides.append(_side_kernel(pair, "g"))
+    sides.append(pair.splitting.congruence_lattice(1, 1))
     inter = []
     stats = profile(lambda: inter.append(sides[0].intersect(sides[1])))
     assert stats[_key(hnf)][1] == 2

@@ -8,6 +8,10 @@ re-export is not a use.  Dunder methods are exempt: the language calls them.
 No module of the package reads the environment, so each value has one way
 to be set: a command-line option or a constant.
 
+Every name a package module binds by a top-level import is read in that
+module, so a deletion leaves no import behind.  ``__init__.py``, whose
+imports are re-exports, and ``from __future__`` imports are exempt.
+
 Importing the command-line entry point loads neither ``dataclasses`` nor
 ``inspect``: the package's records are plain ``__slots__`` classes, and every
 process that starts ``quatorder`` would otherwise pay for that import chain.
@@ -49,6 +53,32 @@ def test_no_unused_definitions():
     words = Counter(re.findall(r"\w+", text))
     dead = sorted(name for name, n in defined.items() if words[name] <= n)
     assert dead == [], f"defined but never referenced: {dead}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for names in [_unread_imports(ast.parse(path.read_text(), filename=str(path)))]
+        if names
+    }
+    assert unread == {}, f"imported but never read: {unread}"
 
 
 def test_no_module_reads_the_environment():

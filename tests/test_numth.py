@@ -129,6 +129,23 @@ def test_hensel_canonical_choice():
         hensel_sqrt(5, 2, 10)
 
 
+def test_hensel_roots_are_normalized_at_every_precision():
+    """The lift itself keeps the normalization: at odd q every Newton step
+    keeps the canonical residue sqrt_mod(a, q) <= q//2, and at q = 2 the
+    lift only sets bits 2 and up of x = 1."""
+    for q in (n for n in range(3, 60) if is_prime(n)):
+        for a in range(1, 3 * q):
+            if a % q == 0 or legendre(a, q) != 1:
+                continue
+            for k in range(1, 9):
+                r = hensel_sqrt(a, q, k)
+                assert r.residue(1) <= q // 2, (a, q, k)
+                assert (r * r - PadicNum.from_rational(a, q, k)).is_zero_mod(k), (a, q, k)
+    for a in range(1, 2**10, 8):
+        for k in range(2, 13):
+            assert hensel_sqrt(a, 2, k).residue(2) == 1, (a, k)
+
+
 def test_solve_norm_equation_conventions():
     # x^2 - 13 y^2 = -105 over Z_11: x0 = 0 already makes 105/13 a square
     # unit mod 11, so x is an exact zero and y the canonical root of 105/13
