@@ -67,39 +67,55 @@ def det4(rows):
     )
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s·a + t·b and |g| = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical row HNF; zero rows dropped."""
+    """Canonical row HNF; zero rows dropped.
+
+    One pass clears each column under the pivot row top (Cohen, GTM 138, §2.4):
+    a row whose entry b the pivot entry p divides loses (b/p)·top; otherwise
+    top and row become (s·top + t·row, (p/g)·row − (b/g)·top), g = s·p + t·b.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
     rank = 0
     for col in range(n):
-        # clear the column below position `rank` by gcd elimination
-        while True:
-            piv = None
-            for i in range(rank, m):
-                if a[i][col] and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
-                    piv = i
-            if piv is None:
+        for piv in range(rank, m):
+            if a[piv][col]:
                 break
-            a[rank], a[piv] = a[piv], a[rank]
-            done = True
-            for i in range(rank + 1, m):
-                if a[i][col]:
-                    t = a[i][col] // a[rank][col]
-                    a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if piv is None:
+        else:
             continue
-        if a[rank][col] < 0:
-            a[rank] = [-x for x in a[rank]]
+        top = a[piv]
+        a[piv] = a[rank]
+        p = top[col]
+        for i in range(piv + 1, m):
+            b = a[i][col]
+            if not b:
+                continue
+            if b % p:
+                g, s, t = _xgcd(p, b)
+                pg, bg = p // g, b // g
+                row = a[i]
+                a[i] = [pg * x - bg * y for x, y in zip(row, top)]
+                top, p = [s * y + t * x for x, y in zip(row, top)], g
+            else:
+                t = b // p
+                a[i] = [x - t * y for x, y in zip(a[i], top)]
+        if p < 0:
+            top, p = [-x for x in top], -p
+        a[rank] = top
         for i in range(rank):
-            t = a[i][col] // a[rank][col]
+            t = a[i][col] // p
             if t:
-                a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
+                a[i] = [x - t * y for x, y in zip(a[i], top)]
         rank += 1
     return a[:rank]
 

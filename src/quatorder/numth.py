@@ -15,6 +15,7 @@ package constructs, so they are pinned by tests.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -34,24 +35,40 @@ INFINITE_PLACE = "inf"
 # congruence test at desk scale sees it as zero.
 _ZERO_VAL = 10**9
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# ψ_k for k = 1, ..., 13: no composite below ψ_k is a strong pseudoprime to
+# the first k prime bases (Sorenson & Webster, Math. Comp. 86 (2017); OEIS
+# A014233), so n needs the first 1 + #{k : ψ_k <= n} of them.
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 
 # Largest candidate the admissible-prime search tries.
 DEFAULT_PRIME_BOUND = 100_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond desk scale)."""
+    """Deterministic Miller-Rabin on the proven base set of n's tier.
+
+    Proven below ψ₁₃ = 3317044064679887385961981.  At or above it a witness
+    still proves n composite; a number that passes all 13 bases raises
+    SearchExhaustedError instead of being called prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 1681:  # 41²: a composite below it has a prime factor <= 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -61,6 +78,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI[-1]:
+        raise SearchExhaustedError(
+            f"{n} passes Miller-Rabin to the 13 prime bases 2 to 41, which prove "
+            f"primality only below ψ₁₃ = {_PSI[-1]}"
+        )
     return True
 
 
@@ -425,9 +447,9 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     fa = Fraction(a)
     if fa == 0 or valuation(fa, q) != 0:
         raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
-    residue_mod = lambda m: unit_residue(fa, q, q**m)
 
     if q == 2:
+        residue_mod = lambda m: unit_residue(fa, q, q**m)
         if residue_mod(3) != 1:
             raise NoSquareRootError("2-adic squares among units are ≡ 1 mod 8")
         # x² ≡ a (mod 2^(k+1)) fixes x mod 2^k up to sign, one digit short of it does not.
@@ -438,14 +460,15 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
             m += 1
         return PadicNum(2, 0, x, k)
 
-    x = sqrt_mod(residue_mod(1), q)
+    a = unit_residue(fa, q, q**k)  # one residue mod q^k; each step reads it mod q^m
+    x = sqrt_mod(a % q, q)
     if x == 0:
         raise NoSquareRootError("not a unit square")
     m = 1
     while m < k:
         m = min(2 * m, k)
         mod = q**m
-        x = (x + residue_mod(m) * pow(x, -1, mod)) * pow(2, -1, mod) % mod
+        x = (x + a % mod * pow(x, -1, mod)) * ((mod + 1) // 2) % mod
     return PadicNum(q, 0, x, k)
 
 

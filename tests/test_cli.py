@@ -529,6 +529,26 @@ def test_construct_semiprime_beyond_the_factoring_budget_exit_three(capsys):
     )
 
 
+def test_construct_strong_pseudoprime_to_twelve_bases(capsys):
+    # ψ₁₂ = 399165290221 · 798330580441 passes Miller-Rabin to the bases 2-37;
+    # base 41 proves it composite, so it is a valid two-prime discriminant
+    code, out, err = run(capsys, "construct", "--delta", "318665857834031151167461")
+    assert code == 0, err
+    assert out.startswith("delta=318665857834031151167461 level=1 p=101 ")
+
+
+def test_construct_beyond_the_proven_primality_range_exit_three(capsys):
+    # ψ₁₃ passes all 13 prime bases 2-41, which prove primality only below it
+    psi13 = 3317044064679887385961981
+    code, out, err = run(capsys, "construct", "--delta", str(psi13))
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: {psi13} passes Miller-Rabin to the 13 prime bases 2 to 41, "
+        f"which prove primality only below ψ₁₃ = {psi13}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "deltas, levels, message",
     [

@@ -238,3 +238,76 @@ def test_index_is_the_determinant_of_the_change_of_basis(lrows, u):
             lat.index_in(sub)
     else:
         assert lat.index_in(sub) == 1
+
+
+def euclid_hnf(rows):
+    """Reference HNF by repeated Euclidean sweeps: per column, move the
+    smallest nonzero entry into the pivot row and subtract multiples of it
+    from every lower row until the column clears; then normalise the sign
+    and reduce the entries above the pivot."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    rank = 0
+    for col in range(n):
+        while True:
+            piv = None
+            for i in range(rank, m):
+                if a[i][col] and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
+                    piv = i
+            if piv is None:
+                break
+            a[rank], a[piv] = a[piv], a[rank]
+            done = True
+            for i in range(rank + 1, m):
+                if a[i][col]:
+                    t = a[i][col] // a[rank][col]
+                    a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
+                    if a[i][col]:
+                        done = False
+            if done:
+                break
+        if piv is None:
+            continue
+        if a[rank][col] < 0:
+            a[rank] = [-x for x in a[rank]]
+        for i in range(rank):
+            t = a[i][col] // a[rank][col]
+            if t:
+                a[i] = [x - t * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return a[:rank]
+
+
+# The shapes the package eliminates: 4x4 lattices, the 5x5 augmented
+# congruence_kernel generators, 8x4 sums and 8x8 Zassenhaus intersections.
+HNF_SHAPES = ((4, 4), (5, 5), (8, 4), (8, 8))
+wide_entry_st = st.one_of(
+    st.integers(-(10**40), 10**40), st.integers(-9, 9), st.just(0)
+)
+
+
+@st.composite
+def wide_matrix(draw):
+    """An integer matrix with entries up to 10^40, some rows zeroed, repeated
+    or replaced by a combination of two others (so it may be rank deficient)."""
+    m, n = draw(st.sampled_from(HNF_SHAPES))
+    a = [draw(st.lists(wide_entry_st, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        c = draw(st.integers(-(10**20), 10**20))
+        a[i] = draw(
+            st.sampled_from(
+                ([0] * n, list(a[j]), [x + c * y for x, y in zip(a[j], a[k])])
+            )
+        )
+    return a
+
+
+@settings(SETTINGS, max_examples=150)
+@given(wide_matrix())
+@example([[0] * 8 for _ in range(8)])
+@example([[10**40 - i, -(10**39), 7, 0] for i in range(8)])
+@example([[3, 10**40, 0, 0, 0], [5, 0, 10**40, 0, 0], [0] * 5, [3, 10**40, 0, 0, 0], [7, 1, 1, 1, 1]])
+def test_hnf_matches_the_euclidean_reference_at_wide_scale(a):
+    assert hnf(a) == euclid_hnf(a)

@@ -15,16 +15,24 @@ products and sums: scalar products in Z_q[√p] take two of them.
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and a lattice intersection two (the kernel and
 the reduction of its result).
+
+The integer kernels do only the work their answer needs: a prime gets the
+Miller-Rabin bases of its proven tier and no more, and a Hensel lift at an
+odd q computes one unit residue.
 """
 
+import builtins
 import cProfile
 import pstats
 from fractions import Fraction
 
+import pytest
+
+from quatorder import numth
 from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
-from quatorder.numth import PadicNum
+from quatorder.numth import PadicNum, hensel_sqrt, is_prime
 from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
 from quatorder.split import CASE_RAMIFIED, PadicQuad, build_splitting, verify_splitting
 
@@ -133,3 +141,49 @@ def test_lattice_certificates_run_one_elimination_per_kernel():
     assert stats[_key(hnf)][1] == 2
     identity = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
     assert inter[0].index_in(identity) == 11 * 11
+
+
+# (n, Miller-Rabin bases) for the largest prime below each tier bound (41²,
+# then ψ_k), and the smallest prime above ψ₁₂ = 318665857834031151167461.
+TIER_PRIMES = (
+    (1669, 0),
+    (2039, 1),
+    (1373639, 2),
+    (25325981, 3),
+    (3215031749, 4),
+    (2152302898729, 5),
+    (3474749660329, 6),
+    (341550071728289, 7),
+    (3825123056546412979, 9),
+    (318665857834031151167441, 12),
+    (318665857834031151167483, 13),
+)
+
+
+@pytest.mark.parametrize("n, bases", TIER_PRIMES)
+def test_a_prime_gets_exactly_the_bases_of_its_tier(monkeypatch, n, bases):
+    powers = []
+
+    def counting_pow(*args):
+        powers.append(args)
+        return builtins.pow(*args)
+
+    monkeypatch.setattr(numth, "pow", counting_pow, raising=False)
+    assert is_prime(n)
+    first_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert [a for a, _, modulus in powers if modulus == n] == first_primes[:bases]
+
+
+@pytest.mark.parametrize("q, k", [(3, 1), (101, 40), (389, 20), (9413, 7)])
+def test_an_odd_hensel_lift_computes_one_unit_residue(monkeypatch, q, k):
+    residues = []
+
+    def counting(*args):
+        residues.append(args)
+        return real(*args)
+
+    real = numth.unit_residue
+    monkeypatch.setattr(numth, "unit_residue", counting)
+    r = hensel_sqrt(Fraction(25, 49), q, k)
+    assert len(residues) == 1
+    assert (r * r - PadicNum.from_ratio(25, 49, q, k)).is_zero_mod(k)

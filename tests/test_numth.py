@@ -27,6 +27,7 @@ from quatorder.numth import (
     prime_factors,
     solve_norm_equation,
     sqrt_mod,
+    unit_residue,
     valuation,
 )
 from quatorder.quat import AlgebraParams, check_admissible_p
@@ -41,6 +42,89 @@ def test_prime_predicates():
     assert prime_factors(360) == [2, 3, 5]
     assert is_squarefree(35)
     assert not is_squarefree(12)
+
+
+def sieve(n: int) -> bytearray:
+    """is_prime table for 0 <= x < n (Eratosthenes)."""
+    table = bytearray([1]) * n
+    table[0:2] = b"\0\0"
+    for i in range(2, int(n**0.5) + 1):
+        if table[i]:
+            table[i * i :: i] = bytearray(len(range(i * i, n, i)))
+    return table
+
+
+def test_is_prime_matches_a_sieve():
+    table = sieve(2 * 10**5)
+    assert [n for n in range(len(table)) if is_prime(n) != table[n]] == []
+
+
+# ψ_k, the least composite that is a strong pseudoprime to the first k prime
+# bases (OEIS A014233, Sorenson & Webster 2017), for k = 1, ..., 13.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI_13 = PSI[-1]
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to all of the first 13 prime bases, with no tiers: a
+    primality proof for 41 < n < ψ₁₃."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in FIRST_13_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def neighbouring_primes(bound: int) -> tuple[int, int]:
+    """The largest prime below bound and the smallest above it, for 1681 <= bound < ψ₁₃."""
+    below = next(n for n in range(bound - 1, 0, -1) if strong_probable_prime(n))
+    above = next(n for n in range(bound + 1, 2 * bound) if strong_probable_prime(n))
+    return below, above
+
+
+def test_every_psi_below_psi13_is_composite_and_psi13_is_refused():
+    for k, n in enumerate(PSI[:-1], start=1):
+        assert not is_prime(n), k
+    # ψ₁₃ passes all 13 bases, so no proven base set can call it either way
+    assert strong_probable_prime(PSI_13)
+    with pytest.raises(SearchExhaustedError, match="ψ₁₃ = 3317044064679887385961981"):
+        is_prime(PSI_13)
+
+
+@pytest.mark.parametrize("bound", (1681,) + tuple(sorted(set(PSI[:-1]))))
+def test_primes_on_each_side_of_a_tier_bound_are_prime(bound):
+    below, above = neighbouring_primes(bound)
+    assert is_prime(below) and is_prime(above)
+    assert not any(is_prime(n) for n in range(below + 1, above))
+
+
+def test_a_semiprime_beyond_psi13_with_a_witness_is_composite():
+    # a witness proves compositeness at any size
+    assert not is_prime(1000000000000037 * 1000000001000003)
 
 
 def test_valuation():
@@ -144,6 +228,37 @@ def test_hensel_roots_are_normalized_at_every_precision():
     for a in range(1, 2**10, 8):
         for k in range(2, 13):
             assert hensel_sqrt(a, 2, k).residue(2) == 1, (a, k)
+
+
+def per_step_lift(a: Fraction, q: int, k: int) -> int:
+    """Reference odd-q lift: each Newton step recomputes the unit residue of
+    a modulo q^m and inverts 2 with ``pow``."""
+    x = sqrt_mod(unit_residue(a, q, q), q)
+    m = 1
+    while m < k:
+        m = min(2 * m, k)
+        mod = q**m
+        x = (x + unit_residue(a, q, mod) * pow(x, -1, mod)) * pow(2, -1, mod) % mod
+    return x
+
+
+@settings(SETTINGS, max_examples=240)
+@given(
+    st.sampled_from((101, 389, 9413)),
+    st.integers(1, 40),
+    st.integers(1, 10**12),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**6),
+)
+def test_hensel_lift_at_wide_places_matches_the_per_step_lift(q, k, x0, t, d):
+    """a = (x0² + q·t)/d² is a square unit whenever q divides neither x0 nor d."""
+    x0 += x0 % q == 0
+    d += d % q == 0
+    a = Fraction(x0 * x0 + q * t, d * d)
+    r = hensel_sqrt(a, q, k)
+    assert (r * r - PadicNum.from_rational(a, q, k)).is_zero_mod(k)
+    assert r.residue(1) == sqrt_mod(unit_residue(a, q, q), q)
+    assert r.residue(k) == per_step_lift(a, q, k)
 
 
 def test_solve_norm_equation_conventions():

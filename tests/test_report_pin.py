@@ -4,7 +4,7 @@ The benchmark gate compares only (id, ok) pairs, so a refactor that changes
 a witness string would pass it.  The grid tests hash the whole ``checks``
 list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
-``perfbench/frozen/wide.json`` (one large-coefficient sweep).  The last test
+``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The last test
 replays single-object ``--json`` calls and compares them with
 ``perfbench/frozen/calls.json`` using the gate's ``call_digest``.  The frozen
 files are read, never written.
@@ -43,18 +43,32 @@ def test_default_verify_report_is_byte_identical(capsys):
 # at-p models run on a four-digit p and a thirteen-digit ΔN.  No grid of the
 # pool has a ramified place (its places are primes from 101 to 400).
 WIDE_PIN = 23
+# The frozen grid of ``--seed 2``, the heaviest integer arithmetic of seeds 1-4:
+# Δ = 10795357823 and N = 51761 = 191·271 with place 389; its sweep makes
+# about 13,000 primality tests and HNFs with entries up to about 10^36.
+WIDE_HEAVY_PIN = 2
 
 
-def test_wide_grid_report_is_byte_identical(capsys):
-    grid = json.loads((PERFBENCH / "frozen" / "wide.json").read_text())["grids"][WIDE_PIN]
+def replay_wide_grid(capsys, index: int) -> list:
+    grid = json.loads((PERFBENCH / "frozen" / "wide.json").read_text())["grids"][index]
     code = main(grid["argv"])
     out = capsys.readouterr().out
     assert code == grid["rc"]
     checks = json.loads(out)["verification"]["checks"]
     assert len(checks) == grid["checks"]
+    assert _load_gate().sha256_json(checks) == grid["checks_sha256"]
+    return checks
+
+
+def test_wide_grid_report_is_byte_identical(capsys):
+    checks = replay_wide_grid(capsys, WIDE_PIN)
     assert any(".q9413." in c["id"] for c in checks)
     assert any(".inf." in c["id"] for c in checks)
-    assert _load_gate().sha256_json(checks) == grid["checks_sha256"]
+
+
+def test_heaviest_wide_grid_report_is_byte_identical(capsys):
+    checks = replay_wide_grid(capsys, WIDE_HEAVY_PIN)
+    assert any(".q389." in c["id"] for c in checks)
 
 
 def _pinned_calls():
