@@ -14,7 +14,10 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid parameters,
 4 insufficient working precision.  The working precision is --precision
 q-adic digits, split.DEFAULT_PRECISION by default.  Output is plain text, or
 under --json one compact line of canonical JSON with sorted keys (an indent
-would switch the json module to its pure-Python encoder).
+would switch the json module to its pure-Python encoder).  The line is
+written in fixed-size slices of the report, each one call of the C encoder,
+with the same bytes as one encoding of the whole payload, so memory no
+longer grows with the size of the JSON text.
 """
 
 from __future__ import annotations
@@ -70,11 +73,25 @@ def _parse_int_list(raw: str, what: str) -> tuple:
 
 
 def _emit(args, payload: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
+    """Print the text lines, or under --json the bytes of
+    ``json.dumps(payload, sort_keys=True) + "\n"`` with the ``Report`` under
+    "verification" (the last key in sorted order) in its JSON form, written
+    chunk by chunk so that no encoding of the whole report is ever held."""
+    if not args.json:
         for line in text_lines:
             print(line)
+        return
+    write = sys.stdout.write  # looked up per call: tests and benchmarks redirect it
+    report = payload.get("verification")
+    if report is None:
+        write(json.dumps(payload, sort_keys=True) + "\n")
+        return
+    rest = {key: value for key, value in payload.items() if key != "verification"}
+    assert all(key < "verification" for key in rest), "verification must sort last"
+    write(json.dumps(rest, sort_keys=True)[:-1] + (", " if rest else "") + '"verification": ')
+    for chunk in report.json_chunks():
+        write(chunk)
+    write("}\n")
 
 
 def _entry_brief(e) -> str:
@@ -151,7 +168,7 @@ def _cmd_split(args) -> int:
     splitting = build_splitting(params, place, k=args.precision)
     sj = splitting.to_json()  # first: a model too large to print exits 2 before it is verified
     report = verify_splitting(splitting)
-    payload = {"splitting": sj, "verification": report.to_json()}
+    payload = {"splitting": sj, "verification": report}
     lines = [
         f"delta={params.delta} level={params.level} p={params.p} place={place}",
         f"case: {splitting.case}   shape: {splitting.shape.describe()}",
@@ -168,7 +185,7 @@ def _cmd_degeneracy(args) -> int:
     pair = degeneracy_bases(params, args.q, k=args.precision)
     report = verify_degeneracy(pair)
     pj = pair.to_json()
-    payload = {"degeneracy": pj, "verification": report.to_json()}
+    payload = {"degeneracy": pj, "verification": report}
     lines = [
         f"delta={params.delta} level={params.level} p={params.p} q={args.q} case={pair.case}",
         "f basis: " + ", ".join(pj["f"]),
@@ -193,7 +210,7 @@ def _cmd_psi(args) -> int:
             name: str(value)
             for name, value in inclusion_coordinate_formulas(psi).items()
         }
-    payload["verification"] = report.to_json()
+    payload["verification"] = report
     lines = [
         f"delta={args.delta} levels {args.src} -> {args.dst} p={pj['p']}",
         f"beta = {pj['beta']}, delta = {pj['delta']}",
@@ -216,7 +233,7 @@ def _cmd_chain(args) -> int:
         fam_report = verify_chain_family(args.delta, family, p=args.p)
         report.extend(fam_report, prefix="family.")
         payload["family"] = sorted(set(family))
-    payload["verification"] = report.to_json()
+    payload["verification"] = report
     lines = [
         f"delta={args.delta} q={args.q} case={cj['case']} level={cj['level']}"
         + (f" aux_level={cj['aux_level']}" if "aux_level" in cj else ""),
@@ -243,7 +260,7 @@ def _cmd_verify(args) -> int:
         k=args.precision, seed=args.seed, sections=sections,
         inject_at_p_sign_flip=args.inject_at_p_sign_flip,
     )
-    payload = {"verification": report.to_json()}
+    payload = {"verification": report}
     lines = []
     for c in report.checks:
         if c.check_id.endswith(".coverage") or c.check_id.startswith("numth."):

@@ -450,15 +450,6 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
     return gram, [u.denominator for u in elems]
 
 
-def gram_trace_matrix(elems) -> list[list[Fraction]]:
-    """Gram matrix of reduced traces tr(x·y) for a list of elements."""
-    gram, dens = _scaled_gram(elems)
-    return [
-        [Fraction(g, dr * dc) for g, dc in zip(row, dens)]
-        for row, dr in zip(gram, dens)
-    ]
-
-
 def reduced_discriminant(elems) -> int:
     """√|det| of the reduced-trace Gram matrix of four elements.
 

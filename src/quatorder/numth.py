@@ -330,9 +330,6 @@ class PadicNum:
             )
         return self.unit * self.q**self.val % self.q**m
 
-    def eq_mod(self, other: "PadicNum", m: int) -> bool:
-        return (self - other).is_zero_mod(m)
-
     # -- arithmetic -------------------------------------------------------
     # Each operation but subtraction (a negation and a sum) is one body on
     # the four fields: these are the innermost loops of every q-adic
@@ -449,15 +446,14 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
         raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
 
     if q == 2:
-        residue_mod = lambda m: unit_residue(fa, q, q**m)
-        if residue_mod(3) != 1:
+        a = unit_residue(fa, 2, 2 ** max(k + 1, 3))  # one residue; step m reads it mod 2^(m+1)
+        if a % 8 != 1:
             raise NoSquareRootError("2-adic squares among units are ≡ 1 mod 8")
         # x² ≡ a (mod 2^(k+1)) fixes x mod 2^k up to sign, one digit short of it does not.
-        x, m = 1, 3
-        while m <= k:
-            if (x * x - residue_mod(m + 1)) % 2 ** (m + 1):
+        x = 1
+        for m in range(3, k + 1):
+            if (x * x - a) % 2 ** (m + 1):
                 x += 1 << (m - 1)
-            m += 1
         return PadicNum(2, 0, x, k)
 
     a = unit_residue(fa, q, q**k)  # one residue mod q^k; each step reads it mod q^m

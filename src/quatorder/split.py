@@ -332,12 +332,9 @@ class LocalSplitting:
 
     def embed(self, u: QuatElem) -> Mat2:
         """Image of u = x + y i + z j + t k as a 2x2 matrix."""
-        self._check(u)
-        return Mat2(*[self._entry(terms, u.numerators, u.denominator) for terms in self._terms])
-
-    def _check(self, u: QuatElem):
         if u.params is not self.params and u.params != self.params:
             raise InvalidParametersError("element belongs to a different algebra")
+        return Mat2(*[self._entry(terms, u.numerators, u.denominator) for terms in self._terms])
 
     def _entry(self, terms, nums, den: int):
         """One image entry: the sum, in generator order, of the non-zero
@@ -416,14 +413,6 @@ class LocalSplitting:
         if need and not self.entry_val_at_least(mat.c, need):
             return False, f"lower-left entry valuation below {need}"
         return True, ""
-
-    def lower_left(self, u: QuatElem):
-        self._check(u)
-        return self._entry(self._terms[2], u.numerators, u.denominator)
-
-    def upper_right(self, u: QuatElem):
-        self._check(u)
-        return self._entry(self._terms[1], u.numerators, u.denominator)
 
     def congruence_lattice(self, entry: int, m: int) -> ZLattice4:
         """Order-basis coordinates whose image has entry 1 (upper-right) or 2

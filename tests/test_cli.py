@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from quatorder import chains, cli, isomap, split
 from quatorder.cli import main
+from quatorder.report import Check, Report
 from quatorder.split import verify_splitting
 
 
@@ -592,6 +594,8 @@ def test_chain_runs_each_repeated_depth_once(capsys):
         ("psi", "--delta", "35", "--src", "9", "--dst", "3"),
         ("chain", "--delta", "35", "--q", "11"),
         ("verify", "--deltas", "35", "--levels", "1,3"),
+        # 638 checks: the report is streamed in three slices
+        pytest.param(("verify", "--deltas", "35,6", "--levels", "1,3,9"), id="verify_slices"),
     ],
     ids=lambda command: command[0],
 )
@@ -601,3 +605,40 @@ def test_json_is_one_compact_sorted_line(capsys, command):
     assert code == 0
     assert err == ""
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+class RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def synthetic_report(n):
+    # witnesses of varying length, with characters the encoder must escape
+    return Report([Check(f"synthetic.{i}", i % 7 != 3, "é\"w" * (i % 5)) for i in range(n)])
+
+
+def emit_json(monkeypatch, payload):
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(argparse.Namespace(json=True), payload, [])
+    return stdout.writes
+
+
+def test_json_report_is_streamed_in_bounded_writes(monkeypatch):
+    report = synthetic_report(10_000)
+    writes = emit_json(monkeypatch, {"verification": report})
+    assert "".join(writes) == json.dumps({"verification": report.to_json()}, sort_keys=True) + "\n"
+    assert max(len(w) for w in writes) <= 64 * 1024
+
+
+@pytest.mark.parametrize("head", [{}, {"chain": {"case": "split", "level": 3}}], ids=["alone", "after_key"])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_json_report_stream_is_exact_at_slice_edges(monkeypatch, head, n):
+    report = synthetic_report(n)
+    writes = emit_json(monkeypatch, {**head, "verification": report})
+    expected = json.dumps({**head, "verification": report.to_json()}, sort_keys=True) + "\n"
+    assert "".join(writes) == expected

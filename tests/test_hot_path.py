@@ -17,8 +17,8 @@ kernel is one ``hnf`` call, and a lattice intersection two (the kernel and
 the reduction of its result).
 
 The integer kernels do only the work their answer needs: a prime gets the
-Miller-Rabin bases of its proven tier and no more, and a Hensel lift at an
-odd q computes one unit residue.
+Miller-Rabin bases of its proven tier and no more, and a Hensel lift
+computes one unit residue, at q = 2 as at an odd q.
 """
 
 import builtins
@@ -187,3 +187,19 @@ def test_an_odd_hensel_lift_computes_one_unit_residue(monkeypatch, q, k):
     r = hensel_sqrt(Fraction(25, 49), q, k)
     assert len(residues) == 1
     assert (r * r - PadicNum.from_ratio(25, 49, q, k)).is_zero_mod(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 40])
+def test_a_two_adic_hensel_lift_computes_one_unit_residue(monkeypatch, k):
+    residues = []
+
+    def counting(*args):
+        residues.append(args)
+        return real(*args)
+
+    real = numth.unit_residue
+    monkeypatch.setattr(numth, "unit_residue", counting)
+    r = hensel_sqrt(Fraction(17, 9), 2, k)
+    assert len(residues) == 1
+    assert (r * r - PadicNum.from_ratio(17, 9, 2, k)).is_zero_mod(k)
+    assert r.residue(min(k, 2)) == 1
