@@ -260,16 +260,16 @@ def _cmd_verify(args) -> int:
         k=args.precision, seed=args.seed, sections=sections,
         inject_at_p_sign_flip=args.inject_at_p_sign_flip,
     )
-    payload = {"verification": report}
     lines = []
-    for c in report.checks:
-        if c.check_id.endswith(".coverage") or c.check_id.startswith("numth."):
-            lines.append(f"  {'ok  ' if c.ok else 'FAIL'} {c.check_id}  {c.witness}")
-    for c in report.failures():
-        suffix = f"  ({c.witness})" if c.witness else ""
-        lines.append(f"  FAIL {c.check_id}{suffix}")
-    lines.append(_summary_line(report))
-    _emit(args, payload, lines)
+    if not args.json:  # _emit would drop the lines
+        for c in report.checks:
+            if c.check_id.endswith(".coverage") or c.check_id.startswith("numth."):
+                lines.append(f"  {'ok  ' if c.ok else 'FAIL'} {c.check_id}  {c.witness}")
+        for c in report.failures():
+            suffix = f"  ({c.witness})" if c.witness else ""
+            lines.append(f"  FAIL {c.check_id}{suffix}")
+        lines.append(_summary_line(report))
+    _emit(args, {"verification": report}, lines)
     return 0 if report.passed else 1
 
 
