@@ -316,6 +316,11 @@ class PadicNum:
     def is_zero_mod(self, m: int) -> bool:
         return self.val_at_least(m)
 
+    def is_exact_zero(self) -> bool:
+        """An exact zero, not one only to the working precision: the sentinel
+        valuation of ``exact_zero`` survives scaling by ordinary values."""
+        return not self.unit and self.val > _ZERO_VAL // 2
+
     def residue(self, m: int) -> int:
         """Canonical integer in [0, q**m) congruent to the value mod q**m."""
         if self.unit == 0:

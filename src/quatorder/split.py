@@ -28,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     PrecisionLossError,
 )
-from .exact import Mat2, QuadRat, ZLattice4, congruence_kernel, det4, frac_to_str
+from .exact import Mat2, QuadRat, ZLattice4, as_rational, congruence_kernel, det4, frac_to_str
 from .numth import (
     _ZERO_VAL,
     INFINITE_PLACE,
@@ -70,7 +70,8 @@ class PadicQuad:
     Used at ramified primes, where the quadratic extension Z_q[sqrt(p)] is the
     natural coefficient ring.  The radicand stays a non-square unit mod q, so
     the ring is an unramified quadratic extension and zero tests reduce to
-    componentwise zero tests.
+    componentwise zero tests.  Arithmetic takes only PadicQuad operands of
+    the same radicand, as PadicNum arithmetic takes only PadicNums.
     """
 
     __slots__ = ("a", "b", "rad")
@@ -87,16 +88,11 @@ class PadicQuad:
         return cls(PadicNum.exact_zero(q), PadicNum.from_rational(1, q, prec), rad)
 
     def _wrap(self, other) -> "PadicQuad":
-        if isinstance(other, PadicQuad):
-            if other.rad != self.rad:
-                raise InvalidParametersError("mixed radicands in quadratic q-adic arithmetic")
-            return other
-        if isinstance(other, (int, Fraction, PadicNum)):
-            a = other if isinstance(other, PadicNum) else PadicNum.from_rational(
-                other, self.a.q, max(self.a.prec, self.b.prec, 1)
-            )
-            return PadicQuad(a, PadicNum.exact_zero(self.a.q), self.rad)
-        return NotImplemented
+        if not isinstance(other, PadicQuad):
+            return NotImplemented
+        if other.rad != self.rad:
+            raise InvalidParametersError("mixed radicands in quadratic q-adic arithmetic")
+        return other
 
     def __add__(self, other):
         o = self._wrap(other)
@@ -104,17 +100,12 @@ class PadicQuad:
             return o
         return PadicQuad(self.a + o.a, self.b + o.b, self.rad)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "PadicQuad":
         return PadicQuad(-self.a, -self.b, self.rad)
 
     def __sub__(self, other):
         o = self._wrap(other)
         return o if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -142,14 +133,15 @@ class PadicQuad:
             y = PadicNum(q, s, 0, 0) + y
         return PadicQuad(x, y, self.rad)
 
-    __rmul__ = __mul__
-
     def conj(self) -> "PadicQuad":
         return PadicQuad(self.a, -self.b, self.rad)
 
     def norm(self) -> PadicNum:
         rad = _radicand(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
         return self.a * self.a - rad * self.b * self.b
+
+    def is_exact_zero(self) -> bool:
+        return self.a.is_exact_zero() and self.b.is_exact_zero()
 
     def is_zero_mod(self, m: int) -> bool:
         """Coordinatewise truncation equality with zero (used for identities)."""
@@ -179,17 +171,6 @@ class PadicQuad:
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json()}
-
-
-def _exact_zero(value) -> bool:
-    """Is a coefficient-ring element an exact zero, not merely zero to the
-    working precision?  q-adic exact zeros carry the sentinel valuation of
-    ``PadicNum.exact_zero``, which scaling by an ordinary value barely moves."""
-    if isinstance(value, PadicQuad):
-        return _exact_zero(value.a) and _exact_zero(value.b)
-    if isinstance(value, PadicNum):
-        return value.unit == 0 and value.val > _ZERO_VAL // 2
-    return value == 0
 
 
 def classify_place(params: AlgebraParams, place) -> str:
@@ -267,13 +248,15 @@ class LocalSplitting:
 
     mat_i, mat_j are the images of i, j, and mat_k = mat_i·mat_j; data holds
     the case-specific witnesses (norm-form solutions, square roots).
-    precision is the number of q-adic digits carried internally; exact
-    coefficient rings (the rational and real-place models) ignore it.
+    The case fixes the coefficient ring.  exact marks the rational and
+    real-place models, where zero means ``== 0`` and precision is ignored;
+    the q-adic models carry precision digits, and their coefficients answer
+    is_zero_mod, val_at_least, is_exact_zero and to_json.
     """
 
     __slots__ = (
         "params", "place", "case", "precision", "mat_i", "mat_j", "mat_k", "data", "shape",
-        "_scalars", "_one", "_terms",
+        "exact", "_scalars", "_one", "_terms",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
@@ -281,6 +264,7 @@ class LocalSplitting:
         self.params, self.place, self.case, self.precision = params, place, case, precision
         self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_i * mat_j
         self.data = data
+        self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
         finite = place != INFINITE_PLACE
         ll_val = valuation(params.level, place) if finite else 0
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
@@ -294,14 +278,16 @@ class LocalSplitting:
         self._one = Mat2(s1, s0, s0, s1)
         gens = [m.entries() for m in (self._one, self.mat_i, self.mat_j, self.mat_k)]
         self._terms = tuple(
-            tuple((g, img[e]) for g, img in enumerate(gens) if not _exact_zero(img[e]))
+            tuple(
+                (g, img[e]) for g, img in enumerate(gens)
+                if not (img[e] == 0 if exact else img[e].is_exact_zero())
+            )
             for e in range(4)
         )
 
     def scalar(self, value: Fraction):
         """Lift a rational coefficient into the splitting's coefficient ring."""
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+        value = as_rational(value)
         return self._scalar(value.numerator, value.denominator)
 
     def _scalar(self, num: int, den: int):
@@ -312,7 +298,7 @@ class LocalSplitting:
         return lifted
 
     def _lift(self, num: int, den: int):
-        if self.case in (CASE_RATIONAL,):
+        if self.case == CASE_RATIONAL:
             return Fraction(num, den)
         if self.case == CASE_ARCHIMEDEAN:
             return QuadRat(Fraction(num, den), 0, self.params.p)
@@ -353,8 +339,7 @@ class LocalSplitting:
         The order-basis images cost λ digits (``quat.basis_digit_cost``); exact
         coefficient rings ignore the level.  No digit left raises PrecisionLossError.
         """
-        exact = self.case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
-        level = self.precision - (0 if exact else basis_digit_cost(self.params, self.place))
+        level = self.precision - (0 if self.exact else basis_digit_cost(self.params, self.place))
         if level < 1:
             raise PrecisionLossError(
                 f"precision {self.precision} leaves no digit to assert at {self.place}, "
@@ -364,11 +349,7 @@ class LocalSplitting:
 
     def entry_zero(self, value, check_level: int) -> bool:
         """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
-        if isinstance(value, (Fraction, QuadRat)):
-            return value == 0
-        if isinstance(value, (PadicNum, PadicQuad)):
-            return value.is_zero_mod(check_level)
-        raise InvalidParametersError(f"unexpected coefficient type {type(value).__name__}")
+        return value == 0 if self.exact else value.is_zero_mod(check_level)
 
     def entry_val_at_least(self, value, m: int) -> bool:
         """Is the q-adic valuation of a coefficient-ring element at least m?
@@ -376,15 +357,15 @@ class LocalSplitting:
         For the global rational model at the real place "integral" degrades to
         "integer", which is what its order images satisfy.
         """
-        if isinstance(value, Fraction):
-            if value == 0:
-                return True
-            if isinstance(self.place, int):
-                return valuation(value, self.place) >= m
-            return value.denominator == 1
-        if isinstance(value, (PadicNum, PadicQuad)):
+        if not self.exact:
             return value.val_at_least(m)
-        raise InvalidParametersError(f"unexpected coefficient type {type(value).__name__}")
+        if self.case == CASE_ARCHIMEDEAN:
+            raise InvalidParametersError("no q-adic valuation at the real place")
+        if value == 0:
+            return True
+        if self.place != INFINITE_PLACE:
+            return valuation(value, self.place) >= m
+        return value.denominator == 1
 
     def matrix_in_shape(self, mat: Mat2, check_level: int, extra_ll: int = 0) -> tuple[bool, str]:
         """Test membership of a matrix in the target order shape.
@@ -396,19 +377,16 @@ class LocalSplitting:
         if shape.kind == "none":
             return True, "no integrality constraint at the real place"
         entries = mat.entries()
-        if shape.kind == "ramified_maximal":
-            a, b, c, d = entries
-            for name, e in (("ul", a), ("ur", b), ("ll", c), ("lr", d)):
-                if not self.entry_val_at_least(e, 0):
-                    return False, f"{name} entry not integral"
-            if not (d - a.conj()).is_zero_mod(check_level):
-                return False, "lower-right entry is not the conjugate of the upper-left"
-            if not (c - b.conj() * self.scalar(Fraction(shape.q))).is_zero_mod(check_level):
-                return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
-            return True, ""
         for name, e in zip(("ul", "ur", "ll", "lr"), entries):
             if not self.entry_val_at_least(e, 0):
                 return False, f"{name} entry not integral"
+        if shape.kind == "ramified_maximal":
+            a, b, c, d = entries
+            if not (d - a.conj()).is_zero_mod(check_level):
+                return False, "lower-right entry is not the conjugate of the upper-left"
+            if not (c - b.conj() * self.scalar(shape.q)).is_zero_mod(check_level):
+                return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
+            return True, ""
         need = shape.ll_val + extra_ll
         if need and not self.entry_val_at_least(mat.c, need):
             return False, f"lower-left entry valuation below {need}"
@@ -424,7 +402,7 @@ class LocalSplitting:
         residues = []
         for e in hashimoto_basis(self.params):
             v = self._entry(self._terms[entry], e.numerators, e.denominator)
-            if isinstance(v, PadicNum):
+            if not self.exact:
                 residues.append(v.residue(m))
             elif v.denominator % q == 0:
                 raise PrecisionLossError(f"{v} is not {q}-integral")
@@ -433,13 +411,7 @@ class LocalSplitting:
         return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return frac_to_str(v)
-            if isinstance(v, (PadicNum, QuadRat, PadicQuad)):
-                return v.to_json()
-            return v
-
+        enc = frac_to_str if self.case == CASE_RATIONAL else lambda v: v.to_json()
         return {
             "place": self.place if self.place == INFINITE_PLACE else int(self.place),
             "case": self.case,
@@ -565,7 +537,7 @@ def _det4(rows):
     """
     if not isinstance(rows[0][0], PadicQuad):
         return det4(rows)
-    live = [[not _exact_zero(x) for x in row] for row in rows]
+    live = [[not x.is_exact_zero() for x in row] for row in rows]
     acc = None
     for perm, sign in _S4:
         if acc is not None and not (
@@ -595,12 +567,12 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
 
     report.add(
         "relations.i_square",
-        is_zero_mat(s.mat_i * s.mat_i + one * s.scalar(Fraction(dn))),
+        is_zero_mat(s.mat_i * s.mat_i + one * s.scalar(dn)),
         f"i^2 = {-dn}",
     )
     report.add(
         "relations.j_square",
-        is_zero_mat(s.mat_j * s.mat_j - one * s.scalar(Fraction(p))),
+        is_zero_mat(s.mat_j * s.mat_j - one * s.scalar(p)),
         f"j^2 = {p}",
     )
     report.add(
@@ -639,7 +611,7 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
             b = images[c]
             gram[r][c] = gram[c][r] = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
     det = _det4(gram)
-    target = s.scalar(Fraction(-(dn**2)))
+    target = s.scalar(-(dn**2))
     report.add(
         "discriminant.trace_form",
         s.entry_zero(det - target, check_level),

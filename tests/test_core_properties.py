@@ -235,6 +235,24 @@ def test_cached_radicand_matches_fresh_lift(data):
         assert outcome(lambda: u.val_at_least(m)) == outcome(lambda: ref_val_at_least(u, m))
 
 
+def test_padic_quad_arithmetic_takes_only_padic_quads():
+    z = PadicNum.exact_zero(3)
+    u = PadicQuad(PadicNum(3, 0, 2, 5), PadicNum(3, -2, 1, 4), 2)
+    # PadicNum arithmetic takes only PadicNums, and PadicQuad only PadicQuads.
+    pairs = [(x, c) for c in (3, Fraction(-2, 45)) for x in (u, u.a)] + [(u, u.a)]
+    for x, other in pairs:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    zero = PadicQuad(z, z, 2)
+    assert zero.is_exact_zero() and (zero * u).is_exact_zero() and (u * zero).is_exact_zero()
+    assert not PadicQuad(z, PadicNum(3, 7, 0, 0), 2).is_exact_zero()
+    assert not PadicQuad(PadicNum(3, 7, 0, 0), z, 2).is_exact_zero()
+    assert not u.is_exact_zero()
+
+
 def test_scalar_memo_never_caches_precision_loss():
     params = AlgebraParams(35, 3, 13, 5)
     spl = split.build_splitting(params, 11, k=6)
@@ -449,8 +467,8 @@ def test_padic_quad_scalar_path_matches_the_five_product_formula(data):
     digits = max(u.a.prec, u.b.prec, 1)
     for c in (3, Fraction(-2, 45), s.a):
         lifted = c if isinstance(c, PadicNum) else PadicNum.from_rational(c, q, digits)
-        want = quad_key(five_products(u, PadicQuad(lifted, PadicNum.exact_zero(q), u.rad)))
-        assert quad_key(u * c) == quad_key(c * u) == want
+        scalar = PadicQuad(lifted, PadicNum.exact_zero(q), u.rad)
+        assert quad_key(u * scalar) == quad_key(five_products(u, scalar))
     assert outcome(lambda: u.val_at_least(m)) == outcome(lambda: ref_val_at_least(u, m))
 
 

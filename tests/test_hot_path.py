@@ -10,7 +10,9 @@ callee edge, so the functions reachable from the boundary are known
 exactly; a boundary function that never runs reaches nothing.
 
 The ramified splitting certificate makes an exact number of ``PadicNum``
-products and sums: scalar products in Z_q[√p] take two of them.
+products and sums: scalar products in Z_q[√p] take two of them.  A local
+model's case fixes its coefficient ring, so its zero, valuation and
+exact-zero tests never ask a coefficient for its type.
 
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and a lattice intersection two (the kernel and
@@ -34,7 +36,14 @@ from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum, hensel_sqrt, is_prime
 from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
-from quatorder.split import CASE_RAMIFIED, PadicQuad, build_splitting, verify_splitting
+from quatorder.split import (
+    CASE_RAMIFIED,
+    LocalSplitting,
+    PadicQuad,
+    build_splitting,
+    verify_splitting,
+)
+from test_core_properties import MODELS
 
 BOUNDARY = (coords_in_hashimoto, QuatElem.coefficients, ZLattice4.contains, PsiMap.apply)
 
@@ -112,6 +121,30 @@ def test_ramified_splitting_certificate_makes_the_measured_padic_calls():
     # 271 sums and 50 differences, each a negation and a sum
     assert calls == {"__mul__": 446, "__add__": 321}
     assert reports[0].passed
+
+
+def test_local_model_coefficient_tests_make_no_type_check():
+    """Building and verifying every case's model runs each test, none of
+    which calls isinstance."""
+    reports = []
+
+    def run():
+        for delta, level, place, k in MODELS:
+            spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
+            reports.append(verify_splitting(spl))
+
+    stats = profile(run)
+    tests = (
+        LocalSplitting.entry_zero,
+        LocalSplitting.entry_val_at_least,
+        PadicNum.is_exact_zero,
+        PadicQuad.is_exact_zero,
+    )
+    assert all(_key(f) in stats for f in tests)
+    (isinstance_key,) = [k for k in stats if k[2] == "<built-in method builtins.isinstance>"]
+    callers = stats[isinstance_key][4]
+    assert [f.__qualname__ for f in tests if _key(f) in callers] == []
+    assert all(r.passed for r in reports)
 
 
 def test_qadic_valuation_test_makes_no_fraction():

@@ -168,6 +168,10 @@ def test_padic_roundtrip_and_arithmetic():
     assert (inv * x - PadicNum.from_rational(1, 11, 8)).is_zero_mod(8)
     z = PadicNum.exact_zero(11)
     assert z.is_zero_mod(50)
+    w = PadicNum.from_rational(Fraction(3, 11**2), 11, 8)  # a unit times 11^-2
+    assert z.is_exact_zero() and (z * x).is_exact_zero() and (w * z).is_exact_zero()
+    assert not PadicNum(11, 7, 0, 0).is_exact_zero()
+    assert not x.is_exact_zero() and not w.is_exact_zero()
 
 
 def test_padic_precision_guard():

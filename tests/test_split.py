@@ -48,6 +48,9 @@ def test_flagship_places_all_verify():
     for place in (3, 11, 13, 17, INFINITE_PLACE):
         report = verify_splitting(build_splitting(params, place))
         assert report.passed, (place, report.failures())
+    real = build_splitting(params, INFINITE_PLACE)
+    with pytest.raises(InvalidParametersError):  # Q(sqrt(p)) has no q-adic valuation
+        real.entry_val_at_least(real.mat_i.b, 0)
 
 
 def test_split_algebra_image_lattice():
