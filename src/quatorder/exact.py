@@ -336,7 +336,12 @@ class ZLattice4:
     @classmethod
     def _from_scaled(cls, d: int, int_rows: list, ambient) -> "ZLattice4":
         """The lattice spanned by (1/d)·int_rows, in reduced form."""
-        h = hnf(int_rows)
+        return cls._from_hnf(d, hnf(int_rows), ambient)
+
+    @classmethod
+    def _from_hnf(cls, d: int, h: list, ambient) -> "ZLattice4":
+        """The lattice (1/d)·h for int rows h already in HNF, in reduced form:
+        dividing an HNF by a common factor leaves it in HNF."""
         if not h:
             return cls(1, (), ambient)
         g = gcd(d, *[x for r in h for x in r])
@@ -365,8 +370,11 @@ class ZLattice4:
         """Whether (1/den)·nums lies in the lattice, for den > 0.
 
         nums need not be reduced against den, so integrality is decided per
-        coordinate.
+        coordinate.  A full-rank HNF is upper triangular, so its solve is
+        four unrolled steps; a lower rank runs the row loop.
         """
+        if len(nums) != 4:
+            raise InvalidParametersError("ZLattice4 vectors must have length 4")
         d = self.denom
         w = []
         for n in nums:
@@ -374,12 +382,26 @@ class ZLattice4:
             if n % den:
                 return False
             w.append(n // den)
-        for row, pc in zip(self.rows, self._pivots):
+        rows = self.rows
+        if len(rows) == 4:
+            (a, b, c, e), (_, f, g, h), (_, _, i, j), (_, _, _, k) = rows
+            w0, w1, w2, w3 = w
+            t, r = divmod(w0, a)
+            if r:
+                return False
+            w1, w2, w3 = w1 - t * b, w2 - t * c, w3 - t * e
+            t, r = divmod(w1, f)
+            if r:
+                return False
+            w2, w3 = w2 - t * g, w3 - t * h
+            t, r = divmod(w2, i)
+            return not r and not (w3 - t * j) % k
+        for row, pc in zip(rows, self._pivots):
             t, r = divmod(w[pc], row[pc])
             if r:
                 return False
-            if t:
-                w = [x - t * y for x, y in zip(w, row)]
+            for c in range(pc, 4):
+                w[c] -= t * row[c]
         return not any(w)
 
     def _check_ambient(self, other: "ZLattice4"):
@@ -393,8 +415,7 @@ class ZLattice4:
         # Zassenhaus: (a, a) and (b, 0) span {(a + b, a)}, whose vanishing part is A ∩ B
         d = lcm(self.denom, other.denom)
         gens = [r + r for r in self.scaled_rows(d)] + [r + [0] * 4 for r in other.scaled_rows(d)]
-        gens = _vanishing_part(gens, 4)
-        return ZLattice4._from_scaled(d, gens, self.ambient or other.ambient)
+        return ZLattice4._from_hnf(d, _vanishing_part(gens, 4), self.ambient or other.ambient)
 
     def index_in(self, superlattice: "ZLattice4") -> int:
         """[superlattice : self] for two full-rank lattices with self ⊆ superlattice.

@@ -340,7 +340,8 @@ class PadicNum:
     # the four fields: these are the innermost loops of every q-adic
     # certificate.  A sum is known modulo the smaller absolute precision m
     # and computed on the digits from the smaller valuation up to m; a zero
-    # keeps m (or the sentinel) as its valuation.
+    # keeps m (or the sentinel) as its valuation.  A zero known at least as
+    # far as the other term leaves it unchanged, so that term is the sum.
 
     def __add__(self, other):
         if not isinstance(other, PadicNum):
@@ -351,6 +352,10 @@ class PadicNum:
         sv, su, ov, ou = self.val, self.unit, other.val, other.unit
         m = sv + self.prec  # the absolute precision: a zero has prec 0
         om = ov + other.prec
+        if not ou and ov >= m:
+            return self
+        if not su and sv >= om:
+            return other
         if om < m:
             m = om
         base = sv if sv < ov else ov

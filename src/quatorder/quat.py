@@ -408,9 +408,10 @@ def _coords_ambient(params: AlgebraParams) -> tuple:
     return ("coords", params.delta, params.level, params.p)
 
 
-def coords_lattice(params: AlgebraParams, rows) -> ZLattice4:
-    """Lattice spanned by coordinate vectors over the order basis of R(N)."""
-    return ZLattice4.from_rows(rows, ambient=_coords_ambient(params))
+def coords_lattice(params: AlgebraParams, hnf_rows) -> ZLattice4:
+    """Lattice spanned by integer coordinate vectors over the order basis of
+    R(N), given in HNF (a ``congruence_kernel``, unit vectors)."""
+    return ZLattice4._from_hnf(1, hnf_rows, _coords_ambient(params))
 
 
 @lru_cache(maxsize=1024)

@@ -16,7 +16,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatorder import split
@@ -25,6 +25,7 @@ from quatorder.exact import (
     QuadRat,
     ZLattice4,
     _scaled_gram,
+    _vanishing_part,
     congruence_kernel,
     hnf,
     reduced_discriminant,
@@ -35,6 +36,7 @@ from quatorder.quat import (
     AlgebraParams,
     QuatElem,
     coords_in_hashimoto,
+    coords_lattice,
     coords_product,
     element_from_coords,
     hashimoto_basis,
@@ -412,6 +414,68 @@ def test_padic_kernel_matches_the_previous_kernel_and_fractions(pair):
         assert known_modulo_abs_prec(got, value)
     for got in (x + y, x - y):
         assert got.abs_prec == min(x.abs_prec, y.abs_prec)
+
+
+# --- zero absorption in the q-adic sum ---------------------------------------------
+# The reference is the general sum body, kept here without its shortcut: a zero
+# known at least as far as the other term must give that term's four fields,
+# and the kernel returns that term itself.
+
+
+def general_add(x, y):
+    q, sv, su, ov, ou = x.q, x.val, x.unit, y.val, y.unit
+    m = min(sv + x.prec, ov + y.prec)
+    base = min(sv, ov)
+    digits = m - base
+    if digits <= 0:
+        return PadicNum(q, m, 0, 0)
+    if sv > base:
+        su = su * q ** (sv - base) if su and sv < m else 0
+    if ov > base:
+        ou = ou * q ** (ov - base) if ou and ov < m else 0
+    r = (su + ou) % q**digits
+    if not r:
+        return PadicNum(q, m, 0, 0)
+    while not r % q:
+        r //= q
+        base += 1
+        digits -= 1
+    return PadicNum(q, base, r, digits)
+
+
+@st.composite
+def term_and_zero(draw):
+    """A term x and a zero z below, at or above x's absolute precision, an
+    exact zero, a zero a few steps below the sentinel, or any second term."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    x = draw(padic_nums(q))
+    kind = draw(st.sampled_from(("near", "exact", "sentinel", "any")))
+    if kind == "near":
+        z = PadicNum(q, x.abs_prec + draw(st.integers(-3, 3)), 0, 0)
+    elif kind == "exact":
+        z = PadicNum.exact_zero(q)
+    elif kind == "sentinel":
+        z = PadicNum(q, _ZERO_VAL - draw(st.integers(1, 8)), 0, 0)
+    else:
+        z = draw(padic_nums(q))
+    return x, z
+
+
+@SETTINGS
+@given(term_and_zero())
+@example((PadicNum(2, -3, 5, 4), PadicNum(2, 1, 0, 0)))  # zero at the absolute precision
+@example((PadicNum(2, -3, 5, 4), PadicNum(2, 0, 0, 0)))  # one digit below it
+@example((PadicNum(3, 2, 0, 0), PadicNum(3, 2, 0, 0)))  # two equal zeros
+@example((PadicNum.exact_zero(5), PadicNum(5, _ZERO_VAL - 2, 0, 0)))
+def test_an_absorbed_zero_returns_the_other_term(pair):
+    x, z = pair
+    for a, b in ((x, z), (z, x)):
+        got = a + b
+        assert padic_key(got) == padic_key(general_add(a, b))
+        if not b.unit and b.val >= a.abs_prec:
+            assert got is a
+        elif not a.unit and a.val >= b.abs_prec:
+            assert got is b
 
 
 def five_products(u, v):
@@ -881,6 +945,74 @@ def test_scaled_membership_matches_fraction_contains(rows, combo, shift, shift_d
     want = ref_contains(lat, vec)
     assert lat.contains_scaled(nums, den) == want
     assert lat.contains(vec) == want
+
+
+def fraction_solve(basis, vec):
+    """Whether vec is an integer combination of the independent rows of
+    basis: Gaussian elimination over Q on basisᵀ·c = vec, then integrality."""
+    r = len(basis)
+    m = [[Fraction(b[j]) for b in basis] + [Fraction(vec[j])] for j in range(4)]
+    for col in range(r):
+        piv = next(i for i in range(col, 4) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(4):
+            if i != col and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[col])]
+    if any(m[i][r] for i in range(r, 4)):
+        return False
+    return all(m[i][r].denominator == 1 for i in range(r))
+
+
+@st.composite
+def lattice_and_vector(draw, rank):
+    """A lattice of the rank and a vector (nums, den), den > 1 and the
+    numerators not reduced against it: a member, or one pushed off it."""
+    row = st.lists(st.one_of(st.integers(-9, 9), small_rational_st), min_size=4, max_size=4)
+    lat = ZLattice4.from_rows(draw(st.lists(row, min_size=rank, max_size=rank)))
+    assume(lat.rank == rank)
+    vec = [Fraction(0)] * 4
+    for c, b in zip(draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)),
+                    lat.basis()):
+        vec = [x + c * y for x, y in zip(vec, b)]
+    if draw(st.booleans()):
+        shift = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+        scale = draw(st.integers(1, 4)) * lat.denom
+        vec = [x + Fraction(s, scale) for x, s in zip(vec, shift)]
+    den = lcm(*[x.denominator for x in vec]) * draw(st.integers(2, 6))
+    return lat, [int(x * den) for x in vec], den
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+@SETTINGS
+@given(data=st.data())
+def test_membership_matches_a_fraction_solve(rank, data):
+    lat, nums, den = data.draw(lattice_and_vector(rank))
+    vec = [Fraction(n, den) for n in nums]
+    want = fraction_solve(lat.basis(), vec)
+    assert lat.contains_scaled(nums, den) == want
+    assert lat.contains(vec) == want
+
+
+@SETTINGS
+@given(
+    st.lists(st.lists(st.integers(-30, 30), min_size=4, max_size=4), min_size=1, max_size=3),
+    st.integers(0, 40),
+    lattice_rows_st,
+    lattice_rows_st,
+)
+def test_lattices_from_hnf_rows_match_from_rows(rows, modulus, a_rows, b_rows):
+    kernel = congruence_kernel(rows, modulus)
+    params = AlgebraParams.create(35, 3)
+    assert coords_lattice(params, kernel) == ZLattice4.from_rows(kernel)
+    a, b = ZLattice4.from_rows(a_rows), ZLattice4.from_rows(b_rows)
+    if not (a.rows and b.rows):
+        return
+    d = lcm(a.denom, b.denom)
+    gens = [r + r for r in a.scaled_rows(d)] + [r + [0] * 4 for r in b.scaled_rows(d)]
+    part = _vanishing_part(gens, 4)
+    want = ZLattice4.from_rows([[Fraction(x, d) for x in r] for r in part])
+    assert ZLattice4._from_hnf(d, part, None) == want == a.intersect(b)
 
 
 PSI_PAIRS = [(35, 9, 3), (35, 3, 17), (6, 25, 5), (1, 15, 5), (10, 21, 7), (35, 99, 11)]

@@ -104,6 +104,17 @@ def test_lattice_membership_and_index():
         ZLattice4.from_rows([[1, 0, 0]])
 
 
+@pytest.mark.parametrize("rank", [4, 2])
+@pytest.mark.parametrize("vec", [[1, 2, 3, 4, 5], [0, 0, 0, 0, 7], [1, 2, 3]])
+def test_membership_refuses_vectors_not_of_length_four(rank, vec):
+    lat = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(rank)])
+    assert lat.rank == rank
+    with pytest.raises(InvalidParametersError, match="length 4"):
+        lat.contains(vec)
+    with pytest.raises(InvalidParametersError, match="length 4"):
+        lat.contains_scaled(vec, 1)
+
+
 def test_lattice_intersection():
     a = ZLattice4.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
     b = ZLattice4.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]])

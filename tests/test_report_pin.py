@@ -6,8 +6,9 @@ list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
 ``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The last test
 replays single-object ``--json`` calls and compares them with
-``perfbench/frozen/calls.json`` using the gate's ``call_digest``.  The frozen
-files are read, never written.
+``perfbench/frozen/calls.json`` using the gate's ``call_digest``, and two
+q = 2 splittings, which that catalogue lacks, with digests pinned here.  The
+frozen files are read, never written.
 """
 
 import importlib.util
@@ -88,7 +89,30 @@ def _pinned_calls():
     return [pytest.param(key, digests[key], id=key) for key in picks]
 
 
-@pytest.mark.parametrize("key, digest", _pinned_calls())
+def _split_pins():
+    """The split cases the lower-median picks miss: the real place, from the
+    catalogue, and q = 2, which the catalogue never reaches.  At q = 2 the
+    order basis has denominator 2, so its images have negative valuation
+    (down to -2 at Δ = 6, N = 5, where a zero product also lands one step
+    below the exact-zero sentinel); the digests fix every printed zero."""
+    digests = json.loads((PERFBENCH / "frozen" / "calls.json").read_text())["digests"]
+    real = "split --delta 10 --level 1 --json --place inf"
+    return [
+        pytest.param(real, digests[real], id=real),
+        pytest.param(  # ramified model
+            "split --delta 6 --level 5 --json --place 2",
+            "2970384dafb137df1a2198e5839ffc747b7453b526746bdcd6c03b4c81cbabc0",
+            id="split --delta 6 --level 5 --json --place 2",
+        ),
+        pytest.param(  # unramified square model
+            "split --delta 15 --level 1 --json --place 2",
+            "301596143a3edef0456f024e7ba179c225560beca0a97d772755b1e22b2cc052",
+            id="split --delta 15 --level 1 --json --place 2",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("key, digest", _pinned_calls() + _split_pins())
 def test_single_object_output_matches_frozen_digest(capsys, key, digest):
     code = main(key.split())
     out = capsys.readouterr().out
