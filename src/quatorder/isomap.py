@@ -205,6 +205,14 @@ def inclusion_coordinate_formulas(psi: PsiMap) -> dict:
     }
 
 
+def _sample(params: AlgebraParams, rng) -> QuatElem:
+    """A random element whose coordinates are n/d with n in [-9, 9] and d in
+    {1, 2, 3}, drawn n then d per coordinate, scaled over lcm(1, 2, 3) = 6."""
+    return QuatElem._scaled(
+        params, *[rng.randint(-9, 9) * (6 // rng.choice((1, 2, 3))) for _ in range(4)], 6
+    )
+
+
 def verify_psi(psi: PsiMap, seed: int = 0) -> Report:
     """Check that the map is a ring isomorphism of the two presentations."""
     import random
@@ -232,8 +240,8 @@ def verify_psi(psi: PsiMap, seed: int = 0) -> Report:
     ok_norm = True
     ok_mult = True
     for _ in range(PSI_SAMPLES):
-        u = QuatElem(src, *[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(4)])
-        v = QuatElem(src, *[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(4)])
+        u = _sample(src, rng)
+        v = _sample(src, rng)
         if psi.apply(u).reduced_norm() != u.reduced_norm():
             ok_norm = False
         if psi.apply(u * v) != psi.apply(u) * psi.apply(v):

@@ -248,10 +248,12 @@ class LocalSplitting:
 
     mat_i, mat_j are the images of i, j, and mat_k = mat_i·mat_j; data holds
     the case-specific witnesses (norm-form solutions, square roots).
-    The case fixes the coefficient ring.  exact marks the rational and
-    real-place models, where zero means ``== 0`` and precision is ignored;
-    the q-adic models carry precision digits, and their coefficients answer
-    is_zero_mod, val_at_least, is_exact_zero and to_json.
+    The case fixes the coefficient ring.  The rational model holds Python
+    rationals, an int when integral and a Fraction otherwise, over int
+    generator matrices.  exact marks the rational and real-place models,
+    where zero means ``== 0`` and precision is ignored; the q-adic models
+    carry precision digits, and their coefficients answer is_zero_mod,
+    val_at_least, is_exact_zero and to_json.
     """
 
     __slots__ = (
@@ -299,9 +301,9 @@ class LocalSplitting:
 
     def _lift(self, num: int, den: int):
         if self.case == CASE_RATIONAL:
-            return Fraction(num, den)
+            return num // den if num % den == 0 else Fraction(num, den)
         if self.case == CASE_ARCHIMEDEAN:
-            return QuadRat(Fraction(num, den), 0, self.params.p)
+            return QuadRat._scaled(num, 0, den, (self.params.p, 1))
         q = self.place
         lifted = PadicNum.from_ratio(num, den, q, self.precision)
         if num and lifted.val <= -self.precision:
@@ -324,7 +326,14 @@ class LocalSplitting:
 
     def _entry(self, terms, nums, den: int):
         """One image entry: the sum, in generator order, of the non-zero
-        generator entries times the lifted non-zero coefficients nums/den."""
+        generator entries times the lifted non-zero coefficients nums/den.
+        The rational model's generator entries are ints, so there the entry
+        is one integer combination divided once by den."""
+        if self.case == CASE_RATIONAL:
+            total = 0
+            for g, img in terms:
+                total += nums[g] * img
+            return self._lift(total, den)
         acc = None
         for g, img in terms:
             n = nums[g]
@@ -463,9 +472,8 @@ def build_splitting(
     p = params.p
 
     if case == CASE_RATIONAL:
-        fr = Fraction
-        mi = Mat2(fr(0), fr(-1), fr(params.level), fr(0))
-        mj = Mat2(fr(-1), fr(0), fr(0), fr(1))
+        mi = Mat2(0, -1, params.level, 0)
+        mj = Mat2(-1, 0, 0, 1)
         return LocalSplitting(params, place, case, k, mi, mj, {})
 
     if case == CASE_ARCHIMEDEAN:
@@ -575,14 +583,15 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
         is_zero_mat(s.mat_j * s.mat_j - one * s.scalar(p)),
         f"j^2 = {p}",
     )
+    ij = s.mat_i * s.mat_j
     report.add(
         "relations.anticommute",
-        is_zero_mat(s.mat_i * s.mat_j + s.mat_j * s.mat_i),
+        is_zero_mat(ij + s.mat_j * s.mat_i),
         "ij + ji = 0",
     )
     report.add(
         "relations.k_matches",
-        is_zero_mat(s.mat_k - s.mat_i * s.mat_j),
+        is_zero_mat(s.mat_k - ij),
         "k = ij",
     )
 

@@ -11,6 +11,7 @@ always see with ``@example``.
 
 import functools
 import operator
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -30,7 +31,7 @@ from quatorder.exact import (
     hnf,
     reduced_discriminant,
 )
-from quatorder.isomap import build_psi
+from quatorder.isomap import _sample, build_psi
 from quatorder.numth import _ZERO_VAL, PadicNum, unit_residue, valuation
 from quatorder.quat import (
     AlgebraParams,
@@ -597,12 +598,21 @@ def is_exact_zero(x):
 
 
 def entry_key(v):
-    """Value and tracked precision of a coefficient-ring element."""
+    """Value and tracked precision of a coefficient-ring element, with the
+    type an exact element has."""
     if isinstance(v, PadicQuad):
         return entry_key(v.a), entry_key(v.b), v.rad
     if isinstance(v, PadicNum):
         return (v.q, "exact zero") if is_exact_zero(v) else padic_key(v)
     return type(v).__name__, v
+
+
+def reference_key(v):
+    """entry_key of a dense-reference entry, whose exact rationals are pinned
+    by value: an int when integral, a Fraction otherwise."""
+    if isinstance(v, (int, Fraction)):
+        return ("int" if v.denominator == 1 else "Fraction"), v
+    return entry_key(v)
 
 
 def assert_images_agree(spl, u):
@@ -611,7 +621,7 @@ def assert_images_agree(spl, u):
     if want == "precision loss":
         assert got == want
         return
-    assert [entry_key(e) for e in got.entries()] == [entry_key(e) for e in want.entries()]
+    assert [entry_key(e) for e in got.entries()] == [reference_key(e) for e in want.entries()]
 
 
 def test_models_cover_every_case():
@@ -642,6 +652,50 @@ def test_sparse_embed_matches_dense_reference_on_the_order():
         basis = hashimoto_basis(spl.params)
         for u in [*basis, *(x * y for x in basis for y in basis)]:
             assert_images_agree(spl, u)
+
+
+def test_rational_model_images_of_the_order_are_int_matrices():
+    rational = [i for i in range(len(MODELS)) if local_model(i).case == split.CASE_RATIONAL]
+    assert len(rational) == 2
+    for index in rational:
+        spl = local_model(index)
+        basis = hashimoto_basis(spl.params)
+        for u in [*basis, *(x * y for x in basis for y in basis)]:
+            assert [type(e) for e in spl.embed(u).entries()] == [int] * 4
+
+
+real_place_st = st.sampled_from([d for d in DELTAS if d > 1]).map(
+    lambda d: split.build_splitting(AlgebraParams.create(d, 1), "inf")
+)
+
+
+@SETTINGS
+@given(real_place_st, st.integers(-10**6, 10**6), st.integers(1, 60), st.integers(1, 12))
+@example(split.build_splitting(AlgebraParams.create(6, 1), "inf"), 0, 7, 3)
+@example(split.build_splitting(AlgebraParams.create(35, 3), "inf"), -6, 4, 5)
+def test_real_place_lift_stores_the_fields_of_the_rational_constructor(spl, num, den, g):
+    """The lift of num/den, reduced or not (scaled by g), zero included."""
+    want = QuadRat(Fraction(num, den), 0, spl.params.p)
+    got = spl._lift(num * g, den * g)
+    fields = ("_a", "_b", "_den", "_rad")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def old_psi_sample(params, rng):
+    """A ψ sample as drawn from Fraction coordinates, one per coordinate."""
+    return QuatElem(params, *[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(4)])
+
+
+def test_psi_samples_are_the_fraction_draws():
+    """Seeds 0-199, 24 draws each: the same elements and the same rng state."""
+    for seed in range(200):
+        params = AlgebraParams.create(*PAIRS[seed % len(PAIRS)])
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(24):
+            got = _sample(params, rng)
+            want = old_psi_sample(params, ref)
+            assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+            assert rng.getstate() == ref.getstate()
 
 
 def assert_det_agrees(rows):

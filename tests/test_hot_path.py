@@ -9,8 +9,14 @@ q-adic valuation test over Z_q[√p].  The profiler records each caller ->
 callee edge, so the functions reachable from the boundary are known
 exactly; a boundary function that never runs reaches nothing.
 
+The rational local model (Δ = 1) runs on int matrices, so its certificate
+builds no ``Fraction``; the ψ samples are drawn integer-scaled, and a
+degeneracy pair over the rational model builds only its determinant and
+discriminant witnesses.  These are counted in a warm process.
+
 The ramified splitting certificate makes an exact number of ``PadicNum``
-products and sums: scalar products in Z_q[√p] take two of them.  A local
+products and sums: scalar products in Z_q[√p] take two of them, and the
+relation checks share one i·j product.  A local
 model's case fixes its coefficient ring, so its zero, valuation and
 exact-zero tests never ask a coefficient for its type.  A sum with a zero
 known at least as far as its other term returns that term, so the models'
@@ -40,6 +46,7 @@ from quatorder.numth import PadicNum, hensel_sqrt, is_prime
 from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
 from quatorder.split import (
     CASE_RAMIFIED,
+    CASE_RATIONAL,
     LocalSplitting,
     PadicQuad,
     build_splitting,
@@ -120,8 +127,8 @@ def test_ramified_splitting_certificate_makes_the_measured_padic_calls():
     reports = []
     stats = profile(lambda: reports.append(verify_splitting(spl)))
     calls = {name: stats[_key(getattr(PadicNum, name))][1] for name in ("__mul__", "__add__")}
-    # 271 sums and 50 differences, each a negation and a sum
-    assert calls == {"__mul__": 446, "__add__": 321}
+    # 255 sums and 50 differences, each a negation and a sum; i·j is formed once
+    assert calls == {"__mul__": 418, "__add__": 305}
     assert reports[0].passed
 
 
@@ -150,8 +157,9 @@ def test_local_model_coefficient_tests_make_no_type_check():
 
 
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 3625 ``PadicNum``
-    instances; a sum that rebuilt its absorbed zeros made 5017."""
+    """Building and verifying every case's model makes 3465 ``PadicNum``
+    instances; a sum that rebuilt its absorbed zeros made 5017, and a
+    certificate that formed i·j twice made 3625."""
     split._radicand.cache_clear()
     reports = []
 
@@ -160,7 +168,42 @@ def test_local_models_build_the_measured_padic_numbers():
             spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
             reports.append(verify_splitting(spl))
 
-    assert profile(run)[_key(PadicNum.__init__)][1] == 3625
+    assert profile(run)[_key(PadicNum.__init__)][1] == 3465
+    assert all(r.passed for r in reports)
+
+
+def fractions_built(run) -> int:
+    """Fraction.__new__ calls in a second, warm run (caches filled by the first)."""
+    run()
+    stats = profile(run)
+    key = _key(Fraction.__new__)
+    return stats[key][1] if key in stats else 0
+
+
+def test_rational_model_certificate_builds_no_fraction():
+    spl = build_splitting(AlgebraParams.create(1, 9), 5)
+    reports = []
+    assert fractions_built(lambda: reports.append(verify_splitting(spl))) == 0
+    assert all(r.passed for r in reports)
+
+
+def test_level_map_samples_build_only_their_norms():
+    """31 Fractions: the 24 sample norms, six in the conic residual and one
+    in the image of k; the samples themselves are drawn integer-scaled."""
+    psi = build_psi(35, 9, 3)
+    reports = []
+    assert fractions_built(lambda: reports.append(verify_psi(psi))) == 31
+    assert all(r.passed for r in reports)
+
+
+def test_rational_degeneracy_pair_builds_the_measured_fractions():
+    """8 Fractions: per side the coordinate determinant, its absolute value
+    twice (test and witness) and the reduced discriminant; the rational
+    local model adds none."""
+    pair = degeneracy_bases(AlgebraParams.create(1, 9), 5)
+    assert pair.splitting.case == CASE_RATIONAL
+    reports = []
+    assert fractions_built(lambda: reports.append(verify_degeneracy(pair))) == 8
     assert all(r.passed for r in reports)
 
 

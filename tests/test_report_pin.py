@@ -6,7 +6,7 @@ list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
 ``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The last test
 replays single-object ``--json`` calls and compares them with
-``perfbench/frozen/calls.json`` using the gate's ``call_digest``, and two
+``perfbench/frozen/calls.json`` using the gate's ``call_digest``, and three
 q = 2 splittings, which that catalogue lacks, with digests pinned here.  The
 frozen files are read, never written.
 """
@@ -90,15 +90,24 @@ def _pinned_calls():
 
 
 def _split_pins():
-    """The split cases the lower-median picks miss: the real place, from the
-    catalogue, and q = 2, which the catalogue never reaches.  At q = 2 the
-    order basis has denominator 2, so its images have negative valuation
-    (down to -2 at Δ = 6, N = 5, where a zero product also lands one step
-    below the exact-zero sentinel); the digests fix every printed zero."""
+    """The split cases the lower-median picks miss: the real place and the
+    rational model at the infinite place, from the catalogue, and q = 2,
+    which the catalogue never reaches.  At q = 2 the order basis has
+    denominator 2: the q-adic images have negative valuation (down to -2 at
+    Δ = 6, N = 5, where a zero product also lands one step below the
+    exact-zero sentinel), and the rational model divides its integer
+    combinations by 2; the digests fix every printed entry."""
     digests = json.loads((PERFBENCH / "frozen" / "calls.json").read_text())["digests"]
     real = "split --delta 10 --level 1 --json --place inf"
+    rational = "split --delta 1 --level 9 --json --place inf"
     return [
         pytest.param(real, digests[real], id=real),
+        pytest.param(rational, digests[rational], id=rational),
+        pytest.param(  # rational model
+            "split --delta 1 --level 1 --json --place 2",
+            "91e8ff4ce85f14d075dfc278f04b4791b30584ecd2e8f08f021544f006e8230a",
+            id="split --delta 1 --level 1 --json --place 2",
+        ),
         pytest.param(  # ramified model
             "split --delta 6 --level 5 --json --place 2",
             "2970384dafb137df1a2198e5839ffc747b7453b526746bdcd6c03b4c81cbabc0",
