@@ -39,8 +39,8 @@ def main():
     e4 = hashimoto_basis(params)[3]
     img = spl.embed(e4)
     print(f"  phi(e4) where e4 = {pretty(e4)}:")
-    print(f"    upper-left  residue mod 11^3: {img.a.residue(3)}")
-    print(f"    lower-left  residue mod 11^3: {img.c.residue(3)}")
+    print(f"    upper-left  residue mod 11^3: {img.a % 11**3}")
+    print(f"    lower-left  residue mod 11^3: {img.c % 11**3}")
 
     print("\nverification at every supported place:")
     for place in places:

@@ -26,7 +26,7 @@ from math import prod
 
 from .errors import InvalidParametersError, RamifiedPlaceError
 from .exact import ZLattice4, det4, reduced_discriminant
-from .numth import PadicNum, is_prime
+from .numth import is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
@@ -136,11 +136,9 @@ def degeneracy_bases(
     p = params.p
 
     if case == DEG_NONSQUARE:
-        x = splitting.data["x"]
-        y = splitting.data["y"]
-        c1 = (y - x).residue(1)
+        c3 = splitting.data["x"].residue(1)
+        c1 = (splitting.data["y"].residue(1) - c3) % q
         c2 = pow(p, -1, q)
-        c3 = x.residue(1)
         consts = {"c1": c1, "c2": c2, "c3": c3}
         f = (e1, e2 * -c1 + e3, e2 * (-2 * c2 * (a * dn - c3)) + e4, e2 * q)
         g = (e1, e2 * c1 + e3, e2 * (-2 * c2 * (a * dn + c3)) + e4, e2 * q)
@@ -149,12 +147,10 @@ def degeneracy_bases(
     if case == DEG_SQUARE:
         if params.delta == 1:
             c, cp = 0, 1 % q
-        else:
-            omega = splitting.data["omega"]
-            two = PadicNum.from_rational(2, q, k)
-            p_adic = PadicNum.from_rational(p, q, k)
-            c = ((p_adic - omega) / two).residue(1)
-            cp = ((p_adic + omega) / two).residue(1)
+        else:  # the model's lifts of (p -/+ omega)/2, read mod q
+            omega = splitting.data["omega"].residue(k)
+            c = splitting.scalar(p - omega, 2) % q
+            cp = splitting.scalar(p + omega, 2) % q
         consts = {"c": c, "c_prime": cp}
         f = (e1, e2, e3 + e4 * -c, e4 * q)
         g = (e1, e2, e3 + e4 * -cp, e4 * q)

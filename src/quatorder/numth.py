@@ -266,7 +266,8 @@ class PadicNum:
     zero is stored with unit == 0 and prec == 0; ``val`` is then a lower bound
     on the valuation.  Arithmetic tracks the minimum surviving precision; ask
     questions with ``is_zero_mod`` / ``residue`` and you either get an answer
-    that is certain or a PrecisionLossError.
+    that is certain or a PrecisionLossError.  The local models are built from
+    PadicNums and certified on their residues.
     """
 
     __slots__ = ("q", "val", "unit", "prec")
@@ -316,11 +317,6 @@ class PadicNum:
     def is_zero_mod(self, m: int) -> bool:
         return self.val_at_least(m)
 
-    def is_exact_zero(self) -> bool:
-        """An exact zero, not one only to the working precision: the sentinel
-        valuation of ``exact_zero`` survives scaling by ordinary values."""
-        return not self.unit and self.val > _ZERO_VAL // 2
-
     def residue(self, m: int) -> int:
         """Canonical integer in [0, q**m) congruent to the value mod q**m."""
         if self.unit == 0:
@@ -337,8 +333,7 @@ class PadicNum:
 
     # -- arithmetic -------------------------------------------------------
     # Each operation but subtraction (a negation and a sum) is one body on
-    # the four fields: these are the innermost loops of every q-adic
-    # certificate.  A sum is known modulo the smaller absolute precision m
+    # the four fields.  A sum is known modulo the smaller absolute precision m
     # and computed on the digits from the smaller valuation up to m; a zero
     # keeps m (or the sentinel) as its valuation.  A zero known at least as
     # far as the other term leaves it unchanged, so that term is the sum.
@@ -397,20 +392,6 @@ class PadicNum:
         prec = self.prec if self.prec < other.prec else other.prec
         return PadicNum(q, self.val + other.val, self.unit * other.unit % q**prec, prec)
 
-    def __truediv__(self, other):
-        if not isinstance(other, PadicNum):
-            return NotImplemented
-        q = self.q
-        if other.q != q:
-            raise InvalidParametersError("mixed residue characteristics")
-        if other.unit == 0:
-            raise ZeroDivisionError("division by an (indistinguishable-from-)zero value")
-        if self.unit == 0:
-            return PadicNum(q, self.val - other.val, 0, 0)
-        prec = self.prec if self.prec < other.prec else other.prec
-        mod = q**prec
-        return PadicNum(q, self.val - other.val, self.unit * pow(other.unit, -1, mod) % mod, prec)
-
     def __repr__(self):
         if self.unit == 0:
             return f"O({self.q}^{self.val})"
@@ -456,15 +437,17 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
         raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
 
     if q == 2:
-        a = unit_residue(fa, 2, 2 ** max(k + 1, 3))  # one residue; step m reads it mod 2^(m+1)
+        a = unit_residue(fa, 2, 2 ** max(k + 1, 3))  # one residue, mod 2^(k+1)
         if a % 8 != 1:
             raise NoSquareRootError("2-adic squares among units are ≡ 1 mod 8")
-        # x² ≡ a (mod 2^(k+1)) fixes x mod 2^k up to sign, one digit short of it does not.
-        x = 1
-        for m in range(3, k + 1):
-            if (x * x - a) % 2 ** (m + 1):
-                x += 1 << (m - 1)
-        return PadicNum(2, 0, x, k)
+        # Newton on the inverse root: a·y² ≡ 1 (mod 2^m) gives it mod 2^(2m-2)
+        # for y(3 - a·y²)/2, which stays ≡ 1 (mod 4) from y = 1.  x = a·y has
+        # x² ≡ a (mod 2^(k+1)), which fixes x mod 2^k up to sign, and x ≡ 1 (mod 4).
+        y, m = 1, 3
+        while m < k + 1:
+            m = 2 * m - 2
+            y = y * ((3 - a * y * y) % (2 << m) // 2) % (1 << m)
+        return PadicNum(2, 0, a * y % (1 << k), k)
 
     a = unit_residue(fa, q, q**k)  # one residue mod q^k; each step reads it mod q^m
     x = sqrt_mod(a % q, q)

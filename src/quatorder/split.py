@@ -14,14 +14,16 @@ be sent to explicit 2x2 matrices over a concrete coefficient ring:
 The resulting map phi is checked, never trusted: verify_splitting replays the
 defining relations, the integrality of the order basis images, the shape of
 the image lattice, and the discriminant of the trace form, all at a stated
-q-adic accuracy: the working precision less the v_q(2p) digits the basis costs.
+q-adic level: the working precision k less the λ = v_q(2p) digits the basis
+costs.  A q-adic model prints its ``PadicNum`` generators but certifies on
+their exact residues mod q^k (int pairs a + b√p at a ramified q); a test
+deeper than the stated level raises PrecisionLossError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
+from math import gcd
 
 from .errors import (
     CaseMismatchError,
@@ -30,7 +32,6 @@ from .errors import (
 )
 from .exact import Mat2, QuadRat, ZLattice4, as_rational, congruence_kernel, det4, frac_to_str
 from .numth import (
-    _ZERO_VAL,
     INFINITE_PLACE,
     PadicNum,
     hensel_sqrt,
@@ -58,20 +59,11 @@ DEFAULT_PRECISION = 20
 MAX_MODULUS_DIGITS = 10_000
 
 
-@lru_cache(maxsize=256)
-def _radicand(rad: int, q: int, prec: int) -> PadicNum:
-    """The radicand lifted to q-adic precision prec (shared, never mutated)."""
-    return PadicNum.from_rational(rad, q, prec)
-
-
 class PadicQuad:
-    """Element a + b*sqrt(rad) of Z_q[sqrt(rad)] with q-adically truncated parts.
-
-    Used at ramified primes, where the quadratic extension Z_q[sqrt(p)] is the
-    natural coefficient ring.  The radicand stays a non-square unit mod q, so
-    the ring is an unramified quadratic extension and zero tests reduce to
-    componentwise zero tests.  Arithmetic takes only PadicQuad operands of
-    the same radicand, as PadicNum arithmetic takes only PadicNums.
+    """Element a + b*sqrt(rad) of Z_q[sqrt(rad)] with q-adically truncated parts:
+    the printed generators of a model at a ramified q.  Arithmetic takes only
+    PadicQuad operands of the same radicand, as PadicNum arithmetic takes only
+    PadicNums.
     """
 
     __slots__ = ("a", "b", "rad")
@@ -82,10 +74,6 @@ class PadicQuad:
         self.a = a
         self.b = b
         self.rad = rad
-
-    @classmethod
-    def root(cls, q: int, prec: int, rad: int) -> "PadicQuad":
-        return cls(PadicNum.exact_zero(q), PadicNum.from_rational(1, q, prec), rad)
 
     def _wrap(self, other) -> "PadicQuad":
         if not isinstance(other, PadicQuad):
@@ -103,74 +91,50 @@ class PadicQuad:
     def __neg__(self) -> "PadicQuad":
         return PadicQuad(-self.a, -self.b, self.rad)
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        return o if o is NotImplemented else self + (-o)
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        a, b, oa, ob = self.a, self.b, o.a, o.b
-        if ob.unit:
-            rad = _radicand(self.rad, a.q, max(a.prec, b.prec, 1))
-            return PadicQuad(a * oa + rad * b * ob, a * ob + b * oa, self.rad)
-        # A right factor with a zero b part (every lifted scalar): rad*b*ob
-        # and a*ob are zeros O(q^t) and O(q^s), their valuations capped at
-        # the sentinel as PadicNum products cap them.  Adding such a zero
-        # changes x = a*oa or y = b*oa only below its absolute precision, so
-        # the sum is formed only there: the fields match the general formula.
-        q = a.q
-        x, y = a * oa, b * oa
-        t = (0 if self.rad % q else valuation(self.rad, q)) + b.val
-        if t > _ZERO_VAL and not b.unit:
-            t = _ZERO_VAL
-        t = min(t + ob.val, _ZERO_VAL)
-        if t < x.val + x.prec:
-            x = x + PadicNum(q, t, 0, 0)
-        s = min(a.val + ob.val, _ZERO_VAL)
-        if s < y.val + y.prec:
-            y = PadicNum(q, s, 0, 0) + y
-        return PadicQuad(x, y, self.rad)
-
-    def conj(self) -> "PadicQuad":
-        return PadicQuad(self.a, -self.b, self.rad)
-
-    def norm(self) -> PadicNum:
-        rad = _radicand(self.rad, self.a.q, max(self.a.prec, self.b.prec, 1))
-        return self.a * self.a - rad * self.b * self.b
-
-    def is_exact_zero(self) -> bool:
-        return self.a.is_exact_zero() and self.b.is_exact_zero()
-
-    def is_zero_mod(self, m: int) -> bool:
-        """Coordinatewise truncation equality with zero (used for identities)."""
-        return self.a.is_zero_mod(m) and self.b.is_zero_mod(m)
-
-    def val_at_least(self, m: int) -> bool:
-        """Valuation bound in the ring of integers of Q_q(sqrt(rad)).
-
-        At q = 2 the maximal order is strictly larger than Z_2[sqrt(rad)]
-        (for rad = 5 mod 8 it contains (1 + sqrt(rad))/2), so integrality is
-        decided by the trace and norm: alpha is integral iff 2a, 2b and
-        a^2 - rad*b^2 all have non-negative valuation.  For odd q this
-        criterion collapses to componentwise integrality.
-        """
         a, b = self.a, self.b
-        q = a.q
-        if m:  # divide by q^m: the valuations shift, units and precisions stay
-            a = PadicNum(q, a.val - m, a.unit, a.prec)
-            b = PadicNum(q, b.val - m, b.unit, b.prec)
-        if not ((a + a).val_at_least(0) and (b + b).val_at_least(0)):
-            return False
-        rad = _radicand(self.rad, q, max(a.prec, b.prec, 1))
-        return (a * a - rad * b * b).val_at_least(0)
-
-    def __repr__(self) -> str:
-        return f"({self.a!r}) + ({self.b!r})*sqrt({self.rad})"
+        rad = PadicNum.from_rational(self.rad, a.q, max(a.prec, b.prec, 1))
+        return PadicQuad(a * o.a + rad * b * o.b, a * o.b + b * o.a, self.rad)
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json()}
+
+
+class QuadResidue:
+    """(a + b*sqrt(rad))/den modulo q^k, for ring = (q, q^k, rad): the
+    coefficients a ramified model certifies on.  den is a power of q that
+    shares no factor with both a and b, which are reduced mod q^k*den; den = 2
+    arises at q = 2, where the maximal order holds (1 + sqrt(rad))/2.
+    """
+
+    __slots__ = ("a", "b", "den", "ring")
+
+    def __init__(self, a: int, b: int, den: int, ring: tuple):
+        q, mod, _ = ring
+        while den > 1 and not (a % q or b % q):
+            a, b, den = a // q, b // q, den // q
+        self.a, self.b, self.den, self.ring = a % (mod * den), b % (mod * den), den, ring
+
+    def __add__(self, other):
+        den = max(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return QuadResidue(self.a * s + other.a * t, self.b * s + other.b * t, den, self.ring)
+
+    def __neg__(self) -> "QuadResidue":
+        return QuadResidue(-self.a, -self.b, self.den, self.ring)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b, c, d, ring = self.a, self.b, other.a, other.b, self.ring
+        return QuadResidue(a * c + ring[2] * b * d, a * d + b * c, self.den * other.den, ring)
+
+    def conj(self) -> "QuadResidue":
+        return QuadResidue(self.a, -self.b, self.den, self.ring)
 
 
 def classify_place(params: AlgebraParams, place) -> str:
@@ -246,74 +210,96 @@ _FIXED_SHAPES = {CASE_ARCHIMEDEAN: "none", CASE_RAMIFIED: "ramified_maximal"}
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
-    mat_i, mat_j are the images of i, j, and mat_k = mat_i·mat_j; data holds
-    the case-specific witnesses (norm-form solutions, square roots).
-    The case fixes the coefficient ring.  The rational model holds Python
-    rationals, an int when integral and a Fraction otherwise, over int
-    generator matrices.  exact marks the rational and real-place models,
-    where zero means ``== 0`` and precision is ignored; the q-adic models
-    carry precision digits, and their coefficients answer is_zero_mod,
-    val_at_least, is_exact_zero and to_json.
+    generators are the images of i and j as built, which to_json prints;
+    the certificates run on mat_i, mat_j and mat_k = mat_i·mat_j, and data
+    holds the case-specific witnesses (norm-form solutions, square roots).
+    The case fixes the coefficient ring.  exact marks the rational model
+    (an int when integral, a Fraction otherwise) and the real-place model:
+    there zero means ``== 0`` and precision is ignored.  A q-adic model's
+    matrices are its generators' residues mod q^k, ints or ``QuadResidue``
+    pairs, and an element with denominator q^v·d' has entries num/d' mod q^k
+    over q^v, known to check_level() when v <= λ, as for the order, whose
+    denominators divide 2p; a larger v is refused.
     """
 
     __slots__ = (
-        "params", "place", "case", "precision", "mat_i", "mat_j", "mat_k", "data", "shape",
-        "exact", "_scalars", "_one", "_terms",
+        "params", "place", "case", "precision", "generators", "mat_i", "mat_j", "mat_k",
+        "data", "shape", "exact", "_level", "_ring", "_dens", "_scalars", "_one", "_terms",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 mat_i: Mat2, mat_j: Mat2, data: dict):
+                 gen_i: Mat2, gen_j: Mat2, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
-        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_i * mat_j
+        self.generators = (gen_i, gen_j)
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
         finite = place != INFINITE_PLACE
         ll_val = valuation(params.level, place) if finite else 0
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
         self.shape = OrderShape(kind, place if finite else None, ll_val)
+        self._level = precision - (0 if exact else basis_digit_cost(params, place))
+        pair = case == CASE_RAMIFIED
+        mat_i, mat_j = gen_i, gen_j
+        if not exact:
+            self._ring = ring = (place, place**precision, params.p)
+            self._dens = {}
+            def res(e, k=precision):
+                if pair:
+                    return QuadResidue(e.a.residue(k), e.b.residue(k), 1, ring)
+                return e.residue(k)
+
+            mat_i, mat_j = (Mat2(*map(res, g.entries())) for g in (gen_i, gen_j))
+        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_i * mat_j
         # Lifted scalars by (numerator, denominator) pair, the identity, and
-        # for each matrix entry (ul, ur, ll, lr) the (generator index, image
-        # entry) pairs of 1, i, j, k whose entry is not an exact zero.
-        # Coefficient ring elements are never mutated, so sharing is safe.
+        # for each matrix entry (ul, ur, ll, lr) the index and the non-zero
+        # entry (its int parts on a ramified model) of each of 1, i, j, k.
         self._scalars = {}
         s1, s0 = self.scalar(1), self.scalar(0)
         self._one = Mat2(s1, s0, s0, s1)
-        gens = [m.entries() for m in (self._one, self.mat_i, self.mat_j, self.mat_k)]
+        gens = [m.entries() for m in (self._one, mat_i, mat_j, self.mat_k)]
         self._terms = tuple(
             tuple(
-                (g, img[e]) for g, img in enumerate(gens)
-                if not (img[e] == 0 if exact else img[e].is_exact_zero())
+                (g, img[e].a, img[e].b) if pair else (g, img[e])
+                for g, img in enumerate(gens)
+                if (img[e].a or img[e].b if pair else img[e] != 0)
             )
             for e in range(4)
         )
 
-    def scalar(self, value: Fraction):
-        """Lift a rational coefficient into the splitting's coefficient ring."""
+    def scalar(self, value, den: int = 1):
+        """Lift the rational value/den (den > 0) into the coefficient ring,
+        memoised by its (numerator, denominator) pair, which need not be reduced."""
         value = as_rational(value)
-        return self._scalar(value.numerator, value.denominator)
-
-    def _scalar(self, num: int, den: int):
-        """Lift num/den (den > 0, not necessarily reduced), memoised by the pair."""
-        lifted = self._scalars.get((num, den))
+        key = (value.numerator, value.denominator * den)
+        lifted = self._scalars.get(key)
         if lifted is None:
-            lifted = self._scalars[num, den] = self._lift(num, den)
+            lifted = self._scalars[key] = self._lift(*key)
         return lifted
 
-    def _lift(self, num: int, den: int):
-        if self.case == CASE_RATIONAL:
+    def _lift(self, num: int, den: int, root: int = 0):
+        """(num + root·sqrt(p))/den in the coefficient ring (root is 0 but on a
+        ramified model).  At a finite place, with den = q^v·d' and q ∤ d', it
+        is num/d' mod q^k over q^v, known to k - v digits: v > λ is refused."""
+        case = self.case
+        if case == CASE_RATIONAL:
             return num // den if num % den == 0 else Fraction(num, den)
-        if self.case == CASE_ARCHIMEDEAN:
-            return QuadRat._scaled(num, 0, den, (self.params.p, 1))
-        q = self.place
-        lifted = PadicNum.from_ratio(num, den, q, self.precision)
-        if num and lifted.val <= -self.precision:
-            raise PrecisionLossError(
-                f"denominator power of {q} in {Fraction(num, den)} exceeds working precision "
-                f"{self.precision}"
-            )
-        if self.case == CASE_RAMIFIED:
-            return PadicQuad(lifted, PadicNum.exact_zero(q), self.params.p)
-        return lifted
+        if case == CASE_ARCHIMEDEAN:
+            return QuadRat._scaled(1, 0, den, (self.params.p, 1)) * num
+        q, mod, _ = self._ring
+        split = self._dens.get(den)
+        if split is None:
+            qv = gcd(den, mod)
+            if qv == mod or qv > q ** (self.precision - self._level):
+                raise PrecisionLossError(
+                    f"the denominator {den} leaves {self.precision - valuation(den, q)} of the "
+                    f"{self.precision} working {q}-adic digits, fewer than {max(self._level, 1)}"
+                )
+            split = self._dens[den] = (qv, pow(den // qv, -1, mod))
+        qv, inv = split
+        if case == CASE_RAMIFIED:
+            return QuadResidue(num * inv, root * inv, qv, self._ring)
+        num = num * inv % mod
+        return num // qv if num % qv == 0 else Fraction(num, qv)
 
     def one(self) -> Mat2:
         return self._one
@@ -325,22 +311,16 @@ class LocalSplitting:
         return Mat2(*[self._entry(terms, u.numerators, u.denominator) for terms in self._terms])
 
     def _entry(self, terms, nums, den: int):
-        """One image entry: the sum, in generator order, of the non-zero
-        generator entries times the lifted non-zero coefficients nums/den.
-        The rational model's generator entries are ints, so there the entry
-        is one integer combination divided once by den."""
-        if self.case == CASE_RATIONAL:
-            total = 0
-            for g, img in terms:
-                total += nums[g] * img
-            return self._lift(total, den)
-        acc = None
+        """One image entry: the integer combination, in generator order, of
+        the non-zero generator entries with the numerators nums, lifted over
+        den once."""
+        if self.case == CASE_RAMIFIED:
+            a = sum(nums[g] * ra for g, ra, _ in terms)
+            return self._lift(a, den, sum(nums[g] * rb for g, _, rb in terms))
+        total = 0
         for g, img in terms:
-            n = nums[g]
-            if n:
-                term = img * self._scalar(n, den)
-                acc = term if acc is None else acc + term
-        return self._scalar(0, 1) if acc is None else acc
+            total = total + nums[g] * img
+        return self._lift(total, den)
 
     def check_level(self) -> int:
         """q-adic level the certificates assert: precision minus λ = v_q(2p).
@@ -348,33 +328,54 @@ class LocalSplitting:
         The order-basis images cost λ digits (``quat.basis_digit_cost``); exact
         coefficient rings ignore the level.  No digit left raises PrecisionLossError.
         """
-        level = self.precision - (0 if self.exact else basis_digit_cost(self.params, self.place))
-        if level < 1:
+        if self._level < 1:
             raise PrecisionLossError(
                 f"precision {self.precision} leaves no digit to assert at {self.place}, "
-                f"where the order basis costs {self.precision - level}"
+                f"where the order basis costs {self.precision - self._level}"
             )
-        return level
+        return self._level
+
+    def _modulus(self, m: int) -> int:
+        """q**m for a test to level m; a q-adic model refuses one deeper than
+        the level it asserts."""
+        if m > self._level and not self.exact:
+            raise PrecisionLossError(
+                f"a test at {self.place}-adic level {m} is deeper than level {self._level}, "
+                f"which precision {self.precision} asserts at {self.place}"
+            )
+        return self.place**m
 
     def entry_zero(self, value, check_level: int) -> bool:
         """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
-        return value == 0 if self.exact else value.is_zero_mod(check_level)
+        if self.exact:
+            return value == 0
+        qm = self._modulus(check_level)
+        if self.case == CASE_RAMIFIED:
+            qm *= value.den
+            return not (value.a % qm or value.b % qm)
+        return value % qm == 0
 
     def entry_val_at_least(self, value, m: int) -> bool:
         """Is the q-adic valuation of a coefficient-ring element at least m?
 
         For the global rational model at the real place "integral" degrades to
-        "integer", which is what its order images satisfy.
+        "integer", which is what its order images satisfy.  At a ramified q it
+        is whether value/q^m lies in the maximal order, which holds
+        (1 + sqrt(p))/2 at q = 2: whether its trace and norm are integral.
         """
-        if not self.exact:
-            return value.val_at_least(m)
         if self.case == CASE_ARCHIMEDEAN:
             raise InvalidParametersError("no q-adic valuation at the real place")
-        if value == 0:
-            return True
-        if self.place != INFINITE_PLACE:
-            return valuation(value, self.place) >= m
-        return value.denominator == 1
+        if self.exact:
+            if value == 0:
+                return True
+            if self.place != INFINITE_PLACE:
+                return valuation(value, self.place) >= m
+            return value.denominator == 1
+        qm = self._modulus(m)
+        if self.case == CASE_RAMIFIED:
+            a, b, qm = value.a, value.b, qm * value.den
+            return not (2 * a % qm or 2 * b % qm or (a * a - self.params.p * b * b) % (qm * qm))
+        return value % qm == 0
 
     def matrix_in_shape(self, mat: Mat2, check_level: int, extra_ll: int = 0) -> tuple[bool, str]:
         """Test membership of a matrix in the target order shape.
@@ -391,9 +392,9 @@ class LocalSplitting:
                 return False, f"{name} entry not integral"
         if shape.kind == "ramified_maximal":
             a, b, c, d = entries
-            if not (d - a.conj()).is_zero_mod(check_level):
+            if not self.entry_zero(d - a.conj(), check_level):
                 return False, "lower-right entry is not the conjugate of the upper-left"
-            if not (c - b.conj() * self.scalar(shape.q)).is_zero_mod(check_level):
+            if not self.entry_zero(c - b.conj() * self.scalar(shape.q), check_level):
                 return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
             return True, ""
         need = shape.ll_val + extra_ll
@@ -404,31 +405,29 @@ class LocalSplitting:
     def congruence_lattice(self, entry: int, m: int) -> ZLattice4:
         """Order-basis coordinates whose image has entry 1 (upper-right) or 2
         (lower-left) ≡ 0 mod q^m, solved from the residues of the basis images
-        (a rational model's entries must be q-integral) by generic lattice
-        machinery; no degeneracy or chain formula enters."""
+        (each entry must be q-integral) by generic lattice machinery; no
+        degeneracy or chain formula enters."""
         q = self.place
-        mod = q**m
+        mod = self._modulus(m)
         residues = []
         for e in hashimoto_basis(self.params):
             v = self._entry(self._terms[entry], e.numerators, e.denominator)
-            if not self.exact:
-                residues.append(v.residue(m))
-            elif v.denominator % q == 0:
+            if v.denominator % q == 0:
                 raise PrecisionLossError(f"{v} is not {q}-integral")
-            else:
-                residues.append(v.numerator * pow(v.denominator, -1, mod) % mod)
+            residues.append(v.numerator * pow(v.denominator, -1, mod) % mod)
         return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
         enc = frac_to_str if self.case == CASE_RATIONAL else lambda v: v.to_json()
+        gen_i, gen_j = self.generators
         return {
             "place": self.place if self.place == INFINITE_PLACE else int(self.place),
             "case": self.case,
             "precision": self.precision,
             "shape": self.shape.describe(),
-            "i": [enc(e) for e in self.mat_i.entries()],
-            "j": [enc(e) for e in self.mat_j.entries()],
-            "k": [enc(e) for e in self.mat_k.entries()],
+            "i": [enc(e) for e in gen_i.entries()],
+            "j": [enc(e) for e in gen_j.entries()],
+            "k": [enc(e) for e in (gen_i * gen_j).entries()],
             "data": {k: enc(v) for k, v in self.data.items()},
         }
 
@@ -477,11 +476,8 @@ def build_splitting(
         return LocalSplitting(params, place, case, k, mi, mj, {})
 
     if case == CASE_ARCHIMEDEAN:
-        d = Fraction(p)
-        zero = QuadRat(Fraction(0), Fraction(0), d)
-        one = QuadRat(Fraction(1), Fraction(0), d)
-        theta = QuadRat(Fraction(0), Fraction(1), d)
-        mi = Mat2(zero, one, QuadRat(Fraction(-dn), Fraction(0), d), zero)
+        zero, one, theta = (QuadRat(a, b, p) for a, b in ((0, 0), (1, 0), (0, 1)))
+        mi = Mat2(zero, one, QuadRat(-dn, 0, p), zero)
         mj = Mat2(theta, zero, zero, -theta)
         return LocalSplitting(params, place, case, k, mi, mj, {})
 
@@ -518,45 +514,12 @@ def build_splitting(
     z0 = PadicNum.exact_zero(q)
     pq = lambda u, v: PadicQuad(u, v, p)
     zero = pq(z0, z0)
-    theta = PadicQuad.root(q, k, p)
+    theta = pq(z0, pn(1))
     alpha = pq(x, -y)
     qn = pn(q)
     mi = Mat2(zero, alpha, pq(qn * x, qn * y), zero)
     mj = Mat2(-theta, zero, zero, theta)
     return LocalSplitting(params, place, case, k, mi, mj, {"x": x, "y": y})
-
-
-# The permutations of 0..3 in lexicographic order, each with its sign.
-_S4 = tuple(
-    (perm, -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2 else 1)
-    for perm in permutations(range(4))
-)
-
-
-def _det4(rows):
-    """Determinant of a 4x4 matrix over any commutative coefficient ring.
-
-    ``exact.det4``'s Laplace expansion, except over Z_q[sqrt(rad)], where it is
-    the 24-term permutation sum: there the precision is tracked per component,
-    and a Laplace minor can lose a digit that a product in the permutation sum
-    keeps.  A term with an exact-zero factor is an exact zero, which leaves a
-    sum unchanged in value and precision, so such terms are skipped after the
-    first one.
-    """
-    if not isinstance(rows[0][0], PadicQuad):
-        return det4(rows)
-    live = [[not x.is_exact_zero() for x in row] for row in rows]
-    acc = None
-    for perm, sign in _S4:
-        if acc is not None and not (
-            live[0][perm[0]] and live[1][perm[1]] and live[2][perm[2]] and live[3][perm[3]]
-        ):
-            continue
-        term = rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]] * rows[3][perm[3]]
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:
@@ -603,11 +566,9 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
             report.add(f"integrality.e{idx}", ok, why or "image lies in the local order")
 
     if s.case == CASE_AT_P:
-        root = s.data["s"]
-        diff = PadicNum.from_rational(params.a * dn, p, s.precision) - root
         report.add(
             "at_p.root_divisibility",
-            diff.val_at_least(1),
+            (params.a * dn - s.data["s"].residue(1)) % p == 0,
             f"a*dn - s = {params.a * dn} - sqrt(-dn) divisible by {p}",
         )
 
@@ -619,7 +580,7 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
         for c in range(r, 4):
             b = images[c]
             gram[r][c] = gram[c][r] = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
-    det = _det4(gram)
+    det = det4(gram)
     target = s.scalar(-(dn**2))
     report.add(
         "discriminant.trace_form",

@@ -165,7 +165,7 @@ def scaled_split_oracle(params, q, depth):
     digits = depth + basis_digit_cost(params, q)
     model = build_splitting(params, q, digits)
     scale = model.scalar(2 * params.p)
-    residues = [(model.embed(e).c * scale).residue(digits) for e in hashimoto_basis(params)]
+    residues = [model.embed(e).c * scale % q**digits for e in hashimoto_basis(params)]
     return coords_lattice(params, congruence_kernel([residues], q**digits))
 
 

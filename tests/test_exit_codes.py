@@ -143,3 +143,25 @@ def test_exit_code_tells_the_truth(argv):
         assert unexpected == [], (argv, unexpected)
     if code in (2, 3, 4):
         assert err, argv
+
+
+REFUSALS = (
+    # (argv at one digit too few, level the test needs, level the model asserts)
+    (["split", "--delta", "35", "--level", "9", "--place", "3", "--precision", "1"], 2, 1),
+    (["degeneracy", "--delta", "35", "--level", "9", "--q", "3", "--precision", "2"], 3, 2),
+    (["degeneracy", "--delta", "15", "--level", "2", "--q", "2", "--precision", "2"], 2, 1),
+)
+
+
+def test_a_test_deeper_than_the_asserted_level_exits_4_naming_both_levels():
+    """The level-9 order's congruence at 3 needs 3^2 (3^3 for the deeper
+    copy), and the deeper level-2 copy at 2 needs 2^2 where the order basis
+    costs a digit; with fewer working digits the model refuses rather than
+    guess."""
+    for argv, needed, asserted in REFUSALS:
+        code, out, err = run(argv)
+        assert (code, out) == (4, ""), argv
+        q = argv[argv.index("--place" if "--place" in argv else "--q") + 1]
+        assert f"{q}-adic level {needed} is deeper than level {asserted}" in err, err
+        code, out, err = run(argv[:-1] + ["3"])
+        assert code == 0 and out.splitlines()[-1].endswith("all pass"), argv

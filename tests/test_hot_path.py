@@ -4,23 +4,21 @@ The degeneracy and level-map certificates never cross into ``Fraction``.
 Both run on integer-scaled coordinates: ``scaled_coords``, scaled lattice
 membership, the structure-constant product and the integer matrix of ψ.
 Under the standard-library profiler, no ``Fraction.__new__`` call may be
-reached from the four ``Fraction`` boundary functions below, nor from the
-q-adic valuation test over Z_q[√p].  The profiler records each caller ->
-callee edge, so the functions reachable from the boundary are known
-exactly; a boundary function that never runs reaches nothing.
+reached from the four ``Fraction`` boundary functions below.  The profiler
+records each caller -> callee edge, so the functions reachable from the
+boundary are known exactly; a boundary function that never runs reaches
+nothing.
 
 The rational local model (Δ = 1) runs on int matrices, so its certificate
 builds no ``Fraction``; the ψ samples are drawn integer-scaled, and a
 degeneracy pair over the rational model builds only its determinant and
 discriminant witnesses.  These are counted in a warm process.
 
-The ramified splitting certificate makes an exact number of ``PadicNum``
-products and sums: scalar products in Z_q[√p] take two of them, and the
-relation checks share one i·j product.  A local
-model's case fixes its coefficient ring, so its zero, valuation and
-exact-zero tests never ask a coefficient for its type.  A sum with a zero
-known at least as far as its other term returns that term, so the models'
-structural zeros build no ``PadicNum``.
+A q-adic model keeps the ``PadicNum`` generators it prints, but its
+certificate runs on their residues mod q^k, ints or int pairs a + b√p:
+verifying it builds no ``PadicNum`` and no ``Fraction``.  A local model's
+case fixes its coefficient ring, so its zero and valuation tests never ask
+a coefficient for its type.
 
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and so is a lattice intersection, whose
@@ -38,17 +36,15 @@ from fractions import Fraction
 
 import pytest
 
-from quatorder import numth, split
+from quatorder import numth
 from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum, hensel_sqrt, is_prime
-from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto
+from quatorder.quat import AlgebraParams, QuatElem, coords_in_hashimoto, hashimoto_basis
 from quatorder.split import (
-    CASE_RAMIFIED,
     CASE_RATIONAL,
     LocalSplitting,
-    PadicQuad,
     build_splitting,
     verify_splitting,
 )
@@ -116,20 +112,22 @@ def test_level_map_certificates_make_no_fraction_at_the_boundary():
     assert all(r.passed for r in reports)
 
 
-def ramified_model():
-    spl = build_splitting(AlgebraParams.create(35, 3), 5)
-    assert spl.case == CASE_RAMIFIED
-    return spl
-
-
-def test_ramified_splitting_certificate_makes_the_measured_padic_calls():
-    spl = ramified_model()
-    reports = []
-    stats = profile(lambda: reports.append(verify_splitting(spl)))
-    calls = {name: stats[_key(getattr(PadicNum, name))][1] for name in ("__mul__", "__add__")}
-    # 255 sums and 50 differences, each a negation and a sum; i·j is formed once
-    assert calls == {"__mul__": 418, "__add__": 305}
-    assert reports[0].passed
+def test_qadic_splitting_certificates_build_no_padic_number_and_no_fraction():
+    """Every q-adic case's certificate runs on residues; the models and
+    their (memoised) order bases are built before the profiler starts."""
+    models = []
+    for delta, level, place, k in MODELS:
+        spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
+        if not spl.exact:
+            hashimoto_basis(spl.params)
+            models.append(spl)
+    assert len(models) == 10
+    for spl in models:
+        reports = []
+        stats = profile(lambda: reports.append(verify_splitting(spl)))
+        built = [_key(f) for f in (PadicNum.__init__, Fraction.__new__) if _key(f) in stats]
+        assert built == [], (spl.case, spl.place, built)
+        assert reports[0].passed
 
 
 def test_local_model_coefficient_tests_make_no_type_check():
@@ -143,12 +141,7 @@ def test_local_model_coefficient_tests_make_no_type_check():
             reports.append(verify_splitting(spl))
 
     stats = profile(run)
-    tests = (
-        LocalSplitting.entry_zero,
-        LocalSplitting.entry_val_at_least,
-        PadicNum.is_exact_zero,
-        PadicQuad.is_exact_zero,
-    )
+    tests = (LocalSplitting.entry_zero, LocalSplitting.entry_val_at_least)
     assert all(_key(f) in stats for f in tests)
     (isinstance_key,) = [k for k in stats if k[2] == "<built-in method builtins.isinstance>"]
     callers = stats[isinstance_key][4]
@@ -157,10 +150,9 @@ def test_local_model_coefficient_tests_make_no_type_check():
 
 
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 3465 ``PadicNum``
-    instances; a sum that rebuilt its absorbed zeros made 5017, and a
-    certificate that formed i·j twice made 3625."""
-    split._radicand.cache_clear()
+    """Building and verifying every case's model makes 80 ``PadicNum``
+    instances, all of them generators and witnesses; certificates that ran
+    on ``PadicNum`` arithmetic made 3465."""
     reports = []
 
     def run():
@@ -168,7 +160,7 @@ def test_local_models_build_the_measured_padic_numbers():
             spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
             reports.append(verify_splitting(spl))
 
-    assert profile(run)[_key(PadicNum.__init__)][1] == 3465
+    assert profile(run)[_key(PadicNum.__init__)][1] == 80
     assert all(r.passed for r in reports)
 
 
@@ -205,20 +197,6 @@ def test_rational_degeneracy_pair_builds_the_measured_fractions():
     reports = []
     assert fractions_built(lambda: reports.append(verify_degeneracy(pair))) == 8
     assert all(r.passed for r in reports)
-
-
-def test_qadic_valuation_test_makes_no_fraction():
-    spl = ramified_model()
-    entries = [e for m in (spl.mat_i, spl.mat_j, spl.mat_k) for e in m.entries()]
-    assert all(isinstance(e, PadicQuad) for e in entries)
-    seen = []
-
-    def run():
-        for m in (-1, 1, 2):
-            seen.extend(e.val_at_least(m) for e in entries)
-
-    assert fractions_from_boundary(run, (PadicQuad.val_at_least,)) == {}
-    assert True in seen and False in seen
 
 
 def test_lattice_certificates_run_one_elimination_per_kernel():
