@@ -150,27 +150,26 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
 
 
 class QuadRat:
-    """Exact element a + b·√d of Q(√d); d a fixed nonsquare rational.
+    """Exact element a + b·√d of Q(√d); d a fixed nonsquare int.
 
     Stored integer-scaled, like ``QuatElem``: two int numerators over one
     positive denominator, reduced so the three share no factor, and the
-    radicand as a reduced int pair (numerator, denominator).  The
-    representation is canonical, so equality and hashing compare ints;
-    ``.a/.b/.d`` hand out ``Fraction`` values.
+    radicand d.  The representation is canonical, so equality and hashing
+    compare ints; ``.a/.b`` hand out ``Fraction`` values.
     """
 
     __slots__ = ("_a", "_b", "_den", "_rad")
 
-    def __init__(self, a, b, d):
-        a, b, d = as_rational(a), as_rational(b), as_rational(d)
+    def __init__(self, a, b, d: int):
+        a, b = as_rational(a), as_rational(b)
         den = lcm(a.denominator, b.denominator)
         self._a = a.numerator * (den // a.denominator)
         self._b = b.numerator * (den // b.denominator)
         self._den = den
-        self._rad = (d.numerator, d.denominator)
+        self._rad = d
 
     @classmethod
-    def _scaled(cls, a: int, b: int, den: int, rad: tuple) -> "QuadRat":
+    def _scaled(cls, a: int, b: int, den: int, rad: int) -> "QuadRat":
         """(a + b·√d)/den for den > 0, reduced by the common gcd."""
         g = gcd(a, b, den)
         if g != 1:
@@ -186,10 +185,6 @@ class QuadRat:
     @property
     def b(self) -> Fraction:
         return Fraction(self._b, self._den)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(*self._rad)
 
     def _wrap(self, other):
         """other as an element of the same field, or NotImplemented."""
@@ -218,23 +213,14 @@ class QuadRat:
         o = self._wrap(other)
         return o if o is NotImplemented else self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return o
-        a, b, a2, b2 = self._a, self._b, o._a, o._b
-        rn, rd = self._rad
-        return QuadRat._scaled(
-            a * a2 * rd + rn * b * b2, (a * b2 + b * a2) * rd, self._den * o._den * rd, self._rad
-        )
+        a, b, a2, b2, rad = self._a, self._b, o._a, o._b, self._rad
+        return QuadRat._scaled(a * a2 + rad * b * b2, a * b2 + b * a2, self._den * o._den, rad)
 
     __rmul__ = __mul__
-
-    def conj(self) -> "QuadRat":
-        return QuadRat._scaled(self._a, -self._b, self._den, self._rad)
 
     def __eq__(self, other):
         if isinstance(other, QuadRat):
@@ -252,7 +238,7 @@ class QuadRat:
         return hash((self._a, self._b, self._den, self._rad))
 
     def __repr__(self):
-        return f"({frac_to_str(self.a)} + {frac_to_str(self.b)}*sqrt({self.d}))"
+        return f"({frac_to_str(self.a)} + {frac_to_str(self.b)}*sqrt({self._rad}))"
 
     def to_json(self) -> dict:
         return {"a": frac_to_str(self.a), "b": frac_to_str(self.b)}

@@ -265,7 +265,7 @@ class PadicNum:
     0 < unit < q**prec and q ∤ unit.  A value that is indistinguishable from
     zero is stored with unit == 0 and prec == 0; ``val`` is then a lower bound
     on the valuation.  Arithmetic tracks the minimum surviving precision; ask
-    questions with ``is_zero_mod`` / ``residue`` and you either get an answer
+    questions with ``val_at_least`` / ``residue`` and you either get an answer
     that is certain or a PrecisionLossError.  The local models are built from
     PadicNums and certified on their residues.
     """
@@ -313,9 +313,6 @@ class PadicNum:
         raise PrecisionLossError(
             f"cannot decide valuation >= {m}: only O({self.q}^{self.val}) known"
         )
-
-    def is_zero_mod(self, m: int) -> bool:
-        return self.val_at_least(m)
 
     def residue(self, m: int) -> int:
         """Canonical integer in [0, q**m) congruent to the value mod q**m."""

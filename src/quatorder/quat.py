@@ -15,9 +15,9 @@ e₄ = N·j + k.
 Elements are integer-scaled: x + y·i + z·j + t·k is stored as four int
 numerators over one positive common denominator, reduced by their gcd, so
 the representation is canonical.  Sums, products, conjugates, norms and
-traces run in integer arithmetic and divide once; ``.x/.y/.z/.t`` and
-``coefficients()`` hand out ``Fraction`` values for the public API.  Every
-order-basis denominator divides 2p, so the common denominator stays small.
+traces run in integer arithmetic and divide once; ``numerators`` and
+``denominator`` read the stored ints.  Every order-basis denominator divides
+2p, so the common denominator stays small.
 Order-basis coordinates are integer-scaled the same way (``scaled_coords``),
 and products of coordinate vectors go through the order's integer
 structure constants.
@@ -156,29 +156,9 @@ class QuatElem:
     def denominator(self) -> int:
         return self._den
 
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self._num[0], self._den)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self._num[1], self._den)
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(self._num[2], self._den)
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self._num[3], self._den)
-
     def _check(self, other: "QuatElem"):
         if self.params is not other.params and self.params != other.params:
             raise InvalidParametersError("elements of different algebras")
-
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        den = self._den
-        return tuple(Fraction(n, den) for n in self._num)
 
     def __add__(self, other):
         a, b, c, d = self._num
@@ -207,15 +187,6 @@ class QuatElem:
         a, b, c, d = self._num
         return QuatElem._scaled(self.params, -a, -b, -c, -d, self._den)
 
-    def __sub__(self, other):
-        if isinstance(other, QuatElem):
-            self._check(other)
-            return self + (-other)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a1, b1, c1, d1 = self._num
         if not isinstance(other, QuatElem):
@@ -236,9 +207,6 @@ class QuatElem:
             a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
             self._den * other._den,
         )
-
-    def __rmul__(self, other):
-        return self * other  # scalars commute
 
     def conj(self) -> "QuatElem":
         a, b, c, d = self._num

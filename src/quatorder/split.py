@@ -284,7 +284,7 @@ class LocalSplitting:
         if case == CASE_RATIONAL:
             return num // den if num % den == 0 else Fraction(num, den)
         if case == CASE_ARCHIMEDEAN:
-            return QuadRat._scaled(1, 0, den, (self.params.p, 1)) * num
+            return QuadRat._scaled(1, 0, den, self.params.p) * num
         q, mod, _ = self._ring
         split = self._dens.get(den)
         if split is None:

@@ -1,9 +1,23 @@
-"""Every function, method and class in the package is used somewhere.
+"""Every function and method in the package is reached, and the package
+exports exactly its declared surface.
 
-A definition counts as used when its name appears, as a whole word, more
-often across the package, the tests, the demos and the benchmark than it is
-defined in the package.  The package's ``__init__.py`` is not searched: a
-re-export is not a use.  Dunder methods are exempt: the language calls them.
+The reachability guard runs ``CATALOGUE`` in one process under
+``sys.setprofile``: every command as text and as ``--json``, every local-model
+case, the exit-2/3/4 paths, a narrowed sweep over all five sections, the
+factorisation that needs Pollard–Brent rho, the demos and the README
+quickstart.  Every function and method defined in the package must be
+called, apart from the object-protocol dunders in ``PROTOCOL`` and the
+entries of ``allowed()``, each with its reason: the targets that
+``perfbench/tracer.py`` traces, and the methods a named test uses as the
+reference for another method.  A failure lists ``module.py:line qualname``
+for each unreached definition.  To cover a new entry point, extend
+``CATALOGUE``.
+
+``__all__`` is sorted, has no duplicates, equals the names ``__init__.py``
+imports, and holds exactly the names that a README code block, a demo or a
+``perfbench/`` file imports from ``quatorder``, plus the error classes of
+the exit-code contract.  The README quickstart prints the basis its comment
+shows.
 
 No module of the package reads the environment, so each value has one way
 to be set: a command-line option or a constant.
@@ -18,41 +32,191 @@ process that starts ``quatorder`` would otherwise pay for that import chain.
 """
 
 import ast
+import contextlib
+import io
 import os
 import re
+import runpy
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
+
+import quatorder.cli
+from quatorder import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quatorder"
-SEARCHED = ("src", "tests", "demos", "perfbench")
+README = (ROOT / "README.md").read_text()
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 HEAVY_IMPORTS = {"dataclasses", "inspect"}
+PROTOCOL = {"__init__", "__repr__", "__str__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+QUICKSTART = re.search(r"## Library quickstart\s+```python\n(.*?)```", README, re.S).group(1)
+
+# One entry per run: a list is a ``quatorder`` argv, a Path a demo script run
+# as __main__, and a str Python source.
+CATALOGUE = [
+    ["construct", "--delta", "35", "--level", "3"],
+    ["construct", "--delta", "35", "--level", "3", "--json"],
+    # Trial division leaves 9879027419 = 99391 · 99397 to Pollard–Brent rho.
+    ["construct", "--delta", "9879027419", "--json"],
+    ["split", "--delta", "1", "--level", "3", "--place", "5"],  # rational
+    ["split", "--delta", "1", "--level", "3", "--place", "5", "--json"],
+    ["split", "--delta", "35", "--level", "3", "--place", "3"],  # square
+    ["split", "--delta", "35", "--level", "3", "--place", "11", "--json"],  # non-square
+    ["split", "--delta", "35", "--level", "3", "--place", "p", "--json"],  # at p
+    ["split", "--delta", "35", "--level", "3", "--place", "7", "--json"],  # ramified, odd q
+    ["split", "--delta", "6", "--level", "1", "--place", "2", "--json"],  # ramified, q = 2
+    ["split", "--delta", "35", "--level", "3", "--place", "inf"],  # real place
+    ["split", "--delta", "35", "--level", "3", "--place", "inf", "--json"],
+    ["degeneracy", "--delta", "35", "--level", "3", "--q", "11"],
+    ["degeneracy", "--delta", "35", "--level", "3", "--q", "11", "--json"],
+    ["psi", "--delta", "35", "--src", "9", "--dst", "3"],
+    ["psi", "--delta", "35", "--src", "3", "--dst", "17", "--json"],
+    ["chain", "--delta", "35", "--q", "19", "--family", "3,11,13,19"],
+    ["chain", "--delta", "35", "--q", "19", "--json"],
+    ["verify", "--deltas", "35,6,1", "--levels", "1,3,9", "--places", "2,3,5,11,13,p,inf"],
+    ["verify", "--deltas", "35", "--levels", "3", "--places", "11", "--json"],
+    ["construct", "--delta", "30"],  # exit 2: three discriminant primes
+    ["degeneracy", "--delta", "35", "--level", "3", "--q", "5"],  # exit 3: ramified q
+    ["split", "--delta", "35", "--level", "9", "--place", "3", "--precision", "1"],  # exit 4
+    *DEMOS,
+    QUICKSTART,
+]
+
+# Methods kept unreached because a test uses them as the reference for
+# another method.
+TEST_REFERENCES = {
+    "exact.Mat2.det": "tests/test_split.py::test_embedding_determinant_is_norm "
+    "checks the embedding's determinant against the reduced norm",
+    "quat.QuatElem.conj": "tests/test_quat.py::test_norm_trace_multiplicative "
+    "checks reduced_trace and reduced_norm against u + conj(u) and u·conj(u)",
+    "exact.ZLattice4.basis": "tests/test_core_properties.py::"
+    "test_scaled_membership_matches_fraction_contains builds lattice vectors from it",
+}
 
 
-def _definitions() -> Counter:
-    names = Counter()
+def definitions() -> dict:
+    """(path, first line of the code object) -> (def line, "module.qualname")
+    for every function and method, nested ones included, defined in the package."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A decorated function's code object starts at its first decorator.
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = (child.lineno, prefix + child.name)
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    names[node.name] += 1
-    return names
+        walk(ast.parse(path.read_text(), filename=str(path)), path, f"{path.stem}.")
+    return found
 
 
-def test_no_unused_definitions():
-    defined = _definitions()
-    text = "\n".join(
-        path.read_text()
-        for top in SEARCHED
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path != PACKAGE / "__init__.py"
+def allowed() -> dict:
+    """"module.qualname" -> the reason that definition may go unreached."""
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"
     )
-    words = Counter(re.findall(r"\w+", text))
-    dead = sorted(name for name, n in defined.items() if words[name] <= n)
-    assert dead == [], f"defined but never referenced: {dead}"
+    reasons = {f"{mod}.{name}": "traced by perfbench/tracer.py" for mod, name, _ in targets}
+    reasons.update(TEST_REFERENCES)
+    return reasons
+
+
+def run_catalogue() -> set:
+    """The (resolved path, first line) of every code object the catalogue calls."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("quatorder."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()  # a memoised body must run again
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for entry in CATALOGUE:
+                if isinstance(entry, list):
+                    quatorder.cli.main(entry)
+                elif isinstance(entry, Path):
+                    runpy.run_path(str(entry), run_name="__main__")
+                else:
+                    exec(entry, {})
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
+
+
+def test_every_definition_is_reached():
+    found, reasons = definitions(), allowed()
+    names = {name for _, name in found.values()}
+    assert set(TEST_REFERENCES) <= names, "a test reference names no definition"
+    reached = run_catalogue()
+    unreached = [
+        f"{Path(key[0]).name}:{line} {name.split('.', 1)[1]}"
+        for key, (line, name) in sorted(found.items())
+        if key not in reached
+        and name.rsplit(".", 1)[-1] not in PROTOCOL
+        and name not in reasons
+    ]
+    assert unreached == [], "reached by no catalogue entry:\n" + "\n".join(unreached)
+
+
+def test_readme_quickstart_prints_its_basis_and_all_is_what_init_imports(capsys):
+    exec(QUICKSTART, {})
+    basis = re.search(r"^# (\[.*\])$", QUICKSTART, re.M).group(1)
+    assert capsys.readouterr().out.splitlines()[0] == basis
+    exported = quatorder.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(exported) == imported
+
+
+def _imported_from_package(source: str) -> set:
+    """Names that source takes from ``quatorder``: ``from quatorder import x``
+    or ``quatorder.x``, submodules excluded."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "quatorder":
+            names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "quatorder"):
+            names.add(node.attr)
+    return {name for name in names if f"quatorder.{name}" not in sys.modules}
+
+
+def test_all_is_what_readme_demos_and_benchmark_import_plus_the_errors():
+    sources = PYTHON_BLOCKS + [path.read_text() for path in DEMOS]
+    sources += [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    used = set().union(*map(_imported_from_package, sources))
+    contract = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.QuatOrderError)
+    }
+    assert set(quatorder.__all__) == used | contract
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:

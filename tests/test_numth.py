@@ -163,10 +163,10 @@ def test_padic_roundtrip_and_arithmetic():
     x = PadicNum.from_rational(35, 11, 8)
     y = PadicNum.from_rational(-4, 11, 8)
     assert (x + y).residue(3) == 31
-    assert (x * y - PadicNum.from_rational(-140, 11, 8)).is_zero_mod(8)
+    assert (x * y - PadicNum.from_rational(-140, 11, 8)).val_at_least(8)
     z = PadicNum.exact_zero(11)
     w = PadicNum.from_rational(Fraction(3, 11**2), 11, 8)  # a unit times 11^-2
-    assert z.is_zero_mod(50) and (z * x).is_zero_mod(50) and (w * z).is_zero_mod(50)
+    assert z.val_at_least(50) and (z * x).val_at_least(50) and (w * z).val_at_least(50)
 
 
 def test_padic_precision_guard():
@@ -186,7 +186,7 @@ def test_hensel_squares_high_precision():
             while x % q == 0:
                 x = rng.randint(1, 50_000)
             r = hensel_sqrt(x * x, q, 24)
-            assert (r * r - PadicNum.from_rational(x * x, q, 24)).is_zero_mod(24)
+            assert (r * r - PadicNum.from_rational(x * x, q, 24)).val_at_least(24)
             assert r.residue(24) in (x % q**24, -x % q**24), (q, x)
 
 
@@ -223,7 +223,7 @@ def test_hensel_roots_are_normalized_at_every_precision():
             for k in range(1, 9):
                 r = hensel_sqrt(a, q, k)
                 assert r.residue(1) <= q // 2, (a, q, k)
-                assert (r * r - PadicNum.from_rational(a, q, k)).is_zero_mod(k), (a, q, k)
+                assert (r * r - PadicNum.from_rational(a, q, k)).val_at_least(k), (a, q, k)
     for a in range(1, 2**10, 8):
         for k in range(2, 13):
             assert hensel_sqrt(a, 2, k).residue(2) == 1, (a, k)
@@ -255,7 +255,7 @@ def test_hensel_lift_at_wide_places_matches_the_per_step_lift(q, k, x0, t, d):
     d += d % q == 0
     a = Fraction(x0 * x0 + q * t, d * d)
     r = hensel_sqrt(a, q, k)
-    assert (r * r - PadicNum.from_rational(a, q, k)).is_zero_mod(k)
+    assert (r * r - PadicNum.from_rational(a, q, k)).val_at_least(k)
     assert r.residue(1) == sqrt_mod(unit_residue(a, q, q), q)
     assert r.residue(k) == per_step_lift(a, q, k)
 
@@ -265,15 +265,15 @@ def test_solve_norm_equation_conventions():
     # unit mod 11, so x is an exact zero and y the canonical root of 105/13
     x, y = solve_norm_equation(13, -105, 11, 12)
     lhs = x * x - PadicNum.from_rational(13, 11, 12) * y * y
-    assert (lhs - PadicNum.from_rational(-105, 11, 12)).is_zero_mod(12)
-    assert x.is_zero_mod(12)
+    assert (lhs - PadicNum.from_rational(-105, 11, 12)).val_at_least(12)
+    assert x.val_at_least(12)
     assert y.residue(12) == hensel_sqrt(Fraction(105, 13), 11, 12).residue(12)
 
 
 def test_solve_norm_equation_two_adic():
     x, y = solve_norm_equation(5, -11, 2, 12)
     lhs = x * x - PadicNum.from_rational(5, 2, 12) * y * y
-    assert (lhs - PadicNum.from_rational(-11, 2, 12)).is_zero_mod(10)
+    assert (lhs - PadicNum.from_rational(-11, 2, 12)).val_at_least(10)
     with pytest.raises(NotANormError):
         solve_norm_equation(13, 11, 11, 8)
 
