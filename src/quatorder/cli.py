@@ -102,9 +102,6 @@ def _entry_brief(e) -> str:
         q, prec, res = e["q"], e["prec"], int(e["residue"])
         if res == 0:
             return "0"
-        if "val" in e:
-            show = min(prec, 6)
-            return f"{q}^{e['val']}*({res % q**show}+O({q}^{show}))"
         show = min(prec, 6)
         return f"{res % q**show}+O({q}^{show})"
     if "a" in e and "b" in e:

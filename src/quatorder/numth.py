@@ -395,30 +395,23 @@ class PadicNum:
         return f"{self.unit}*{self.q}^{self.val} + O({self.q}^{self.abs_prec})"
 
     def to_json(self) -> dict:
-        """The residue as a decimal string: modulo q**prec beside "val" when
-        the valuation is negative, else modulo q**abs_prec.
+        """The residue modulo q**abs_prec as a decimal string.
 
         Raises InvalidParametersError up front when that modulus has more
         decimal digits than the interpreter converts to text
-        (``sys.get_int_max_str_digits``, 4300 by default).
+        (``sys.get_int_max_str_digits``, 4300 by default), and
+        PrecisionLossError for a negative valuation, as ``residue`` does.
         """
         m = self.abs_prec
-        body = {"q": self.q, "prec": m}
         if self.unit:
-            digits = self.prec if self.val < 0 else m
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and self.q**digits > 10**limit:
+            if limit and self.q**m > 10**limit:
                 raise InvalidParametersError(
-                    f"a residue modulo {self.q}^{digits} can have more than {limit} decimal "
+                    f"a residue modulo {self.q}^{m} can have more than {limit} decimal "
                     f"digits, the interpreter's limit for integer-to-text conversion "
                     f"(sys.get_int_max_str_digits); lower the precision"
                 )
-        if self.unit and self.val < 0:
-            body["val"] = self.val
-            body["residue"] = str(self.unit % self.q**self.prec)
-        else:
-            body["residue"] = str(0 if self.unit == 0 else self.unit * self.q**self.val % self.q**m)
-        return body
+        return {"q": self.q, "prec": m, "residue": str(self.residue(m))}
 
 
 def hensel_sqrt(a, q: int, k: int) -> PadicNum:

@@ -15,9 +15,10 @@ The resulting map phi is checked, never trusted: verify_splitting replays the
 defining relations, the integrality of the order basis images, the shape of
 the image lattice, and the discriminant of the trace form, all at a stated
 q-adic level: the working precision k less the λ = v_q(2p) digits the basis
-costs.  A q-adic model prints its ``PadicNum`` generators but certifies on
-their exact residues mod q^k (int pairs a + b√p at a ramified q); a test
-deeper than the stated level raises PrecisionLossError.
+costs.  Each model states the images of i, j and k; a q-adic model prints
+them as ``PadicNum`` entries (pairs (a, b) = a + b√p at a ramified q) but
+certifies on their exact residues mod q^k; a test deeper than the stated
+level raises PrecisionLossError.
 """
 
 from __future__ import annotations
@@ -57,50 +58,6 @@ DEFAULT_PRECISION = 20
 # Decimal digits of the largest modulus q**k a model at a finite place
 # works modulo, so the working precision bounds the time a model takes.
 MAX_MODULUS_DIGITS = 10_000
-
-
-class PadicQuad:
-    """Element a + b*sqrt(rad) of Z_q[sqrt(rad)] with q-adically truncated parts:
-    the printed generators of a model at a ramified q.  Arithmetic takes only
-    PadicQuad operands of the same radicand, as PadicNum arithmetic takes only
-    PadicNums.
-    """
-
-    __slots__ = ("a", "b", "rad")
-
-    def __init__(self, a: PadicNum, b: PadicNum, rad: int):
-        if a.q != b.q:
-            raise InvalidParametersError("mixed residue primes in quadratic q-adic element")
-        self.a = a
-        self.b = b
-        self.rad = rad
-
-    def _wrap(self, other) -> "PadicQuad":
-        if not isinstance(other, PadicQuad):
-            return NotImplemented
-        if other.rad != self.rad:
-            raise InvalidParametersError("mixed radicands in quadratic q-adic arithmetic")
-        return other
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        return PadicQuad(self.a + o.a, self.b + o.b, self.rad)
-
-    def __neg__(self) -> "PadicQuad":
-        return PadicQuad(-self.a, -self.b, self.rad)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        a, b = self.a, self.b
-        rad = PadicNum.from_rational(self.rad, a.q, max(a.prec, b.prec, 1))
-        return PadicQuad(a * o.a + rad * b * o.b, a * o.b + b * o.a, self.rad)
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json()}
 
 
 class QuadResidue:
@@ -210,27 +167,28 @@ _FIXED_SHAPES = {CASE_ARCHIMEDEAN: "none", CASE_RAMIFIED: "ramified_maximal"}
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
-    generators are the images of i and j as built, which to_json prints;
-    the certificates run on mat_i, mat_j and mat_k = mat_i·mat_j, and data
-    holds the case-specific witnesses (norm-form solutions, square roots).
-    The case fixes the coefficient ring.  exact marks the rational model
-    (an int when integral, a Fraction otherwise) and the real-place model:
-    there zero means ``== 0`` and precision is ignored.  A q-adic model's
-    matrices are its generators' residues mod q^k, ints or ``QuadResidue``
-    pairs, and an element with denominator q^v·d' has entries num/d' mod q^k
-    over q^v, known to check_level() when v <= λ, as for the order, whose
-    denominators divide 2p; a larger v is refused.
+    generators are the stated images of i, j and k, which to_json prints;
+    the certificates run on mat_i, mat_j and mat_k, and relations.k_matches
+    checks the stated k against mat_i·mat_j.  data holds the case-specific
+    witnesses (norm-form solutions, square roots).  The case fixes the
+    coefficient ring.  exact marks the rational model (an int when integral,
+    a Fraction otherwise) and the real-place model: there zero means ``== 0``
+    and precision is ignored.  A q-adic model's matrices are its generators'
+    residues mod q^k, ints or, from the PadicNum pairs (a, b) of a ramified
+    q, ``QuadResidue`` pairs; an element with denominator q^v·d' has entries
+    num/d' mod q^k over q^v, known to check_level() when v <= λ, as for the
+    order, whose denominators divide 2p; a larger v is refused.
     """
 
     __slots__ = (
         "params", "place", "case", "precision", "generators", "mat_i", "mat_j", "mat_k",
-        "data", "shape", "exact", "_level", "_ring", "_dens", "_scalars", "_one", "_terms",
+        "data", "shape", "exact", "_level", "_ring", "_dens", "_one", "_terms",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 gen_i: Mat2, gen_j: Mat2, data: dict):
+                 gen_i: Mat2, gen_j: Mat2, gen_k: Mat2, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
-        self.generators = (gen_i, gen_j)
+        self.generators = (gen_i, gen_j, gen_k)
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
         finite = place != INFINITE_PLACE
@@ -239,24 +197,23 @@ class LocalSplitting:
         self.shape = OrderShape(kind, place if finite else None, ll_val)
         self._level = precision - (0 if exact else basis_digit_cost(params, place))
         pair = case == CASE_RAMIFIED
-        mat_i, mat_j = gen_i, gen_j
+        mats = self.generators
         if not exact:
             self._ring = ring = (place, place**precision, params.p)
             self._dens = {}
             def res(e, k=precision):
                 if pair:
-                    return QuadResidue(e.a.residue(k), e.b.residue(k), 1, ring)
+                    return QuadResidue(e[0].residue(k), e[1].residue(k), 1, ring)
                 return e.residue(k)
 
-            mat_i, mat_j = (Mat2(*map(res, g.entries())) for g in (gen_i, gen_j))
-        self.mat_i, self.mat_j, self.mat_k = mat_i, mat_j, mat_i * mat_j
-        # Lifted scalars by (numerator, denominator) pair, the identity, and
-        # for each matrix entry (ul, ur, ll, lr) the index and the non-zero
-        # entry (its int parts on a ramified model) of each of 1, i, j, k.
-        self._scalars = {}
+            mats = [Mat2(*map(res, g.entries())) for g in mats]
+        self.mat_i, self.mat_j, self.mat_k = mats
+        # The identity, and for each matrix entry (ul, ur, ll, lr) the index
+        # and the non-zero entry (its int parts on a ramified model) of each
+        # of 1, i, j, k.
         s1, s0 = self.scalar(1), self.scalar(0)
         self._one = Mat2(s1, s0, s0, s1)
-        gens = [m.entries() for m in (self._one, mat_i, mat_j, self.mat_k)]
+        gens = [m.entries() for m in (self._one, *mats)]
         self._terms = tuple(
             tuple(
                 (g, img[e].a, img[e].b) if pair else (g, img[e])
@@ -267,14 +224,9 @@ class LocalSplitting:
         )
 
     def scalar(self, value, den: int = 1):
-        """Lift the rational value/den (den > 0) into the coefficient ring,
-        memoised by its (numerator, denominator) pair, which need not be reduced."""
+        """Lift the rational value/den (den > 0) into the coefficient ring."""
         value = as_rational(value)
-        key = (value.numerator, value.denominator * den)
-        lifted = self._scalars.get(key)
-        if lifted is None:
-            lifted = self._scalars[key] = self._lift(*key)
-        return lifted
+        return self._lift(value.numerator, value.denominator * den)
 
     def _lift(self, num: int, den: int, root: int = 0):
         """(num + root·sqrt(p))/den in the coefficient ring (root is 0 but on a
@@ -419,17 +371,18 @@ class LocalSplitting:
 
     def to_json(self) -> dict:
         enc = frac_to_str if self.case == CASE_RATIONAL else lambda v: v.to_json()
-        gen_i, gen_j = self.generators
-        return {
+        pair = lambda e: {"a": enc(e[0]), "b": enc(e[1])}
+        entry = pair if self.case == CASE_RAMIFIED else enc
+        body = {
             "place": self.place if self.place == INFINITE_PLACE else int(self.place),
             "case": self.case,
             "precision": self.precision,
             "shape": self.shape.describe(),
-            "i": [enc(e) for e in gen_i.entries()],
-            "j": [enc(e) for e in gen_j.entries()],
-            "k": [enc(e) for e in (gen_i * gen_j).entries()],
             "data": {k: enc(v) for k, v in self.data.items()},
         }
+        for name, gen in zip("ijk", self.generators):
+            body[name] = [entry(e) for e in gen.entries()]
+        return body
 
 
 def check_modulus(q: int, k: int, setting: str, value: int) -> None:
@@ -471,15 +424,17 @@ def build_splitting(
     p = params.p
 
     if case == CASE_RATIONAL:
-        mi = Mat2(0, -1, params.level, 0)
-        mj = Mat2(-1, 0, 0, 1)
-        return LocalSplitting(params, place, case, k, mi, mj, {})
+        n = params.level
+        mi, mj, mk = Mat2(0, -1, n, 0), Mat2(-1, 0, 0, 1), Mat2(0, -1, -n, 0)
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
     if case == CASE_ARCHIMEDEAN:
         zero, one, theta = (QuadRat(a, b, p) for a, b in ((0, 0), (1, 0), (0, 1)))
-        mi = Mat2(zero, one, QuadRat(-dn, 0, p), zero)
-        mj = Mat2(theta, zero, zero, -theta)
-        return LocalSplitting(params, place, case, k, mi, mj, {})
+        mdn, mtheta = QuadRat(-dn, 0, p), -theta
+        mi = Mat2(zero, one, mdn, zero)
+        mj = Mat2(theta, zero, zero, mtheta)
+        mk = Mat2(zero, mtheta, mdn * theta, zero)
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
     q = place
     check_modulus(q, k, "precision", k)
@@ -487,39 +442,44 @@ def build_splitting(
     def pn(value) -> PadicNum:
         return PadicNum.from_rational(value, q, k)
 
+    z0 = PadicNum.exact_zero(q)
     if case == CASE_UNRAMIFIED_SQUARE:
         omega = hensel_sqrt(p, q, k)
-        z0 = PadicNum.exact_zero(q)
-        mi = Mat2(z0, pn(1), pn(-dn), z0)
-        mj = Mat2(-omega, z0, z0, omega)
-        return LocalSplitting(params, place, case, k, mi, mj, {"omega": omega})
+        mdn, momega = pn(-dn), -omega
+        mi = Mat2(z0, pn(1), mdn, z0)
+        mj = Mat2(momega, z0, z0, omega)
+        mk = Mat2(z0, omega, mdn * momega, z0)
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": omega})
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
         x, y = solve_norm_equation(p, Fraction(-dn), q, k)
-        mi = Mat2(x, -pn(p) * y, y, -x)
-        mj = Mat2(PadicNum.exact_zero(q), pn(p), pn(1), PadicNum.exact_zero(q))
-        return LocalSplitting(params, place, case, k, mi, mj, {"x": x, "y": y})
+        pp = pn(p)
+        py, mx = pp * y, -x
+        mpy = -py
+        mi = Mat2(x, mpy, y, mx)
+        mj = Mat2(z0, pp, pn(1), z0)
+        mk = Mat2(mpy, pp * x, mx, py)
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
 
     if case == CASE_AT_P:
         s = at_p_root(params, k)
         if _flip_at_p_root:
             s = -s
-        z0 = PadicNum.exact_zero(p)
-        mi = Mat2(-s, z0, z0, s)
-        mj = Mat2(z0, pn(1), pn(p), z0)
-        return LocalSplitting(params, place, case, k, mi, mj, {"s": s})
+        pp, ms = pn(p), -s
+        mi = Mat2(ms, z0, z0, s)
+        mj = Mat2(z0, pn(1), pp, z0)
+        mk = Mat2(z0, ms, pp * s, z0)
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": s})
 
-    # Ramified place q | delta: coefficients live in Z_q[sqrt(p)].
+    # Ramified place q | delta: coefficients live in Z_q[sqrt(p)], an entry
+    # the pair (a, b) = a + b·sqrt(p).
     x, y = solve_norm_equation(p, Fraction(-dn, q), q, k)
-    z0 = PadicNum.exact_zero(q)
-    pq = lambda u, v: PadicQuad(u, v, p)
-    zero = pq(z0, z0)
-    theta = pq(z0, pn(1))
-    alpha = pq(x, -y)
-    qn = pn(q)
-    mi = Mat2(zero, alpha, pq(qn * x, qn * y), zero)
-    mj = Mat2(-theta, zero, zero, theta)
-    return LocalSplitting(params, place, case, k, mi, mj, {"x": x, "y": y})
+    zero, one, pp, qn = (z0, z0), pn(1), pn(p), pn(q)
+    qx, qy, my = qn * x, qn * y, -y
+    mi = Mat2(zero, (x, my), (qx, qy), zero)
+    mj = Mat2((z0, -one), zero, zero, (z0, one))
+    mk = Mat2(zero, (pp * my, x), (-(pp * qy), -qx), zero)
+    return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:

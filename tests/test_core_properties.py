@@ -46,7 +46,6 @@ from quatorder.quat import (
     scaled_coords,
     structure_constants,
 )
-from quatorder.split import PadicQuad
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -183,26 +182,19 @@ q_st = st.sampled_from((2, 3, 5, 7, 11, 13))
 small_rational_st = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 30))
 
 
-def test_padic_quad_arithmetic_takes_only_padic_quads():
-    u = PadicQuad(PadicNum(3, 0, 2, 5), PadicNum(3, -2, 1, 4), 2)
-    # PadicNum arithmetic takes only PadicNums, and PadicQuad only PadicQuads.
-    pairs = [(x, c) for c in (3, Fraction(-2, 45)) for x in (u, u.a)] + [(u, u.a)]
-    for x, other in pairs:
-        ops = (operator.add, operator.mul) + ((operator.sub,) if x is u.a else ())
-        for op in ops:
+def test_padic_num_arithmetic_takes_only_padic_nums():
+    x = PadicNum(3, 0, 2, 5)
+    for other in (3, Fraction(-2, 45)):
+        for op in (operator.add, operator.mul, operator.sub):
             with pytest.raises(TypeError):
                 op(x, other)
             with pytest.raises(TypeError):
                 op(other, x)
-    for op in (operator.add, operator.mul):
-        with pytest.raises(InvalidParametersError, match="mixed radicands"):
-            op(u, PadicQuad(u.a, u.b, 3))
 
 
 def test_scalar_memo_never_caches_precision_loss():
     params = AlgebraParams(35, 3, 13, 5)
     spl = split.build_splitting(params, 11, k=6)
-    assert spl.scalar(Fraction(1, 3)) is spl.scalar(Fraction(1, 3))
     for _ in range(2):
         with pytest.raises(PrecisionLossError):
             spl.scalar(Fraction(1, 11**7))
@@ -536,14 +528,35 @@ def test_sparse_embed_matches_dense_reference_on_the_order():
 QADIC_MODELS = [i for i, (delta, _, place, _) in enumerate(MODELS) if delta > 1 and place != "inf"]
 
 
+class RefPair:
+    """a + b*sqrt(rad) over PadicNums: the reference's own product in
+    Z_q[sqrt(p)], so that its k is formed from the printed i and j."""
+
+    __slots__ = ("a", "b", "rad")
+
+    def __init__(self, a, b, rad):
+        self.a, self.b, self.rad = a, b, rad
+
+    def __add__(self, other):
+        return RefPair(self.a + other.a, self.b + other.b, self.rad)
+
+    def __mul__(self, other):
+        a, b = self.a, self.b
+        rad = PadicNum.from_rational(self.rad, a.q, max(a.prec, b.prec, 1))
+        return RefPair(a * other.a + rad * b * other.b, a * other.b + b * other.a, self.rad)
+
+
 def padic_reference_embed(spl, u):
-    q, k, ramified = spl.place, spl.precision, spl.case == split.CASE_RAMIFIED
+    q, k, p = spl.place, spl.precision, spl.params.p
+    ramified = spl.case == split.CASE_RAMIFIED
 
     def lift(n):
         x = PadicNum.from_ratio(n, u.denominator, q, k)
-        return PadicQuad(x, PadicNum.exact_zero(q), spl.params.p) if ramified else x
+        return RefPair(x, PadicNum.exact_zero(q), p) if ramified else x
 
-    gen_i, gen_j = spl.generators
+    gen_i, gen_j, _ = spl.generators
+    if ramified:
+        gen_i, gen_j = (Mat2(*(RefPair(a, b, p) for a, b in g.entries())) for g in (gen_i, gen_j))
     identity = Mat2(lift(u.denominator), lift(0), lift(0), lift(u.denominator))
     acc = None
     for n, gen in zip(u.numerators, (identity, gen_i, gen_j, gen_i * gen_j)):
@@ -553,7 +566,7 @@ def padic_reference_embed(spl, u):
 
 
 def padic_val_at_least(x, m, rad):
-    """valuation >= m of a PadicNum, or for a PadicQuad integrality of x/q^m
+    """valuation >= m of a PadicNum, or for a RefPair integrality of x/q^m
     in the maximal order by its trace and norm."""
     if isinstance(x, PadicNum):
         return x.val_at_least(m)

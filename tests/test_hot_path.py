@@ -14,8 +14,8 @@ builds no ``Fraction``; the ψ samples are drawn integer-scaled, and a
 degeneracy pair over the rational model builds only its determinant and
 discriminant witnesses.  These are counted in a warm process.
 
-A q-adic model keeps the ``PadicNum`` generators it prints, but its
-certificate runs on their residues mod q^k, ints or int pairs a + b√p:
+A q-adic model keeps the ``PadicNum`` images of i, j and k it prints, but
+its certificate runs on their residues mod q^k, ints or int pairs a + b√p:
 verifying it builds no ``PadicNum`` and no ``Fraction``.  A local model's
 case fixes its coefficient ring, so its zero and valuation tests never ask
 a coefficient for its type.
@@ -150,9 +150,9 @@ def test_local_model_coefficient_tests_make_no_type_check():
 
 
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 80 ``PadicNum``
-    instances, all of them generators and witnesses; certificates that ran
-    on ``PadicNum`` arithmetic made 3465."""
+    """Building and verifying every case's model makes 101 ``PadicNum``
+    instances, all of them the stated i, j and k and witnesses; certificates
+    that ran on ``PadicNum`` arithmetic made 3465."""
     reports = []
 
     def run():
@@ -160,7 +160,7 @@ def test_local_models_build_the_measured_padic_numbers():
             spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
             reports.append(verify_splitting(spl))
 
-    assert profile(run)[_key(PadicNum.__init__)][1] == 80
+    assert profile(run)[_key(PadicNum.__init__)][1] == 101
     assert all(r.passed for r in reports)
 
 

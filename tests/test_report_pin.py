@@ -5,10 +5,11 @@ a witness string would pass it.  The grid tests hash the whole ``checks``
 list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
 ``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The last test
-replays single-object ``--json`` calls and compares them with
-``perfbench/frozen/calls.json`` using the gate's ``call_digest``, and three
-q = 2 splittings, which that catalogue lacks, with digests pinned here.  The
-frozen files are read, never written.
+replays single-object ``--json`` calls (every ``split`` call of
+``perfbench/frozen/calls.json`` and one call per other command and
+discriminant) and compares them with that catalogue using the gate's
+``call_digest``, and three q = 2 splittings, which the catalogue lacks, with
+digests pinned here.  The frozen files are read, never written.
 """
 
 import importlib.util
@@ -73,36 +74,33 @@ def test_heaviest_wide_grid_report_is_byte_identical(capsys):
 
 
 def _pinned_calls():
-    """One frozen call per (command, discriminant), with its digest.
+    """Every frozen split call, and one frozen call per other (command,
+    discriminant), with its digest.
 
-    Each group takes its lower-median call in catalogue order; that choice
-    reaches every degeneracy case, the auxiliary and at-p chains and five of
-    the six splitting cases.
+    Each other group takes its lower-median call in catalogue order; that
+    choice reaches every degeneracy case and the auxiliary and at-p chains.
     """
     digests = json.loads((PERFBENCH / "frozen" / "calls.json").read_text())["digests"]
-    groups = {}
+    picks, groups = [], {}
     for key in digests:
         argv = key.split()
+        if argv[0] == "split":
+            picks.append(key)
+            continue
         flag = "--delta" if "--delta" in argv else "--deltas"
         groups.setdefault((argv[0], argv[argv.index(flag) + 1]), []).append(key)
-    picks = [keys[(len(keys) - 1) // 2] for keys in groups.values()]
+    picks += [keys[(len(keys) - 1) // 2] for keys in groups.values()]
     return [pytest.param(key, digests[key], id=key) for key in picks]
 
 
 def _split_pins():
-    """The split cases the lower-median picks miss: the real place and the
-    rational model at the infinite place, from the catalogue, and q = 2,
-    which the catalogue never reaches.  At q = 2 the order basis has
-    denominator 2: the q-adic images have negative valuation (down to -2 at
-    Δ = 6, N = 5, where a zero product also lands one step below the
-    exact-zero sentinel), and the rational model divides its integer
-    combinations by 2; the digests fix every printed entry."""
-    digests = json.loads((PERFBENCH / "frozen" / "calls.json").read_text())["digests"]
-    real = "split --delta 10 --level 1 --json --place inf"
-    rational = "split --delta 1 --level 9 --json --place inf"
+    """q = 2, which the catalogue never reaches.  There the order basis has
+    denominator 2, which costs a q-adic model one digit and makes the
+    rational model divide its integer combinations by 2.  The printed
+    entries are the stated i, j and k and the witnesses, each an integer
+    times a unit root, so none has negative valuation; the digests fix every
+    one of them."""
     return [
-        pytest.param(real, digests[real], id=real),
-        pytest.param(rational, digests[rational], id=rational),
         pytest.param(  # rational model
             "split --delta 1 --level 1 --json --place 2",
             "91e8ff4ce85f14d075dfc278f04b4791b30584ecd2e8f08f021544f006e8230a",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quatorder.errors import CaseMismatchError, InvalidParametersError, PrecisionLossError
+from quatorder.exact import Mat2
 from quatorder.numth import INFINITE_PLACE
 from quatorder.quat import AlgebraParams, QuatElem
 from quatorder.split import (
@@ -13,6 +14,7 @@ from quatorder.split import (
     CASE_RATIONAL,
     CASE_UNRAMIFIED_NONSQUARE,
     CASE_UNRAMIFIED_SQUARE,
+    LocalSplitting,
     build_splitting,
     classify_place,
     verify_splitting,
@@ -122,6 +124,21 @@ def test_at_p_sign_flip_is_caught():
     report = verify_splitting(spl)
     bad = sorted(c.check_id for c in report.failures())
     assert bad == ["at_p.root_divisibility", "integrality.e4"]
+
+
+@pytest.mark.parametrize("place", [5, 13])  # ramified; at p, on int residues
+def test_a_wrong_stated_k_fails_k_matches(place):
+    params = AlgebraParams(35, 3, 13, 5)
+    spl = build_splitting(params, place)
+    gen_i, gen_j, gen_k = spl.generators
+    ul, ur, ll, lr = gen_k.entries()
+    ur = (-ur[0], -ur[1]) if spl.case == CASE_RAMIFIED else -ur
+    wrong = LocalSplitting(params, place, spl.case, spl.precision,
+                           gen_i, gen_j, Mat2(ul, ur, ll, lr), spl.data)
+    assert verify_splitting(spl).passed
+    failed = {c.check_id for c in verify_splitting(wrong).failures()}
+    assert "relations.k_matches" in failed
+    assert not failed & {"relations.i_square", "relations.j_square", "relations.anticommute"}
 
 
 def test_trace_form_discriminant():
