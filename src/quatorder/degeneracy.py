@@ -97,9 +97,11 @@ class DegeneracyPair:
         }
 
 
-def _coords_det(coords) -> Fraction:
-    """Determinant of four order-basis coordinate vectors given scaled."""
-    return Fraction(det4([nums for nums, _ in coords]), prod(den for _, den in coords))
+def _coords_det(coords):
+    """Determinant of four order-basis coordinate vectors given scaled: an
+    int when integral, a Fraction otherwise."""
+    num, den = det4([nums for nums, _ in coords]), prod(den for _, den in coords)
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def classify_degeneracy(params: AlgebraParams, q: int) -> str:

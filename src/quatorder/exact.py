@@ -1,4 +1,4 @@
-"""Exact linear algebra: HNF lattices, 2x2 matrices, quadratic irrationals.
+"""Exact linear algebra: HNF lattices, 2x2 matrices, and 2x2 matrices over Z[√d].
 
 All lattice work happens over Z after clearing denominators; the Hermite
 normal form here is the row-style echelon form with positive pivots and the
@@ -146,102 +146,76 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# quadratic irrationals a + b*sqrt(d)
+# 2x2 matrices over Z[√d], on ints
+#
+# A pair matrix is the int tuple (den, a1, b1, a2, b2, a3, b3, a4, b4): the
+# entries (a + b·√d)/den, upper-left, upper-right, lower-left, lower-right, over
+# one denominator den > 0.  Nothing here reduces; a model that holds pair
+# matrices reduces once, in a zero or valuation test.
+
+# (sign, i, j, k, l): det4's terms, the minor of rows 0, 1 on columns i, j times
+# the minor of rows 2, 3 on columns k, l.
+_LAPLACE = ((1, 0, 1, 2, 3), (-1, 0, 2, 1, 3), (1, 0, 3, 1, 2),
+            (1, 1, 2, 0, 3), (-1, 1, 3, 0, 2), (1, 2, 3, 0, 1))
 
 
-class QuadRat:
-    """Exact element a + b·√d of Q(√d); d a fixed nonsquare int.
+def pair_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """The product x·y of two pair matrices over Z[√d]."""
+    xd, a1, b1, a2, b2, a3, b3, a4, b4 = x
+    yd, c1, e1, c2, e2, c3, e3, c4, e4 = y
+    return (
+        xd * yd,
+        a1 * c1 + a2 * c3 + d * (b1 * e1 + b2 * e3), a1 * e1 + b1 * c1 + a2 * e3 + b2 * c3,
+        a1 * c2 + a2 * c4 + d * (b1 * e2 + b2 * e4), a1 * e2 + b1 * c2 + a2 * e4 + b2 * c4,
+        a3 * c1 + a4 * c3 + d * (b3 * e1 + b4 * e3), a3 * e1 + b3 * c1 + a4 * e3 + b4 * c3,
+        a3 * c2 + a4 * c4 + d * (b3 * e2 + b4 * e4), a3 * e2 + b3 * c2 + a4 * e4 + b4 * c4,
+    )
 
-    Stored integer-scaled, like ``QuatElem``: two int numerators over one
-    positive denominator, reduced so the three share no factor, and the
-    radicand d.  The representation is canonical, so equality and hashing
-    compare ints; ``.a/.b`` hand out ``Fraction`` values.
+
+def pair_add(x: tuple, y: tuple, c: int = 1) -> tuple:
+    """x + c·y for two pair matrices and an int c."""
+    xd, yd = x[0], y[0]
+    if xd == yd:
+        return (xd, *[u + c * v for u, v in zip(x[1:], y[1:])])
+    return (xd * yd, *[u * yd + c * v * xd for u, v in zip(x[1:], y[1:])])
+
+
+def pair_det4(rows, d: int) -> tuple:
+    """det4 over Z[√d] of a 4x4 matrix of int pairs (a, b) = a + b·√d."""
+
+    def mul(x, y):
+        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def minor(r, s, i, j):
+        (a, b), (c, e) = mul(r[i], s[j]), mul(r[j], s[i])
+        return a - c, b - e
+
+    r0, r1, r2, r3 = rows
+    a = b = 0
+    for sign, i, j, k, l in _LAPLACE:
+        x, y = mul(minor(r0, r1, i, j), minor(r2, r3, k, l))
+        a, b = a + sign * x, b + sign * y
+    return a, b
+
+
+def pair_trace_det(mats, d: int) -> tuple:
+    """det of the trace form tr(X_r·X_c) of four pair matrices, as the int
+    triple (den, a, b) of (a + b·√d)/den.
+
+    Each Gram entry is the pair Σ x_ij·y_ji of numerators over den_r·den_c, so
+    the determinant of the numerators is over the squared product of the dens.
     """
-
-    __slots__ = ("_a", "_b", "_den", "_rad")
-
-    def __init__(self, a, b, d: int):
-        a, b = as_rational(a), as_rational(b)
-        den = lcm(a.denominator, b.denominator)
-        self._a = a.numerator * (den // a.denominator)
-        self._b = b.numerator * (den // b.denominator)
-        self._den = den
-        self._rad = d
-
-    @classmethod
-    def _scaled(cls, a: int, b: int, den: int, rad: int) -> "QuadRat":
-        """(a + b·√d)/den for den > 0, reduced by the common gcd."""
-        g = gcd(a, b, den)
-        if g != 1:
-            a, b, den = a // g, b // g, den // g
-        out = object.__new__(cls)
-        out._a, out._b, out._den, out._rad = a, b, den, rad
-        return out
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._a, self._den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._b, self._den)
-
-    def _wrap(self, other):
-        """other as an element of the same field, or NotImplemented."""
-        if isinstance(other, QuadRat):
-            if other._rad != self._rad:
-                raise InvalidParametersError("mixed quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRat._scaled(other.numerator, 0, other.denominator, self._rad)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        a, b, den = self._a, self._b, self._den
-        a2, b2, den2 = o._a, o._b, o._den
-        return QuadRat._scaled(a * den2 + a2 * den, b * den2 + b2 * den, den * den2, self._rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadRat._scaled(-self._a, -self._b, self._den, self._rad)
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        return o if o is NotImplemented else self + (-o)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is NotImplemented:
-            return o
-        a, b, a2, b2, rad = self._a, self._b, o._a, o._b, self._rad
-        return QuadRat._scaled(a * a2 + rad * b * b2, a * b2 + b * a2, self._den * o._den, rad)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, QuadRat):
-            return (self._a, self._b, self._den, self._rad) == (
-                other._a, other._b, other._den, other._rad
+    gram = [[None] * 4 for _ in range(4)]
+    for r, x in enumerate(mats):
+        _, a1, b1, a2, b2, a3, b3, a4, b4 = x
+        for c in range(r, 4):
+            _, c1, e1, c2, e2, c3, e3, c4, e4 = mats[c]
+            gram[r][c] = gram[c][r] = (
+                a1 * c1 + a2 * c3 + a3 * c2 + a4 * c4 + d * (b1 * e1 + b2 * e3 + b3 * e2 + b4 * e4),
+                a1 * e1 + b1 * c1 + a2 * e3 + b2 * c3 + a3 * e2 + b3 * c2 + a4 * e4 + b4 * c4,
             )
-        if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a == other.numerator and self._den == other.denominator
-        return NotImplemented
-
-    def __hash__(self):
-        # A rational value hashes like the int or Fraction it equals.
-        if self._b == 0:
-            return hash(Fraction(self._a, self._den))
-        return hash((self._a, self._b, self._den, self._rad))
-
-    def __repr__(self):
-        return f"({frac_to_str(self.a)} + {frac_to_str(self.b)}*sqrt({self._rad}))"
-
-    def to_json(self) -> dict:
-        return {"a": frac_to_str(self.a), "b": frac_to_str(self.b)}
+    den = prod(x[0] for x in mats)
+    return (den * den, *pair_det4(gram, d))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +232,6 @@ class Mat2:
 
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
@@ -466,9 +437,12 @@ def reduced_discriminant(elems) -> int:
     if len(elems) != 4:
         raise NotAnOrderBasisError("need exactly four elements")
     gram, dens = _scaled_gram(elems)
-    d = Fraction(det4(gram), prod(dens) ** 2)
-    if d == 0:
+    num, den = det4(gram), prod(dens) ** 2
+    if num == 0:
         raise NotAnOrderBasisError("degenerate trace form")
-    if d.denominator != 1 or not is_perfect_square(abs(int(d))):
-        raise NotAnOrderBasisError(f"trace form determinant {d} is not a square integer")
-    return isqrt(abs(int(d)))
+    d, rest = divmod(num, den)
+    if rest or not is_perfect_square(abs(d)):
+        raise NotAnOrderBasisError(
+            f"trace form determinant {Fraction(num, den)} is not a square integer"
+        )
+    return isqrt(abs(d))

@@ -18,7 +18,10 @@ q-adic level: the working precision k less the λ = v_q(2p) digits the basis
 costs.  Each model states the images of i, j and k; a q-adic model prints
 them as ``PadicNum`` entries (pairs (a, b) = a + b√p at a ramified q) but
 certifies on their exact residues mod q^k; a test deeper than the stated
-level raises PrecisionLossError.
+level raises PrecisionLossError.  The two quadratic models, at a ramified q
+and at the real place, hold each matrix as plain ints, the pairs (a, b) of
+its entries over one denominator: their arithmetic never reduces, and only a
+zero or valuation test reduces, once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,17 @@ from .errors import (
     InvalidParametersError,
     PrecisionLossError,
 )
-from .exact import Mat2, QuadRat, ZLattice4, as_rational, congruence_kernel, det4, frac_to_str
+from .exact import (
+    Mat2,
+    ZLattice4,
+    as_rational,
+    congruence_kernel,
+    det4,
+    frac_to_str,
+    pair_add,
+    pair_mul,
+    pair_trace_det,
+)
 from .numth import (
     INFINITE_PLACE,
     PadicNum,
@@ -58,40 +71,6 @@ DEFAULT_PRECISION = 20
 # Decimal digits of the largest modulus q**k a model at a finite place
 # works modulo, so the working precision bounds the time a model takes.
 MAX_MODULUS_DIGITS = 10_000
-
-
-class QuadResidue:
-    """(a + b*sqrt(rad))/den modulo q^k, for ring = (q, q^k, rad): the
-    coefficients a ramified model certifies on.  den is a power of q that
-    shares no factor with both a and b, which are reduced mod q^k*den; den = 2
-    arises at q = 2, where the maximal order holds (1 + sqrt(rad))/2.
-    """
-
-    __slots__ = ("a", "b", "den", "ring")
-
-    def __init__(self, a: int, b: int, den: int, ring: tuple):
-        q, mod, _ = ring
-        while den > 1 and not (a % q or b % q):
-            a, b, den = a // q, b // q, den // q
-        self.a, self.b, self.den, self.ring = a % (mod * den), b % (mod * den), den, ring
-
-    def __add__(self, other):
-        den = max(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return QuadResidue(self.a * s + other.a * t, self.b * s + other.b * t, den, self.ring)
-
-    def __neg__(self) -> "QuadResidue":
-        return QuadResidue(-self.a, -self.b, self.den, self.ring)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b, c, d, ring = self.a, self.b, other.a, other.b, self.ring
-        return QuadResidue(a * c + ring[2] * b * d, a * d + b * c, self.den * other.den, ring)
-
-    def conj(self) -> "QuadResidue":
-        return QuadResidue(self.a, -self.b, self.den, self.ring)
 
 
 def classify_place(params: AlgebraParams, place) -> str:
@@ -171,18 +150,21 @@ class LocalSplitting:
     the certificates run on mat_i, mat_j and mat_k, and relations.k_matches
     checks the stated k against mat_i·mat_j.  data holds the case-specific
     witnesses (norm-form solutions, square roots).  The case fixes the
-    coefficient ring.  exact marks the rational model (an int when integral,
-    a Fraction otherwise) and the real-place model: there zero means ``== 0``
-    and precision is ignored.  A q-adic model's matrices are its generators'
-    residues mod q^k, ints or, from the PadicNum pairs (a, b) of a ramified
-    q, ``QuadResidue`` pairs; an element with denominator q^v·d' has entries
-    num/d' mod q^k over q^v, known to check_level() when v <= λ, as for the
-    order, whose denominators divide 2p; a larger v is refused.
+    coefficient ring, and the model supplies the matrix product and sum, the
+    zero and valuation tests and the trace-form determinant on it.  exact
+    marks the rational model (an int when integral, a Fraction otherwise)
+    and the real-place model: there zero means zero and precision is
+    ignored.  A q-adic model's matrices are its generators' residues mod q^k;
+    an element with denominator q^v·d' has entries num/d' mod q^k over q^v,
+    known to check_level() when v <= λ, as for the order, whose denominators
+    divide 2p; a larger v is refused.  The ramified and real-place models
+    hold a matrix as the int tuple (den, a1, b1, ..., a4, b4) of its entries
+    (a + b·√p)/den (``exact.pair_mul``), and an entry as (den, a, b).
     """
 
     __slots__ = (
         "params", "place", "case", "precision", "generators", "mat_i", "mat_j", "mat_k",
-        "data", "shape", "exact", "_level", "_ring", "_dens", "_one", "_terms",
+        "data", "shape", "exact", "_pair", "_level", "_mod", "_dens", "_one", "_cols",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
@@ -191,53 +173,44 @@ class LocalSplitting:
         self.generators = (gen_i, gen_j, gen_k)
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
+        self._pair = pair = case in (CASE_RAMIFIED, CASE_ARCHIMEDEAN)
         finite = place != INFINITE_PLACE
         ll_val = valuation(params.level, place) if finite else 0
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
         self.shape = OrderShape(kind, place if finite else None, ll_val)
         self._level = precision - (0 if exact else basis_digit_cost(params, place))
-        pair = case == CASE_RAMIFIED
-        mats = self.generators
+        mats = [g.entries() for g in self.generators]
+        if pair:  # each entry the pair (a, b) of a + b·√p, flattened
+            mats = [[x for e in m for x in e] for m in mats]
         if not exact:
-            self._ring = ring = (place, place**precision, params.p)
-            self._dens = {}
-            def res(e, k=precision):
-                if pair:
-                    return QuadResidue(e[0].residue(k), e[1].residue(k), 1, ring)
-                return e.residue(k)
-
-            mats = [Mat2(*map(res, g.entries())) for g in mats]
-        self.mat_i, self.mat_j, self.mat_k = mats
-        # The identity, and for each matrix entry (ul, ur, ll, lr) the index
-        # and the non-zero entry (its int parts on a ramified model) of each
-        # of 1, i, j, k.
-        s1, s0 = self.scalar(1), self.scalar(0)
-        self._one = Mat2(s1, s0, s0, s1)
-        gens = [m.entries() for m in (self._one, *mats)]
-        self._terms = tuple(
-            tuple(
-                (g, img[e].a, img[e].b) if pair else (g, img[e])
-                for g, img in enumerate(gens)
-                if (img[e].a or img[e].b if pair else img[e] != 0)
-            )
-            for e in range(4)
-        )
+            self._mod, self._dens = place**precision, {}
+            mats = [[x.residue(precision) for x in m] for m in mats]
+        one = (1, 0, 0, 0, 0, 0, 1, 0) if pair else (1, 0, 0, 1)
+        # For each int of a matrix, its values in 1, i, j and k: an image is
+        # their combination with an element's numerators.
+        self._cols = tuple(zip(one, *mats))
+        wrap = (lambda m: (1, *m)) if pair else (lambda m: Mat2(*m))
+        self._one = wrap(one)
+        self.mat_i, self.mat_j, self.mat_k = map(wrap, mats)
 
     def scalar(self, value, den: int = 1):
         """Lift the rational value/den (den > 0) into the coefficient ring."""
         value = as_rational(value)
-        return self._lift(value.numerator, value.denominator * den)
+        nums = [value.numerator, 0] if self._pair else [value.numerator]
+        lifted = self._lift(nums, value.denominator * den)
+        return lifted if self._pair else lifted[0]
 
-    def _lift(self, num: int, den: int, root: int = 0):
-        """(num + root·sqrt(p))/den in the coefficient ring (root is 0 but on a
-        ramified model).  At a finite place, with den = q^v·d' and q ∤ d', it
-        is num/d' mod q^k over q^v, known to k - v digits: v > λ is refused."""
+    def _lift(self, nums: list, den: int):
+        """The ints nums over den in the coefficient ring: a pair model's tuple
+        (den', *nums'), the others' list of entries.  At a finite place, with
+        den = q^v·d' and q ∤ d', each is num/d' mod q^k over q^v, known to
+        k - v digits: v > λ is refused."""
         case = self.case
-        if case == CASE_RATIONAL:
-            return num // den if num % den == 0 else Fraction(num, den)
         if case == CASE_ARCHIMEDEAN:
-            return QuadRat._scaled(1, 0, den, self.params.p) * num
-        q, mod, _ = self._ring
+            return (den, *nums)
+        if case == CASE_RATIONAL:
+            return [n // den if n % den == 0 else Fraction(n, den) for n in nums]
+        q, mod = self.place, self._mod
         split = self._dens.get(den)
         if split is None:
             qv = gcd(den, mod)
@@ -249,30 +222,49 @@ class LocalSplitting:
             split = self._dens[den] = (qv, pow(den // qv, -1, mod))
         qv, inv = split
         if case == CASE_RAMIFIED:
-            return QuadResidue(num * inv, root * inv, qv, self._ring)
-        num = num * inv % mod
-        return num // qv if num % qv == 0 else Fraction(num, qv)
+            mod *= qv
+            return (qv, *[n * inv % mod for n in nums])
+        nums = [n * inv % mod for n in nums]
+        return nums if qv == 1 else [n // qv if n % qv == 0 else Fraction(n, qv) for n in nums]
 
-    def one(self) -> Mat2:
+    def one(self):
         return self._one
 
-    def embed(self, u: QuatElem) -> Mat2:
-        """Image of u = x + y i + z j + t k as a 2x2 matrix."""
+    def embed(self, u: QuatElem):
+        """Image of u = x + y i + z j + t k: every int of the matrix is one
+        integer combination, lifted over u's denominator in one pass."""
         if u.params is not self.params and u.params != self.params:
             raise InvalidParametersError("element belongs to a different algebra")
-        return Mat2(*[self._entry(terms, u.numerators, u.denominator) for terms in self._terms])
+        x, y, z, t = u.numerators
+        lifted = self._lift([x * w + y * i + z * j + t * k for w, i, j, k in self._cols],
+                            u.denominator)
+        return lifted if self._pair else Mat2(*lifted)
 
-    def _entry(self, terms, nums, den: int):
-        """One image entry: the integer combination, in generator order, of
-        the non-zero generator entries with the numerators nums, lifted over
-        den once."""
-        if self.case == CASE_RAMIFIED:
-            a = sum(nums[g] * ra for g, ra, _ in terms)
-            return self._lift(a, den, sum(nums[g] * rb for g, _, rb in terms))
-        total = 0
-        for g, img in terms:
-            total = total + nums[g] * img
-        return self._lift(total, den)
+    def mul(self, x, y):
+        """The product of two matrices of the model."""
+        return pair_mul(x, y, self.params.p) if self._pair else x * y
+
+    def add(self, x, y, c: int = 1):
+        """x + c·y for two matrices of the model and an int c."""
+        if self._pair:
+            return pair_add(x, y, c)
+        return x + y if c == 1 else x + y * c
+
+    def trace_form_gap(self, images: list, target: int):
+        """det of the trace form tr(X_r·X_c) of four images, less target.
+
+        tr(XY) = Σ x_ij·y_ji is summed as the trace of the full product
+        would be; the form is symmetric.
+        """
+        if self._pair:
+            den, a, b = pair_trace_det(images, self.params.p)
+            return den, a - target * den, b
+        gram = [[None] * 4 for _ in range(4)]
+        for r, x in enumerate(images):
+            for c in range(r, 4):
+                y = images[c]
+                gram[r][c] = gram[c][r] = (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
+        return det4(gram) - target
 
     def check_level(self) -> int:
         """q-adic level the certificates assert: precision minus λ = v_q(2p).
@@ -299,13 +291,20 @@ class LocalSplitting:
 
     def entry_zero(self, value, check_level: int) -> bool:
         """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
+        if self._pair:  # (den, a, b) is laid out as a pair matrix is
+            return self.mat_zero(value, check_level)
         if self.exact:
             return value == 0
-        qm = self._modulus(check_level)
-        if self.case == CASE_RAMIFIED:
-            qm *= value.den
-            return not (value.a % qm or value.b % qm)
-        return value % qm == 0
+        return value % self._modulus(check_level) == 0
+
+    def mat_zero(self, mat, check_level: int) -> bool:
+        """Is every entry of a matrix of the model zero?  A pair matrix
+        reduces its ints once, modulo q^check_level·den."""
+        ints = mat[1:] if self._pair else mat.entries()
+        if self.exact:
+            return not any(ints)
+        qm = self._modulus(check_level) * (mat[0] if self._pair else 1)
+        return not any([v % qm for v in ints])
 
     def entry_val_at_least(self, value, m: int) -> bool:
         """Is the q-adic valuation of a coefficient-ring element at least m?
@@ -324,8 +323,9 @@ class LocalSplitting:
                 return valuation(value, self.place) >= m
             return value.denominator == 1
         qm = self._modulus(m)
-        if self.case == CASE_RAMIFIED:
-            a, b, qm = value.a, value.b, qm * value.den
+        if self._pair:
+            den, a, b = value
+            qm *= den
             return not (2 * a % qm or 2 * b % qm or (a * a - self.params.p * b * b) % (qm * qm))
         return value % qm == 0
 
@@ -338,15 +338,20 @@ class LocalSplitting:
         shape = self.shape
         if shape.kind == "none":
             return True, "no integrality constraint at the real place"
-        entries = mat.entries()
+        if self._pair:
+            den = mat[0]
+            entries = [(den, mat[i], mat[i + 1]) for i in (1, 3, 5, 7)]
+        else:
+            entries = mat.entries()
         for name, e in zip(("ul", "ur", "ll", "lr"), entries):
             if not self.entry_val_at_least(e, 0):
                 return False, f"{name} entry not integral"
         if shape.kind == "ramified_maximal":
-            a, b, c, d = entries
-            if not self.entry_zero(d - a.conj(), check_level):
+            (den, a1, b1), (_, a2, b2), (_, a3, b3), (_, a4, b4) = entries
+            q = shape.q
+            if not self.entry_zero((den, a4 - a1, b4 + b1), check_level):
                 return False, "lower-right entry is not the conjugate of the upper-left"
-            if not self.entry_zero(c - b.conj() * self.scalar(shape.q), check_level):
+            if not self.entry_zero((den, a3 - q * a2, b3 + q * b2), check_level):
                 return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
             return True, ""
         need = shape.ll_val + extra_ll
@@ -361,18 +366,18 @@ class LocalSplitting:
         degeneracy or chain formula enters."""
         q = self.place
         mod = self._modulus(m)
-        residues = []
+        cols, residues = self._cols[entry], []
         for e in hashimoto_basis(self.params):
-            v = self._entry(self._terms[entry], e.numerators, e.denominator)
+            (v,) = self._lift([sum(n * c for n, c in zip(e.numerators, cols))], e.denominator)
             if v.denominator % q == 0:
                 raise PrecisionLossError(f"{v} is not {q}-integral")
             residues.append(v.numerator * pow(v.denominator, -1, mod) % mod)
         return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
-        enc = frac_to_str if self.case == CASE_RATIONAL else lambda v: v.to_json()
+        enc = frac_to_str if self.exact else lambda v: v.to_json()
         pair = lambda e: {"a": enc(e[0]), "b": enc(e[1])}
-        entry = pair if self.case == CASE_RAMIFIED else enc
+        entry = pair if self._pair else enc
         body = {
             "place": self.place if self.place == INFINITE_PLACE else int(self.place),
             "case": self.case,
@@ -428,12 +433,11 @@ def build_splitting(
         mi, mj, mk = Mat2(0, -1, n, 0), Mat2(-1, 0, 0, 1), Mat2(0, -1, -n, 0)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
-    if case == CASE_ARCHIMEDEAN:
-        zero, one, theta = (QuadRat(a, b, p) for a, b in ((0, 0), (1, 0), (0, 1)))
-        mdn, mtheta = QuadRat(-dn, 0, p), -theta
-        mi = Mat2(zero, one, mdn, zero)
+    if case == CASE_ARCHIMEDEAN:  # Q(sqrt(p)), an entry the int pair (a, b) = a + b·sqrt(p)
+        zero, theta, mtheta = (0, 0), (0, 1), (0, -1)
+        mi = Mat2(zero, (1, 0), (-dn, 0), zero)
         mj = Mat2(theta, zero, zero, mtheta)
-        mk = Mat2(zero, mtheta, mdn * theta, zero)
+        mk = Mat2(zero, mtheta, (0, -dn), zero)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
     q = place
@@ -489,32 +493,32 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
     report = Report()
     check_level = s.check_level()
 
-    def is_zero_mat(mat: Mat2) -> bool:
-        return all(s.entry_zero(e, check_level) for e in mat.entries())
+    def is_zero_mat(mat) -> bool:
+        return s.mat_zero(mat, check_level)
 
     dn = params.dn
     p = params.p
-    one = s.one()
+    one, mul, add = s.one(), s.mul, s.add
 
     report.add(
         "relations.i_square",
-        is_zero_mat(s.mat_i * s.mat_i + one * s.scalar(dn)),
+        is_zero_mat(add(mul(s.mat_i, s.mat_i), one, dn)),
         f"i^2 = {-dn}",
     )
     report.add(
         "relations.j_square",
-        is_zero_mat(s.mat_j * s.mat_j - one * s.scalar(p)),
+        is_zero_mat(add(mul(s.mat_j, s.mat_j), one, -p)),
         f"j^2 = {p}",
     )
-    ij = s.mat_i * s.mat_j
+    ij = mul(s.mat_i, s.mat_j)
     report.add(
         "relations.anticommute",
-        is_zero_mat(ij + s.mat_j * s.mat_i),
+        is_zero_mat(add(ij, mul(s.mat_j, s.mat_i))),
         "ij + ji = 0",
     )
     report.add(
         "relations.k_matches",
-        is_zero_mat(s.mat_k - ij),
+        is_zero_mat(add(s.mat_k, ij, -1)),
         "k = ij",
     )
 
@@ -533,18 +537,10 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
         )
 
     # Trace form of the order basis, with traces read off the matrix images so
-    # the check exercises the map: det equals -(dn)^2.  tr(AB) = Σ a_ij·b_ji
-    # summed as the trace of the full product would be; the form is symmetric.
-    gram = [[None] * 4 for _ in range(4)]
-    for r, a in enumerate(images):
-        for c in range(r, 4):
-            b = images[c]
-            gram[r][c] = gram[c][r] = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
-    det = det4(gram)
-    target = s.scalar(-(dn**2))
+    # the check exercises the map: det equals -(dn)^2.
     report.add(
         "discriminant.trace_form",
-        s.entry_zero(det - target, check_level),
+        s.entry_zero(s.trace_form_gap(images, -(dn**2)), check_level),
         f"det(trace form) = -({dn})^2",
     )
 

@@ -24,13 +24,15 @@ from quatorder import split
 from quatorder.errors import InvalidParametersError, PrecisionLossError
 from quatorder.exact import (
     Mat2,
-    QuadRat,
     ZLattice4,
     _scaled_gram,
     _vanishing_part,
     congruence_kernel,
     det4,
     hnf,
+    pair_add,
+    pair_det4,
+    pair_mul,
     reduced_discriminant,
 )
 from quatorder.isomap import _sample, build_psi
@@ -433,12 +435,63 @@ def local_model(index):
     return split.build_splitting(AlgebraParams.create(delta, level), place, k=k)
 
 
+def is_pair(spl):
+    """Does the model hold its matrices as int pair tuples?"""
+    return spl.case in (split.CASE_RAMIFIED, split.CASE_ARCHIMEDEAN)
+
+
+def scalar_matrix(spl, x):
+    """x times the identity, in the model's matrices."""
+    e = spl.scalar(x)
+    return (*e, 0, 0, 0, 0, *e[1:]) if is_pair(spl) else Mat2(e, 0, 0, e)
+
+
 def dense_embed(spl, u):
+    """x + y·i + z·j + t·k summed in the model's own matrix arithmetic."""
     x, y, z, t = coeffs(u)
-    acc = spl.one() * spl.scalar(x)
-    acc = acc + spl.mat_i * spl.scalar(y)
-    acc = acc + spl.mat_j * spl.scalar(z)
-    return acc + spl.mat_k * spl.scalar(t)
+    acc = scalar_matrix(spl, x)
+    for gen, c in ((spl.mat_i, y), (spl.mat_j, z), (spl.mat_k, t)):
+        acc = spl.add(acc, spl.mul(gen, scalar_matrix(spl, c)))
+    return acc
+
+
+class FracPair:
+    """a + b·√rad over Fractions: the reference ring for the pair models."""
+
+    __slots__ = ("a", "b", "rad")
+
+    def __init__(self, a, b, rad):
+        self.a, self.b, self.rad = Fraction(a), Fraction(b), rad
+
+    def __add__(self, other):
+        return FracPair(self.a + other.a, self.b + other.b, self.rad)
+
+    def __neg__(self):
+        return FracPair(-self.a, -self.b, self.rad)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return FracPair(a * c + self.rad * b * e, a * e + b * c, self.rad)
+
+    def __eq__(self, other):
+        return (self.a, self.b, self.rad) == (other.a, other.b, other.rad)
+
+
+def pair_values(mat, rad):
+    """The pair matrix (den, a1, b1, ..., a4, b4) as a Mat2 of FracPairs."""
+    den = mat[0]
+    return Mat2(*(FracPair(Fraction(mat[i], den), Fraction(mat[i + 1], den), rad)
+                  for i in (1, 3, 5, 7)))
+
+
+def model_entries(spl, mat):
+    """The entries of a model's matrix: (den, a, b) on a pair model."""
+    if is_pair(spl):
+        return [(mat[0], mat[i], mat[i + 1]) for i in (1, 3, 5, 7)]
+    return mat.entries()
 
 
 def ref_det4(rows):
@@ -481,11 +534,12 @@ def assert_images_agree(spl, u):
     if want == "precision loss":
         assert got == want
         return
-    if spl.exact:
+    if spl.exact and is_pair(spl):
+        assert pair_values(got, spl.params.p) == pair_values(want, spl.params.p)
+    elif spl.exact:
         assert [entry_key(e) for e in got.entries()] == [reference_key(e) for e in want.entries()]
-        return
-    level = spl.check_level()
-    assert all(spl.entry_zero(g - w, level) for g, w in zip(got.entries(), want.entries()))
+    else:
+        assert spl.mat_zero(spl.add(got, want, -1), spl.check_level())
 
 
 def test_models_cover_every_case():
@@ -584,9 +638,11 @@ def test_residue_embed_matches_a_padic_embed_of_order_elements(index, coords):
     lam = k - spl.check_level()
     u = element_from_coords(spl.params, coords)
     scale = PadicNum.from_rational(q**lam, q, k)
-    for got, want in zip(spl.embed(u).entries(), padic_reference_embed(spl, u).entries()):
+    want_entries = padic_reference_embed(spl, u).entries()
+    for got, want in zip(model_entries(spl, spl.embed(u)), want_entries):
         if spl.case == split.CASE_RAMIFIED:
-            pairs = [(got.a * q**lam // got.den, want.a), (got.b * q**lam // got.den, want.b)]
+            den, a, b = got
+            pairs = [(a * q**lam // den, want.a), (b * q**lam // den, want.b)]
         else:
             pairs = [(got * q**lam, want)]
         for g, w in pairs:
@@ -626,12 +682,13 @@ real_place_st = st.sampled_from([d for d in DELTAS if d > 1]).map(
 @given(real_place_st, st.integers(-10**6, 10**6), st.integers(1, 60), st.integers(1, 12))
 @example(split.build_splitting(AlgebraParams.create(6, 1), "inf"), 0, 7, 3)
 @example(split.build_splitting(AlgebraParams.create(35, 3), "inf"), -6, 4, 5)
-def test_real_place_lift_stores_the_fields_of_the_rational_constructor(spl, num, den, g):
-    """The lift of num/den, reduced or not (scaled by g), zero included."""
-    want = QuadRat(Fraction(num, den), 0, spl.params.p)
-    got = spl._lift(num * g, den * g)
-    fields = ("_a", "_b", "_den", "_rad")
-    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+def test_real_place_lift_keeps_the_rational_over_the_given_denominator(spl, num, den, g):
+    """The lift of num/den, reduced or not (scaled by g), zero included: the
+    ints as given, with no √p part, since nothing reduces; a scalar is the
+    value num/den."""
+    assert spl._lift([num * g, 0], den * g) == (den * g, num * g, 0)
+    got_den, a, b = spl.scalar(Fraction(num * g, den * g))
+    assert (Fraction(a, got_den), b) == (Fraction(num, den), 0)
 
 
 def old_psi_sample(params, rng):
@@ -651,10 +708,9 @@ def test_psi_samples_are_the_fraction_draws():
             assert rng.getstate() == ref.getstate()
 
 
-def assert_det_agrees(rows, spl=None):
-    """Exact rings: equal, and of one type.  A ramified model's residues:
-    equal at its level.  PadicNums: the same residue, with at least the
-    reference's absolute precision."""
+def assert_det_agrees(rows):
+    """Exact rings: equal, and of one type.  PadicNums: the same residue,
+    with at least the reference's absolute precision."""
     got, want = det4(rows), ref_det4(rows)
     if isinstance(want, PadicNum):
         if is_exact_zero(want):
@@ -662,21 +718,26 @@ def assert_det_agrees(rows, spl=None):
             return
         assert got.abs_prec >= want.abs_prec
         assert (got - want).val_at_least(want.abs_prec)
-    elif spl is not None and spl.case == split.CASE_RAMIFIED:
-        assert spl.entry_zero(got - want, spl.check_level())
     else:
         assert type(got) is type(want) and got == want
 
 
 def test_laplace_det_matches_permutation_sum_on_trace_forms():
+    """Every model's trace-form determinant against the permutation sum over
+    the same images; a pair model's images read as FracPairs, on which both
+    are exact."""
     for index in range(len(MODELS)):
         spl = local_model(index)
         images = [spl.embed(e) for e in hashimoto_basis(spl.params)]
-        gram = [
-            [(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in images]
-            for a in images
-        ]
-        assert_det_agrees(gram, spl)
+        mats = [pair_values(x, spl.params.p) for x in images] if is_pair(spl) else images
+        gram = [[(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in mats] for a in mats]
+        if is_pair(spl):
+            den, a, b = spl.trace_form_gap(images, 0)
+            want = ref_det4(gram)
+            assert (Fraction(a, den), Fraction(b, den)) == (want.a, want.b)
+        else:
+            assert_det_agrees(gram)
+            assert spl.trace_form_gap(images, 0) == det4(gram)
 
 
 def matrix_of(entry_st):
@@ -699,10 +760,19 @@ def test_laplace_det_matches_permutation_sum_over_q(rows):
     assert_det_agrees(rows)
 
 
+pair_int_st = st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+
+
 @SETTINGS
-@given(matrix_of(st.builds(QuadRat, small_rational_st, small_rational_st, st.just(13))))
-def test_laplace_det_matches_permutation_sum_over_quadratic_field(rows):
-    assert_det_agrees(rows)
+@given(
+    matrix_of(st.builds(FracPair, small_rational_st, small_rational_st, st.just(13))),
+    matrix_of(pair_int_st),
+)
+def test_laplace_det_matches_permutation_sum_over_quadratic_field(rows, int_rows):
+    """det4 over the reference field, and the int kernel pair_det4."""
+    assert det4(rows) == ref_det4(rows)
+    want = ref_det4([[FracPair(a, b, 13) for a, b in row] for row in int_rows])
+    assert pair_det4(int_rows, 13) == (want.a, want.b)
 
 
 @SETTINGS
@@ -711,47 +781,26 @@ def test_laplace_det_matches_permutation_sum_over_padics(rows):
     assert_det_agrees(rows)
 
 
-# --- integer-scaled QuadRat against (a, b) Fraction pairs ----------------------
+# --- the int pair-matrix kernel against Fraction pairs ---------------------------
 
 RADICANDS = (-1, 2, 5, 13)
-maybe_zero_st = st.one_of(st.just(Fraction(0)), rational_st)
+maybe_zero_int_st = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+pair_matrix_st = st.tuples(st.sampled_from((1, 2, 3, 6)), *[maybe_zero_int_st] * 8)
 
 
 @SETTINGS
-@given(
-    st.sampled_from(RADICANDS),
-    st.tuples(maybe_zero_st, maybe_zero_st),
-    st.tuples(maybe_zero_st, maybe_zero_st),
-    rational_st,
-)
-def test_quadrat_matches_fraction_pair_reference(d, cu, cv, s):
-    (a, b), (c, e) = cu, cv
-    u, v = QuadRat(a, b, d), QuadRat(c, e, d)
-    n = s.numerator
-    cases = [
-        (u + v, (a + c, b + e)),
-        (u - v, (a - c, b - e)),
-        (-u, (-a, -b)),
-        (u * v, (a * c + d * b * e, a * e + b * c)),
-        (u + s, (a + s, b)),
-        (s + u, (a + s, b)),
-        (u - s, (a - s, b)),
-        (u * s, (a * s, b * s)),
-        (s * u, (a * s, b * s)),
-        (u + n, (a + n, b)),
-        (u * n, (a * n, b * n)),
-    ]
-    for got, (wa, wb) in cases:
-        assert (got.a, got.b) == (wa, wb)
-        same = QuadRat(wa, wb, d)
-        assert got == same and hash(got) == hash(same)
-    assert (u == v) == (cu == cv)
-    if b == 0:
-        assert u == a and hash(u) == hash(a) and u in {a}
-    else:
-        assert u != a
-    with pytest.raises(InvalidParametersError):
-        u + QuadRat(c, e, 3)
+@given(st.sampled_from(RADICANDS), pair_matrix_st, pair_matrix_st, st.integers(-3, 3))
+def test_pair_kernel_matches_fraction_pair_reference(d, x, y, c):
+    """Products and sums x + c·y agree with FracPair matrices, and nothing
+    reduces: a product is over the product of the denominators, a sum over
+    the shared one or, when they differ, over their product."""
+    rx, ry = pair_values(x, d), pair_values(y, d)
+    prod_xy = pair_mul(x, y, d)
+    assert pair_values(prod_xy, d) == rx * ry
+    assert prod_xy[0] == x[0] * y[0]
+    total = pair_add(x, y, c)
+    assert pair_values(total, d) == rx + ry * FracPair(c, 0, d)
+    assert total[0] == (x[0] if x[0] == y[0] else x[0] * y[0])
 
 
 # --- lattices from rational rows ------------------------------------------------

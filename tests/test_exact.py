@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from quatorder.errors import AmbientMismatchError, InvalidParametersError
 from quatorder.exact import (
-    QuadRat,
     ZLattice4,
     congruence_kernel,
     det4,
     frac_to_str,
     hnf,
     is_perfect_square,
+    pair_add,
+    pair_mul,
 )
 
 
@@ -130,19 +131,22 @@ def test_lattice_ambient_guard():
         a.intersect(b)
 
 
-def test_quadrat_field_arithmetic():
-    th = QuadRat(0, 1, 13)  # sqrt(13)
-    u = QuadRat(Fraction(1, 2), Fraction(1, 2), 13)
-    assert (u * QuadRat(Fraction(1, 2), Fraction(-1, 2), 13)).a == Fraction(1 - 13, 4)
-    assert (th * th) == 13
-    assert (1 + th) - th == 1
+def scalar_pair_matrix(den, a, b):
+    """(a + b·√d)/den times the identity, as a pair matrix."""
+    return (den, a, b, 0, 0, 0, 0, a, b)
 
 
-def test_rational_quadrat_hashes_like_its_value():
-    assert QuadRat(13, 0, 13) == 13
-    assert QuadRat(13, 0, 13) in {13}
-    assert {QuadRat(0, 0, 5): "zero"}[0] == "zero"
-    assert QuadRat(13, 1, 13) not in {13}
+def test_pair_matrix_field_arithmetic():
+    th = scalar_pair_matrix(1, 0, 1)  # sqrt(13)
+    u, ubar = scalar_pair_matrix(2, 1, 1), scalar_pair_matrix(2, 1, -1)
+    assert pair_mul(u, ubar, 13) == scalar_pair_matrix(4, 1 - 13, 0)
+    assert pair_mul(th, th, 13) == scalar_pair_matrix(1, 13, 0)
+    one = scalar_pair_matrix(1, 1, 0)
+    assert pair_add(pair_add(one, th), th, -1) == one
+    # nothing reduces: a sum over two denominators is over their product
+    assert pair_add(u, ubar, 2) == scalar_pair_matrix(2, 3, -1)
+    assert pair_add(u, th) == scalar_pair_matrix(2, 1, 3)
+    assert pair_add(th, u) == scalar_pair_matrix(2, 1, 3)
 
 
 # --- the HNF layer against brute-force oracles ------------------------------------

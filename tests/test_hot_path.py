@@ -15,10 +15,14 @@ degeneracy pair over the rational model builds only its determinant and
 discriminant witnesses.  These are counted in a warm process.
 
 A q-adic model keeps the ``PadicNum`` images of i, j and k it prints, but
-its certificate runs on their residues mod q^k, ints or int pairs a + b√p:
-verifying it builds no ``PadicNum`` and no ``Fraction``.  A local model's
-case fixes its coefficient ring, so its zero and valuation tests never ask
-a coefficient for its type.
+its certificate runs on their residues mod q^k: verifying it builds no
+``PadicNum`` and no ``Fraction``.  A local model's case fixes its
+coefficient ring, so its zero and valuation tests never ask a coefficient
+for its type.  The two quadratic models, at a ramified q and at the real
+place, hold a matrix as one int tuple, the pairs a + b√p of its entries over
+one denominator; their products, sums and trace-form determinant build no
+object per entry and never reduce, and only a zero or valuation test
+reduces, once, so a warm certificate makes a pinned number of calls.
 
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and so is a lattice intersection, whose
@@ -43,6 +47,8 @@ from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum, hensel_sqrt, is_prime
 from quatorder.quat import AlgebraParams, coords_in_hashimoto, hashimoto_basis
 from quatorder.split import (
+    CASE_ARCHIMEDEAN,
+    CASE_RAMIFIED,
     CASE_RATIONAL,
     LocalSplitting,
     build_splitting,
@@ -189,14 +195,28 @@ def test_level_map_samples_build_only_their_norms():
 
 
 def test_rational_degeneracy_pair_builds_the_measured_fractions():
-    """8 Fractions: per side the coordinate determinant, its absolute value
-    twice (test and witness) and the reduced discriminant; the rational
-    local model adds none."""
+    """No Fraction: the coordinate determinant and the reduced discriminant
+    are decided on ints, which build a Fraction only for a non-integral
+    witness or an error text; the rational local model adds none."""
     pair = degeneracy_bases(AlgebraParams.create(1, 9), 5)
     assert pair.splitting.case == CASE_RATIONAL
     reports = []
-    assert fractions_built(lambda: reports.append(verify_degeneracy(pair))) == 8
+    assert fractions_built(lambda: reports.append(verify_degeneracy(pair))) == 0
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("place, calls", [(5, 260), ("inf", 142)])
+def test_pair_model_certificates_make_the_measured_calls(place, calls):
+    """Function calls of a warm ``verify_splitting`` at (35, 3): 260 on the
+    ramified model at q = 5 and 142 at the real place.  With an object per
+    coefficient (``QuadResidue`` and ``QuadRat``) the same certificates made
+    1,096 and 2,323."""
+    spl = build_splitting(AlgebraParams.create(35, 3), place)
+    assert spl.case == (CASE_RAMIFIED if place == 5 else CASE_ARCHIMEDEAN)
+    assert verify_splitting(spl).passed
+    prof = cProfile.Profile()
+    prof.runcall(verify_splitting, spl)
+    assert pstats.Stats(prof).total_calls == calls
 
 
 def test_lattice_certificates_run_one_elimination_per_kernel():

@@ -29,11 +29,14 @@ imports are re-exports, and ``from __future__`` imports are exempt.
 Importing the command-line entry point loads neither ``dataclasses`` nor
 ``inspect``: the package's records are plain ``__slots__`` classes, and every
 process that starts ``quatorder`` would otherwise pay for that import chain.
+
+No module's compilation peaks above ``COMPILE_PEAK_BYTES``.
 """
 
 import ast
 import contextlib
 import io
+import json
 import os
 import re
 import runpy
@@ -50,6 +53,9 @@ README = (ROOT / "README.md").read_text()
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 HEAVY_IMPORTS = {"dataclasses", "inspect"}
+# split.py's peak under tracemalloc at Python 3.11.7 when the compile-peak
+# guard was added; the same on every run.
+COMPILE_PEAK_BYTES = 1_747_431
 PROTOCOL = {"__init__", "__repr__", "__str__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
 
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
@@ -272,3 +278,31 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     added = _loaded_modules("import quatorder.cli; ") - _loaded_modules("")
     assert "quatorder.cli" in added
     assert added & HEAVY_IMPORTS == set(), f"importing quatorder.cli loads {added & HEAVY_IMPORTS}"
+
+
+def test_no_module_compiles_above_the_peak_bound():
+    """A process that starts ``quatorder`` compiles the modules it imports
+    (the benchmark runs with no bytecode cache), and the compiler's transient
+    memory then sets part of that process's peak RSS, so a module that grows
+    past the bound raises ``peak_rss_mb`` with no change in the work done.
+    The peaks are read in a fresh interpreter: a compile there interns the
+    module's names, as an import would, which a warm process already did."""
+    code = (
+        "import json, sys, tracemalloc\n"
+        "peaks = {}\n"
+        "for path in sys.argv[1:]:\n"
+        "    source = open(path, encoding='utf-8').read()\n"
+        "    tracemalloc.start()\n"
+        "    compile(source, path, 'exec')\n"
+        "    peaks[path.rsplit('/', 1)[-1]] = tracemalloc.get_traced_memory()[1]\n"
+        "    tracemalloc.stop()\n"
+        "print(json.dumps(peaks))\n"
+    )
+    paths = [str(path) for path in sorted(PACKAGE.glob("*.py"))]
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, *paths], capture_output=True, text=True, check=True
+    ).stdout
+    peaks = json.loads(out)
+    assert len(peaks) == len(paths)
+    over = {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_BYTES}
+    assert over == {}, f"compile peaks above {COMPILE_PEAK_BYTES} bytes: {over}"

@@ -12,15 +12,19 @@ discriminant) and compares them with that catalogue using the gate's
 digests pinned here.  The frozen files are read, never written.
 """
 
+import hashlib
 import importlib.util
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from quatorder.cli import main
+from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LOW_PRECISION_SHA256 = "60bca82cf07f084bc5a3044917597fcd4d58f41114555799ec11eab5f1cb1d20"
 
 
 def _load_gate():
@@ -125,3 +129,35 @@ def test_single_object_output_matches_frozen_digest(capsys, key, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert _load_gate().call_digest(json.loads(out)) == digest
+
+
+def _low_precision_argvs() -> list:
+    """Every ramified ``split`` call of the default grid at precision 1-4,
+    at each place 2-17 that divides delta, then one real-place call per
+    algebra of the grid with delta > 1."""
+    pairs = [(d, n) for d in DEFAULT_DELTAS for n in DEFAULT_LEVELS if d > 1 and gcd(d, n) == 1]
+    argvs = [
+        f"split --delta {d} --level {n} --json --place {q} --precision {k}"
+        for d, n in pairs
+        for q in (2, 3, 5, 7, 11, 13, 17)
+        if d % q == 0
+        for k in range(1, 5)
+    ]
+    return argvs + [f"split --delta {d} --level {n} --json --place inf" for d, n in pairs]
+
+
+def test_low_precision_pair_models_replay_byte_identically(capsys):
+    """The quadratic-pair models where k is smallest, which the frozen call
+    digests (all at k = 20) do not reach: one SHA-256 over each call's argv,
+    exit code, stdout and stderr.  At k = 1 a ramified q = 2 leaves no digit
+    to assert and exits 4."""
+    digest, codes = hashlib.sha256(), []
+    argvs = _low_precision_argvs()
+    for argv in argvs:
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        codes.append(code)
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode() + b"\n")
+    assert len(argvs) == 396
+    assert (codes.count(0), codes.count(4)) == (365, 31)
+    assert digest.hexdigest() == LOW_PRECISION_SHA256

@@ -52,7 +52,7 @@ def test_flagship_places_all_verify():
         assert report.passed, (place, report.failures())
     real = build_splitting(params, INFINITE_PLACE)
     with pytest.raises(InvalidParametersError):  # Q(sqrt(p)) has no q-adic valuation
-        real.entry_val_at_least(real.mat_i.b, 0)
+        real.entry_val_at_least(real.scalar(1), 0)
 
 
 def test_split_algebra_image_lattice():
@@ -91,10 +91,21 @@ def test_embedding_is_homomorphism():
         for _ in range(6):
             u, v = rand_elem(params, rng), rand_elem(params, rng)
             lhs = spl.embed(u * v)
-            rhs = spl.embed(u) * spl.embed(v)
-            diff = lhs - rhs
-            for entry in diff.entries():
-                assert spl.entry_zero(entry, 12)
+            rhs = spl.mul(spl.embed(u), spl.embed(v))
+            assert spl.mat_zero(spl.add(lhs, rhs, -1), 12)
+
+
+def det_less(spl, mat, value):
+    """det(mat) - value in the model's coefficient ring; on a pair model the
+    entry (den, a, b) of (a + b·√p)/den."""
+    if spl.case not in (CASE_RAMIFIED, CASE_ARCHIMEDEAN):
+        return mat.det() - spl.scalar(value)
+    den, a1, b1, a2, b2, a3, b3, a4, b4 = mat
+    p = spl.params.p
+    vd, va, _ = spl.scalar(value)
+    da = a1 * a4 + p * b1 * b4 - a2 * a3 - p * b2 * b3
+    db = a1 * b4 + b1 * a4 - a2 * b3 - b2 * a3
+    return den * den * vd, da * vd - va * den * den, db * vd
 
 
 def test_embedding_determinant_is_norm():
@@ -104,10 +115,7 @@ def test_embedding_determinant_is_norm():
         spl = build_splitting(params, place)
         for _ in range(6):
             u = rand_elem(params, rng)
-            det = spl.embed(u).det()
-            want = u.reduced_norm()
-            diff = det - spl.scalar(want)
-            assert spl.entry_zero(diff, 12)
+            assert spl.entry_zero(det_less(spl, spl.embed(u), u.reduced_norm()), 12)
 
 
 def test_at_p_image_is_full_matrix_ring():
@@ -160,3 +168,30 @@ def test_precision_guard():
     spl = build_splitting(params, 11, k=6)
     with pytest.raises(PrecisionLossError):
         spl.scalar(Fraction(1, 11**7))
+
+
+def test_a_real_place_j_with_theta_on_both_diagonal_entries_is_caught():
+    """j = [[θ, 0], [0, θ]] squares to p but commutes with i."""
+    params = AlgebraParams(35, 3, 13, 5)
+    spl = build_splitting(params, INFINITE_PLACE)
+    gen_i, gen_j, gen_k = spl.generators
+    ul, ur, ll, _ = gen_j.entries()
+    wrong = LocalSplitting(params, INFINITE_PLACE, spl.case, spl.precision,
+                           gen_i, Mat2(ul, ur, ll, ul), gen_k, spl.data)
+    failed = {c.check_id for c in verify_splitting(wrong).failures()}
+    assert failed == {"relations.anticommute", "relations.k_matches", "discriminant.trace_form"}
+
+
+def test_a_ramified_i_without_the_factor_q_in_its_lower_left_is_caught():
+    """i = [[0, x - y√p], [x + y√p, 0]] squares to -dn/q, not -dn."""
+    params = AlgebraParams(35, 3, 13, 5)
+    spl = build_splitting(params, 5)
+    gen_i, gen_j, gen_k = spl.generators
+    ul, ur, _, lr = gen_i.entries()
+    ll = (spl.data["x"], spl.data["y"])
+    wrong = LocalSplitting(params, 5, spl.case, spl.precision,
+                           Mat2(ul, ur, ll, lr), gen_j, gen_k, spl.data)
+    failed = {c.check_id for c in verify_splitting(wrong).failures()}
+    assert failed == {
+        "relations.i_square", "relations.k_matches", "integrality.e3", "discriminant.trace_form",
+    }
