@@ -151,8 +151,8 @@ def degeneracy_bases(
             c, cp = 0, 1 % q
         else:  # the model's lifts of (p -/+ omega)/2, read mod q
             omega = splitting.data["omega"].residue(k)
-            c = splitting.scalar(p - omega, 2) % q
-            cp = splitting.scalar(p + omega, 2) % q
+            lifts = (splitting.scalar(p - omega, 2), splitting.scalar(p + omega, 2))
+            c, cp = [n // den % q for den, n in lifts]
         consts = {"c": c, "c_prime": cp}
         f = (e1, e2, e3 + e4 * -c, e4 * q)
         g = (e1, e2, e3 + e4 * -cp, e4 * q)
@@ -212,7 +212,7 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
                 ok, why = s.matrix_in_shape(img, check_level, extra_ll=1)
             else:
                 ok, why = s.matrix_in_shape(img, check_level)
-                if ok and not s.entry_val_at_least(img.b, 1):
+                if ok and not s.entry_val_at_least(s.entries(img)[1], 1):
                     ok, why = False, "upper-right entry not divisible by q"
             report.add(
                 f"membership.{side}.e{idx}",

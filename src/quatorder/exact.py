@@ -1,4 +1,4 @@
-"""Exact linear algebra: HNF lattices, 2x2 matrices, and 2x2 matrices over Z[√d].
+"""Exact linear algebra: HNF lattices and int 2x2 matrices over Z and Z[√d].
 
 All lattice work happens over Z after clearing denominators; the Hermite
 normal form here is the row-style echelon form with positive pivots and the
@@ -146,12 +146,13 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over Z[√d], on ints
+# 2x2 matrices over Z and Z[√d], on ints
 #
-# A pair matrix is the int tuple (den, a1, b1, a2, b2, a3, b3, a4, b4): the
-# entries (a + b·√d)/den, upper-left, upper-right, lower-left, lower-right, over
-# one denominator den > 0.  Nothing here reduces; a model that holds pair
-# matrices reduces once, in a zero or valuation test.
+# A matrix is the int tuple (den, *ints): its four entries upper-left,
+# upper-right, lower-left, lower-right over one denominator den > 0, each entry
+# one int, or over Z[√d] the pair (a, b) of (a + b·√d)/den, so (den, a1, b1, ...,
+# a4, b4).  An entry alone is laid out the same way, (den, a) or (den, a, b).
+# Nothing here reduces; a model reduces once, in a zero or valuation test.
 
 # (sign, i, j, k, l): det4's terms, the minor of rows 0, 1 on columns i, j times
 # the minor of rows 2, 3 on columns k, l.
@@ -172,8 +173,15 @@ def pair_mul(x: tuple, y: tuple, d: int) -> tuple:
     )
 
 
-def pair_add(x: tuple, y: tuple, c: int = 1) -> tuple:
-    """x + c·y for two pair matrices and an int c."""
+def mat_mul(x: tuple, y: tuple) -> tuple:
+    """The product x·y of two int matrices (den, a, b, c, d)."""
+    xd, a, b, c, d = x
+    yd, e, f, g, h = y
+    return xd * yd, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def mat_add(x: tuple, y: tuple, c: int = 1) -> tuple:
+    """x + c·y for two matrices of one layout (or two entries) and an int c."""
     xd, yd = x[0], y[0]
     if xd == yd:
         return (xd, *[u + c * v for u, v in zip(x[1:], y[1:])])
@@ -198,6 +206,18 @@ def pair_det4(rows, d: int) -> tuple:
     return a, b
 
 
+def mat_trace_det(mats) -> tuple:
+    """det of the trace form tr(X_r·X_c) of four int matrices, as the entry
+    (den, n) of n/den; see pair_trace_det."""
+    gram = [[None] * 4 for _ in range(4)]
+    for r, (_, a, b, c, d) in enumerate(mats):
+        for col in range(r, 4):
+            _, e, f, g, h = mats[col]
+            gram[r][col] = gram[col][r] = a * e + b * g + c * f + d * h
+    den = prod(x[0] for x in mats)
+    return den * den, det4(gram)
+
+
 def pair_trace_det(mats, d: int) -> tuple:
     """det of the trace form tr(X_r·X_c) of four pair matrices, as the int
     triple (den, a, b) of (a + b·√d)/den.
@@ -216,44 +236,6 @@ def pair_trace_det(mats, d: int) -> tuple:
             )
     den = prod(x[0] for x in mats)
     return (den * den, *pair_det4(gram, d))
-
-
-# ---------------------------------------------------------------------------
-# generic 2x2 matrices
-
-
-class Mat2:
-    """2x2 matrix over any ring with +, -, *."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __add__(self, other):
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __mul__(self, other):
-        if isinstance(other, Mat2):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
-        return Mat2(self.a * other, self.b * other, self.c * other, self.d * other)
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def entries(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.entries() == other.entries()
-
-    def __repr__(self):
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +357,12 @@ class ZLattice4:
         return ZLattice4._from_hnf(d, _vanishing_part(gens, 4), self.ambient or other.ambient)
 
     def index_in(self, superlattice: "ZLattice4") -> int:
-        """[superlattice : self] for two full-rank lattices with self ⊆ superlattice.
+        """[superlattice : self] for two full-rank lattices, self ⊆ superlattice.
 
         A rank-4 HNF is upper triangular: (1/d)·rows has covolume prod(diagonal)/d^4.
+        Containment is not checked, only that the covolume ratio is an integer;
+        every caller checks containment itself (degeneracy's ``membership.*``,
+        ``chains._is_sublattice``, ψ's ``inclusion.integer_coords``).
         """
         self._check_ambient(superlattice)
         if self.rank != 4 or superlattice.rank != 4:

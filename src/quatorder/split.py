@@ -18,10 +18,10 @@ q-adic level: the working precision k less the λ = v_q(2p) digits the basis
 costs.  Each model states the images of i, j and k; a q-adic model prints
 them as ``PadicNum`` entries (pairs (a, b) = a + b√p at a ramified q) but
 certifies on their exact residues mod q^k; a test deeper than the stated
-level raises PrecisionLossError.  The two quadratic models, at a ramified q
-and at the real place, hold each matrix as plain ints, the pairs (a, b) of
-its entries over one denominator: their arithmetic never reduces, and only a
-zero or valuation test reduces, once.
+level raises PrecisionLossError.  Every model holds a matrix as one int
+tuple, its entries over one denominator (an int, or at a ramified q and at
+the real place the pair (a, b) of a + b√p): its arithmetic never reduces,
+and only a zero or valuation test reduces, once.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from .errors import (
     PrecisionLossError,
 )
 from .exact import (
-    Mat2,
     ZLattice4,
     as_rational,
     congruence_kernel,
-    det4,
     frac_to_str,
-    pair_add,
+    mat_add,
+    mat_mul,
+    mat_trace_det,
     pair_mul,
     pair_trace_det,
 )
@@ -146,70 +146,63 @@ _FIXED_SHAPES = {CASE_ARCHIMEDEAN: "none", CASE_RAMIFIED: "ramified_maximal"}
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
-    generators are the stated images of i, j and k, which to_json prints;
-    the certificates run on mat_i, mat_j and mat_k, and relations.k_matches
-    checks the stated k against mat_i·mat_j.  data holds the case-specific
-    witnesses (norm-form solutions, square roots).  The case fixes the
-    coefficient ring, and the model supplies the matrix product and sum, the
-    zero and valuation tests and the trace-form determinant on it.  exact
-    marks the rational model (an int when integral, a Fraction otherwise)
-    and the real-place model: there zero means zero and precision is
-    ignored.  A q-adic model's matrices are its generators' residues mod q^k;
-    an element with denominator q^v·d' has entries num/d' mod q^k over q^v,
-    known to check_level() when v <= λ, as for the order, whose denominators
-    divide 2p; a larger v is refused.  The ramified and real-place models
-    hold a matrix as the int tuple (den, a1, b1, ..., a4, b4) of its entries
-    (a + b·√p)/den (``exact.pair_mul``), and an entry as (den, a, b).
+    generators are the stated images of i, j and k, each the tuple (ul, ur,
+    ll, lr) that to_json prints; the certificates run on mat_i, mat_j and
+    mat_k, and relations.k_matches checks the stated k against mat_i·mat_j.
+    data holds the case-specific witnesses (norm-form solutions, square
+    roots).  The case fixes the coefficient ring, and the model supplies the
+    matrix product and sum, the zero and valuation tests and the trace-form
+    determinant on it.  Every matrix is the int tuple (den, *ints) of
+    ``exact.mat_mul``: an entry is one int, or the pair (a, b) of a + b·√p at
+    a ramified q and at the real place (the ring width), and an entry alone is
+    (den, *ints) too.  exact marks the rational model and the real-place
+    model: there zero means zero and precision is ignored.  A q-adic model's
+    matrices are its generators' residues mod q^k; an element with
+    denominator q^v·d' has ints num/d' mod q^k·q^v over q^v, known to
+    check_level() when v <= λ, as for the order, whose denominators divide
+    2p; a larger v is refused.
     """
 
     __slots__ = (
         "params", "place", "case", "precision", "generators", "mat_i", "mat_j", "mat_k",
-        "data", "shape", "exact", "_pair", "_level", "_mod", "_dens", "_one", "_cols",
+        "data", "shape", "exact", "_width", "_level", "_mod", "_dens", "_one", "_cols",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 gen_i: Mat2, gen_j: Mat2, gen_k: Mat2, data: dict):
+                 gen_i: tuple, gen_j: tuple, gen_k: tuple, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
         self.generators = (gen_i, gen_j, gen_k)
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
-        self._pair = pair = case in (CASE_RAMIFIED, CASE_ARCHIMEDEAN)
+        self._width = width = 2 if case in (CASE_RAMIFIED, CASE_ARCHIMEDEAN) else 1
         finite = place != INFINITE_PLACE
         ll_val = valuation(params.level, place) if finite else 0
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
         self.shape = OrderShape(kind, place if finite else None, ll_val)
         self._level = precision - (0 if exact else basis_digit_cost(params, place))
-        mats = [g.entries() for g in self.generators]
-        if pair:  # each entry the pair (a, b) of a + b·√p, flattened
+        mats = self.generators
+        if width == 2:  # each entry the pair (a, b) of a + b·√p, flattened
             mats = [[x for e in m for x in e] for m in mats]
         if not exact:
             self._mod, self._dens = place**precision, {}
             mats = [[x.residue(precision) for x in m] for m in mats]
-        one = (1, 0, 0, 0, 0, 0, 1, 0) if pair else (1, 0, 0, 1)
+        one = (1, 0, 0, 0, 0, 0, 1, 0) if width == 2 else (1, 0, 0, 1)
         # For each int of a matrix, its values in 1, i, j and k: an image is
         # their combination with an element's numerators.
         self._cols = tuple(zip(one, *mats))
-        wrap = (lambda m: (1, *m)) if pair else (lambda m: Mat2(*m))
-        self._one = wrap(one)
-        self.mat_i, self.mat_j, self.mat_k = map(wrap, mats)
+        self._one, self.mat_i, self.mat_j, self.mat_k = [(1, *m) for m in (one, *mats)]
 
-    def scalar(self, value, den: int = 1):
+    def scalar(self, value, den: int = 1) -> tuple:
         """Lift the rational value/den (den > 0) into the coefficient ring."""
         value = as_rational(value)
-        nums = [value.numerator, 0] if self._pair else [value.numerator]
-        lifted = self._lift(nums, value.denominator * den)
-        return lifted if self._pair else lifted[0]
+        return self._lift([value.numerator, 0][:self._width], value.denominator * den)
 
-    def _lift(self, nums: list, den: int):
-        """The ints nums over den in the coefficient ring: a pair model's tuple
-        (den', *nums'), the others' list of entries.  At a finite place, with
-        den = q^v·d' and q ∤ d', each is num/d' mod q^k over q^v, known to
-        k - v digits: v > λ is refused."""
-        case = self.case
-        if case == CASE_ARCHIMEDEAN:
+    def _lift(self, nums: list, den: int) -> tuple:
+        """The ints nums over den in the coefficient ring, as (den', *nums').
+        At a finite place, with den = q^v·d' and q ∤ d', each is num/d' mod
+        q^k·q^v over q^v, known to k - v digits: v > λ is refused."""
+        if self.exact:
             return (den, *nums)
-        if case == CASE_RATIONAL:
-            return [n // den if n % den == 0 else Fraction(n, den) for n in nums]
         q, mod = self.place, self._mod
         split = self._dens.get(den)
         if split is None:
@@ -221,50 +214,42 @@ class LocalSplitting:
                 )
             split = self._dens[den] = (qv, pow(den // qv, -1, mod))
         qv, inv = split
-        if case == CASE_RAMIFIED:
-            mod *= qv
-            return (qv, *[n * inv % mod for n in nums])
-        nums = [n * inv % mod for n in nums]
-        return nums if qv == 1 else [n // qv if n % qv == 0 else Fraction(n, qv) for n in nums]
+        mod *= qv
+        return (qv, *[n * inv % mod for n in nums])
 
-    def one(self):
+    def one(self) -> tuple:
         return self._one
 
-    def embed(self, u: QuatElem):
+    def embed(self, u: QuatElem) -> tuple:
         """Image of u = x + y i + z j + t k: every int of the matrix is one
         integer combination, lifted over u's denominator in one pass."""
         if u.params is not self.params and u.params != self.params:
             raise InvalidParametersError("element belongs to a different algebra")
         x, y, z, t = u.numerators
-        lifted = self._lift([x * w + y * i + z * j + t * k for w, i, j, k in self._cols],
-                            u.denominator)
-        return lifted if self._pair else Mat2(*lifted)
+        return self._lift([x * w + y * i + z * j + t * k for w, i, j, k in self._cols],
+                          u.denominator)
 
-    def mul(self, x, y):
+    def entries(self, mat: tuple) -> list:
+        """The four entries (den, *ints) of a matrix: ul, ur, ll, lr."""
+        den, w = mat[0], self._width
+        return [(den, *mat[i:i + w]) for i in range(1, 4 * w + 1, w)]
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
         """The product of two matrices of the model."""
-        return pair_mul(x, y, self.params.p) if self._pair else x * y
+        return pair_mul(x, y, self.params.p) if self._width == 2 else mat_mul(x, y)
 
-    def add(self, x, y, c: int = 1):
-        """x + c·y for two matrices of the model and an int c."""
-        if self._pair:
-            return pair_add(x, y, c)
-        return x + y if c == 1 else x + y * c
+    def add(self, x: tuple, y: tuple, c: int = 1) -> tuple:
+        """x + c·y for two matrices (or two entries) of the model and an int c."""
+        return mat_add(x, y, c)
 
-    def trace_form_gap(self, images: list, target: int):
-        """det of the trace form tr(X_r·X_c) of four images, less target.
-
-        tr(XY) = Σ x_ij·y_ji is summed as the trace of the full product
-        would be; the form is symmetric.
-        """
-        if self._pair:
+    def trace_form_gap(self, images: list, target: int) -> tuple:
+        """det of the trace form tr(X_r·X_c) of four images, less target, as an
+        entry.  tr(XY) = Σ x_ij·y_ji; the form is symmetric."""
+        if self._width == 2:
             den, a, b = pair_trace_det(images, self.params.p)
             return den, a - target * den, b
-        gram = [[None] * 4 for _ in range(4)]
-        for r, x in enumerate(images):
-            for c in range(r, 4):
-                y = images[c]
-                gram[r][c] = gram[c][r] = (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
-        return det4(gram) - target
+        den, a = mat_trace_det(images)
+        return den, a - target * den
 
     def check_level(self) -> int:
         """q-adic level the certificates assert: precision minus λ = v_q(2p).
@@ -289,25 +274,16 @@ class LocalSplitting:
             )
         return self.place**m
 
-    def entry_zero(self, value, check_level: int) -> bool:
-        """Is a coefficient-ring element zero (to q^check_level where truncated)?"""
-        if self._pair:  # (den, a, b) is laid out as a pair matrix is
-            return self.mat_zero(value, check_level)
+    def is_zero(self, value: tuple, check_level: int) -> bool:
+        """Is a matrix or an entry of the model zero (to q^check_level where
+        truncated)?  Its ints are reduced once, modulo q^check_level·den."""
         if self.exact:
-            return value == 0
-        return value % self._modulus(check_level) == 0
+            return not any(value[1:])
+        qm = self._modulus(check_level) * value[0]
+        return not any([v % qm for v in value[1:]])
 
-    def mat_zero(self, mat, check_level: int) -> bool:
-        """Is every entry of a matrix of the model zero?  A pair matrix
-        reduces its ints once, modulo q^check_level·den."""
-        ints = mat[1:] if self._pair else mat.entries()
-        if self.exact:
-            return not any(ints)
-        qm = self._modulus(check_level) * (mat[0] if self._pair else 1)
-        return not any([v % qm for v in ints])
-
-    def entry_val_at_least(self, value, m: int) -> bool:
-        """Is the q-adic valuation of a coefficient-ring element at least m?
+    def entry_val_at_least(self, value: tuple, m: int) -> bool:
+        """Is the q-adic valuation of an entry at least m?
 
         For the global rational model at the real place "integral" degrades to
         "integer", which is what its order images satisfy.  At a ramified q it
@@ -316,20 +292,20 @@ class LocalSplitting:
         """
         if self.case == CASE_ARCHIMEDEAN:
             raise InvalidParametersError("no q-adic valuation at the real place")
-        if self.exact:
-            if value == 0:
+        den, a = value[:2]
+        if self.case == CASE_RATIONAL:  # den is the element's own denominator
+            if a == 0:
                 return True
-            if self.place != INFINITE_PLACE:
-                return valuation(value, self.place) >= m
-            return value.denominator == 1
-        qm = self._modulus(m)
-        if self._pair:
-            den, a, b = value
-            qm *= den
-            return not (2 * a % qm or 2 * b % qm or (a * a - self.params.p * b * b) % (qm * qm))
-        return value % qm == 0
+            if self.place == INFINITE_PLACE:
+                return a % den == 0
+            return valuation(a, self.place) - valuation(den, self.place) >= m
+        qm = self._modulus(m) * den  # den is a power of q
+        if self._width == 1:
+            return a % qm == 0
+        b = value[2]
+        return not (2 * a % qm or 2 * b % qm or (a * a - self.params.p * b * b) % (qm * qm))
 
-    def matrix_in_shape(self, mat: Mat2, check_level: int, extra_ll: int = 0) -> tuple[bool, str]:
+    def matrix_in_shape(self, mat: tuple, check_level: int, extra_ll: int = 0) -> tuple[bool, str]:
         """Test membership of a matrix in the target order shape.
 
         extra_ll strengthens the lower-left divisibility requirement, which is
@@ -338,24 +314,20 @@ class LocalSplitting:
         shape = self.shape
         if shape.kind == "none":
             return True, "no integrality constraint at the real place"
-        if self._pair:
-            den = mat[0]
-            entries = [(den, mat[i], mat[i + 1]) for i in (1, 3, 5, 7)]
-        else:
-            entries = mat.entries()
+        entries = self.entries(mat)
         for name, e in zip(("ul", "ur", "ll", "lr"), entries):
             if not self.entry_val_at_least(e, 0):
                 return False, f"{name} entry not integral"
         if shape.kind == "ramified_maximal":
             (den, a1, b1), (_, a2, b2), (_, a3, b3), (_, a4, b4) = entries
             q = shape.q
-            if not self.entry_zero((den, a4 - a1, b4 + b1), check_level):
+            if not self.is_zero((den, a4 - a1, b4 + b1), check_level):
                 return False, "lower-right entry is not the conjugate of the upper-left"
-            if not self.entry_zero((den, a3 - q * a2, b3 + q * b2), check_level):
+            if not self.is_zero((den, a3 - q * a2, b3 + q * b2), check_level):
                 return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
             return True, ""
         need = shape.ll_val + extra_ll
-        if need and not self.entry_val_at_least(mat.c, need):
+        if need and not self.entry_val_at_least(entries[2], need):
             return False, f"lower-left entry valuation below {need}"
         return True, ""
 
@@ -368,16 +340,18 @@ class LocalSplitting:
         mod = self._modulus(m)
         cols, residues = self._cols[entry], []
         for e in hashimoto_basis(self.params):
-            (v,) = self._lift([sum(n * c for n, c in zip(e.numerators, cols))], e.denominator)
-            if v.denominator % q == 0:
-                raise PrecisionLossError(f"{v} is not {q}-integral")
-            residues.append(v.numerator * pow(v.denominator, -1, mod) % mod)
+            den, num = self._lift([sum(n * c for n, c in zip(e.numerators, cols))], e.denominator)
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            if den % q == 0:
+                raise PrecisionLossError(f"{num}/{den} is not {q}-integral")
+            residues.append(num * pow(den, -1, mod) % mod)
         return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
         enc = frac_to_str if self.exact else lambda v: v.to_json()
         pair = lambda e: {"a": enc(e[0]), "b": enc(e[1])}
-        entry = pair if self._pair else enc
+        entry = pair if self._width == 2 else enc
         body = {
             "place": self.place if self.place == INFINITE_PLACE else int(self.place),
             "case": self.case,
@@ -386,7 +360,7 @@ class LocalSplitting:
             "data": {k: enc(v) for k, v in self.data.items()},
         }
         for name, gen in zip("ijk", self.generators):
-            body[name] = [entry(e) for e in gen.entries()]
+            body[name] = [entry(e) for e in gen]
         return body
 
 
@@ -430,14 +404,14 @@ def build_splitting(
 
     if case == CASE_RATIONAL:
         n = params.level
-        mi, mj, mk = Mat2(0, -1, n, 0), Mat2(-1, 0, 0, 1), Mat2(0, -1, -n, 0)
+        mi, mj, mk = (0, -1, n, 0), (-1, 0, 0, 1), (0, -1, -n, 0)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
     if case == CASE_ARCHIMEDEAN:  # Q(sqrt(p)), an entry the int pair (a, b) = a + b·sqrt(p)
         zero, theta, mtheta = (0, 0), (0, 1), (0, -1)
-        mi = Mat2(zero, (1, 0), (-dn, 0), zero)
-        mj = Mat2(theta, zero, zero, mtheta)
-        mk = Mat2(zero, mtheta, (0, -dn), zero)
+        mi = (zero, (1, 0), (-dn, 0), zero)
+        mj = (theta, zero, zero, mtheta)
+        mk = (zero, mtheta, (0, -dn), zero)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {})
 
     q = place
@@ -450,9 +424,9 @@ def build_splitting(
     if case == CASE_UNRAMIFIED_SQUARE:
         omega = hensel_sqrt(p, q, k)
         mdn, momega = pn(-dn), -omega
-        mi = Mat2(z0, pn(1), mdn, z0)
-        mj = Mat2(momega, z0, z0, omega)
-        mk = Mat2(z0, omega, mdn * momega, z0)
+        mi = (z0, pn(1), mdn, z0)
+        mj = (momega, z0, z0, omega)
+        mk = (z0, omega, mdn * momega, z0)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": omega})
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
@@ -460,9 +434,9 @@ def build_splitting(
         pp = pn(p)
         py, mx = pp * y, -x
         mpy = -py
-        mi = Mat2(x, mpy, y, mx)
-        mj = Mat2(z0, pp, pn(1), z0)
-        mk = Mat2(mpy, pp * x, mx, py)
+        mi = (x, mpy, y, mx)
+        mj = (z0, pp, pn(1), z0)
+        mk = (mpy, pp * x, mx, py)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
 
     if case == CASE_AT_P:
@@ -470,9 +444,9 @@ def build_splitting(
         if _flip_at_p_root:
             s = -s
         pp, ms = pn(p), -s
-        mi = Mat2(ms, z0, z0, s)
-        mj = Mat2(z0, pn(1), pp, z0)
-        mk = Mat2(z0, ms, pp * s, z0)
+        mi = (ms, z0, z0, s)
+        mj = (z0, pn(1), pp, z0)
+        mk = (z0, ms, pp * s, z0)
         return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": s})
 
     # Ramified place q | delta: coefficients live in Z_q[sqrt(p)], an entry
@@ -480,9 +454,9 @@ def build_splitting(
     x, y = solve_norm_equation(p, Fraction(-dn, q), q, k)
     zero, one, pp, qn = (z0, z0), pn(1), pn(p), pn(q)
     qx, qy, my = qn * x, qn * y, -y
-    mi = Mat2(zero, (x, my), (qx, qy), zero)
-    mj = Mat2((z0, -one), zero, zero, (z0, one))
-    mk = Mat2(zero, (pp * my, x), (-(pp * qy), -qx), zero)
+    mi = (zero, (x, my), (qx, qy), zero)
+    mj = ((z0, -one), zero, zero, (z0, one))
+    mk = (zero, (pp * my, x), (-(pp * qy), -qx), zero)
     return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
 
 
@@ -494,7 +468,7 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
     check_level = s.check_level()
 
     def is_zero_mat(mat) -> bool:
-        return s.mat_zero(mat, check_level)
+        return s.is_zero(mat, check_level)
 
     dn = params.dn
     p = params.p
@@ -540,13 +514,13 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
     # the check exercises the map: det equals -(dn)^2.
     report.add(
         "discriminant.trace_form",
-        s.entry_zero(s.trace_form_gap(images, -(dn**2)), check_level),
+        s.is_zero(s.trace_form_gap(images, -(dn**2)), check_level),
         f"det(trace form) = -({dn})^2",
     )
 
     if s.case == CASE_RATIONAL and s.place != INFINITE_PLACE:
-        flat = [list(img.entries()) for img in images]
-        image_lat = ZLattice4.from_rows(flat, ambient=("m2q", params.level))
+        scaled = [(img[1:], img[0]) for img in images]
+        image_lat = ZLattice4.from_scaled_rows(scaled, ambient=("m2q", params.level))
         n_level = params.level
         target_lat = ZLattice4.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, n_level, 0], [0, 0, 0, 1]],

@@ -164,8 +164,11 @@ def scaled_split_oracle(params, q, depth):
     model, modulo q^(depth + λ) with λ = v_q(2p)."""
     digits = depth + basis_digit_cost(params, q)
     model = build_splitting(params, q, digits)
-    scale = model.scalar(2 * params.p)
-    residues = [model.embed(e).c * scale % q**digits for e in hashimoto_basis(params)]
+    _, scale = model.scalar(2 * params.p)
+    residues = []
+    for e in hashimoto_basis(params):
+        den, c = model.entries(model.embed(e))[2]
+        residues.append(c * scale // den % q**digits)
     return coords_lattice(params, congruence_kernel([residues], q**digits))
 
 

@@ -23,14 +23,13 @@ from hypothesis import strategies as st
 from quatorder import split
 from quatorder.errors import InvalidParametersError, PrecisionLossError
 from quatorder.exact import (
-    Mat2,
     ZLattice4,
     _scaled_gram,
     _vanishing_part,
     congruence_kernel,
     det4,
     hnf,
-    pair_add,
+    mat_add,
     pair_det4,
     pair_mul,
     reduced_discriminant,
@@ -436,14 +435,15 @@ def local_model(index):
 
 
 def is_pair(spl):
-    """Does the model hold its matrices as int pair tuples?"""
+    """Is an entry of the model the pair (a, b) of a + b·√p?"""
     return spl.case in (split.CASE_RAMIFIED, split.CASE_ARCHIMEDEAN)
 
 
 def scalar_matrix(spl, x):
     """x times the identity, in the model's matrices."""
-    e = spl.scalar(x)
-    return (*e, 0, 0, 0, 0, *e[1:]) if is_pair(spl) else Mat2(e, 0, 0, e)
+    den, *ints = spl.scalar(x)
+    zero = [0] * len(ints)
+    return (den, *ints, *zero, *zero, *ints)
 
 
 def dense_embed(spl, u):
@@ -453,6 +453,35 @@ def dense_embed(spl, u):
     for gen, c in ((spl.mat_i, y), (spl.mat_j, z), (spl.mat_k, t)):
         acc = spl.add(acc, spl.mul(gen, scalar_matrix(spl, c)))
     return acc
+
+
+class RefMat:
+    """A 2x2 matrix over any ring with + and *: the reference over FracPair,
+    RefPair and PadicNum entries."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __add__(self, other):
+        return RefMat(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
+    def __mul__(self, other):
+        if isinstance(other, RefMat):
+            return RefMat(
+                self.a * other.a + self.b * other.c,
+                self.a * other.b + self.b * other.d,
+                self.c * other.a + self.d * other.c,
+                self.c * other.b + self.d * other.d,
+            )
+        return RefMat(self.a * other, self.b * other, self.c * other, self.d * other)
+
+    def entries(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other):
+        return self.entries() == other.entries()
 
 
 class FracPair:
@@ -480,18 +509,12 @@ class FracPair:
         return (self.a, self.b, self.rad) == (other.a, other.b, other.rad)
 
 
-def pair_values(mat, rad):
-    """The pair matrix (den, a1, b1, ..., a4, b4) as a Mat2 of FracPairs."""
-    den = mat[0]
-    return Mat2(*(FracPair(Fraction(mat[i], den), Fraction(mat[i + 1], den), rad)
-                  for i in (1, 3, 5, 7)))
-
-
-def model_entries(spl, mat):
-    """The entries of a model's matrix: (den, a, b) on a pair model."""
-    if is_pair(spl):
-        return [(mat[0], mat[i], mat[i + 1]) for i in (1, 3, 5, 7)]
-    return mat.entries()
+def matrix_values(mat, rad):
+    """The matrix (den, *ints) as a RefMat of FracPairs over √rad: an int
+    entry a is a + 0·√rad."""
+    den, *ints = mat
+    pairs = zip(ints[::2], ints[1::2]) if len(ints) == 8 else ((a, 0) for a in ints)
+    return RefMat(*(FracPair(Fraction(a, den), Fraction(b, den), rad) for a, b in pairs))
 
 
 def ref_det4(rows):
@@ -515,31 +538,16 @@ def is_exact_zero(x):
     return x.unit == 0 and x.val > EXACT_ZERO_VAL
 
 
-def entry_key(v):
-    """Value of an exact coefficient-ring element, with its type."""
-    return type(v).__name__, v
-
-
-def reference_key(v):
-    """entry_key of a dense-reference entry, whose exact rationals are pinned
-    by value: an int when integral, a Fraction otherwise."""
-    if isinstance(v, (int, Fraction)):
-        return ("int" if v.denominator == 1 else "Fraction"), v
-    return entry_key(v)
-
-
 def assert_images_agree(spl, u):
     got = outcome(lambda: spl.embed(u))
     want = outcome(lambda: dense_embed(spl, u))
     if want == "precision loss":
         assert got == want
         return
-    if spl.exact and is_pair(spl):
-        assert pair_values(got, spl.params.p) == pair_values(want, spl.params.p)
-    elif spl.exact:
-        assert [entry_key(e) for e in got.entries()] == [reference_key(e) for e in want.entries()]
+    if spl.exact:
+        assert matrix_values(got, spl.params.p) == matrix_values(want, spl.params.p)
     else:
-        assert spl.mat_zero(spl.add(got, want, -1), spl.check_level())
+        assert spl.is_zero(spl.add(got, want, -1), spl.check_level())
 
 
 def test_models_cover_every_case():
@@ -552,6 +560,38 @@ def test_models_cover_every_case():
         split.CASE_AT_P,
         split.CASE_RAMIFIED,
     }
+
+
+def assert_layout(value, count):
+    """value is the int tuple (den, *ints): den > 0 and count ints after it."""
+    assert type(value) is tuple and [type(x) for x in value] == [int] * (1 + count)
+    assert value[0] > 0
+
+
+def test_every_model_holds_its_values_in_one_int_tuple_layout():
+    """embed, scalar, mul, add and trace_form_gap give (den, *ints), with 4·w
+    ints for a matrix and w for an entry (ring width w = 2 on the pair
+    models, else 1), on the order and on elements not integral at q: j/13 at
+    p = 13 and a half-integral element of the rational model at 2."""
+    at_p = split.build_splitting(AlgebraParams.create(35, 3), 13)
+    rational = split.build_splitting(AlgebraParams.create(1, 6), 2)
+    assert (at_p.case, rational.case) == (split.CASE_AT_P, split.CASE_RATIONAL)
+    extra = {
+        at_p: QuatElem(at_p.params, 0, 0, Fraction(1, 13), 0),
+        rational: QuatElem(rational.params, *[Fraction(1, 2)] * 4),
+    }
+    for spl in [local_model(i) for i in range(len(MODELS))] + list(extra):
+        w = 2 if is_pair(spl) else 1
+        elems = list(hashimoto_basis(spl.params))
+        if spl in extra:
+            elems[0] = extra[spl]
+            assert elems[0].denominator > 1 and spl.embed(elems[0])[0] > 1
+        images = [spl.embed(u) for u in elems]
+        for value in [*images, spl.mul(images[1], images[2]), spl.add(images[2], images[3], -3),
+                      spl.mul(spl.mat_i, spl.mat_j), spl.add(spl.one(), spl.mat_k)]:
+            assert_layout(value, 4 * w)
+        for value in (spl.scalar(Fraction(-3, 2)), spl.scalar(7, 2), spl.trace_form_gap(images, 5)):
+            assert_layout(value, w)
 
 
 sparse_coeffs_st = st.tuples(*[st.one_of(st.just(Fraction(0)), rational_st)] * 4)
@@ -610,8 +650,10 @@ def padic_reference_embed(spl, u):
 
     gen_i, gen_j, _ = spl.generators
     if ramified:
-        gen_i, gen_j = (Mat2(*(RefPair(a, b, p) for a, b in g.entries())) for g in (gen_i, gen_j))
-    identity = Mat2(lift(u.denominator), lift(0), lift(0), lift(u.denominator))
+        gen_i, gen_j = (RefMat(*(RefPair(a, b, p) for a, b in g)) for g in (gen_i, gen_j))
+    else:
+        gen_i, gen_j = RefMat(*gen_i), RefMat(*gen_j)
+    identity = RefMat(lift(u.denominator), lift(0), lift(0), lift(u.denominator))
     acc = None
     for n, gen in zip(u.numerators, (identity, gen_i, gen_j, gen_i * gen_j)):
         term = gen * lift(n)
@@ -639,12 +681,13 @@ def test_residue_embed_matches_a_padic_embed_of_order_elements(index, coords):
     u = element_from_coords(spl.params, coords)
     scale = PadicNum.from_rational(q**lam, q, k)
     want_entries = padic_reference_embed(spl, u).entries()
-    for got, want in zip(model_entries(spl, spl.embed(u)), want_entries):
+    for got, want in zip(spl.entries(spl.embed(u)), want_entries):
         if spl.case == split.CASE_RAMIFIED:
             den, a, b = got
             pairs = [(a * q**lam // den, want.a), (b * q**lam // den, want.b)]
         else:
-            pairs = [(got * q**lam, want)]
+            den, a = got
+            pairs = [(a * q**lam // den, want)]
         for g, w in pairs:
             assert g % q**k == (w * scale).residue(k)
         for m in range(4):
@@ -670,7 +713,8 @@ def test_rational_model_images_of_the_order_are_int_matrices():
         spl = local_model(index)
         basis = hashimoto_basis(spl.params)
         for u in [*basis, *(x * y for x in basis for y in basis)]:
-            assert [type(e) for e in spl.embed(u).entries()] == [int] * 4
+            den, *ints = spl.embed(u)
+            assert all(n % den == 0 for n in ints)
 
 
 real_place_st = st.sampled_from([d for d in DELTAS if d > 1]).map(
@@ -724,20 +768,15 @@ def assert_det_agrees(rows):
 
 def test_laplace_det_matches_permutation_sum_on_trace_forms():
     """Every model's trace-form determinant against the permutation sum over
-    the same images; a pair model's images read as FracPairs, on which both
-    are exact."""
+    the same images read as FracPairs, on which both are exact."""
     for index in range(len(MODELS)):
         spl = local_model(index)
         images = [spl.embed(e) for e in hashimoto_basis(spl.params)]
-        mats = [pair_values(x, spl.params.p) for x in images] if is_pair(spl) else images
+        mats = [matrix_values(x, spl.params.p) for x in images]
         gram = [[(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in mats] for a in mats]
-        if is_pair(spl):
-            den, a, b = spl.trace_form_gap(images, 0)
-            want = ref_det4(gram)
-            assert (Fraction(a, den), Fraction(b, den)) == (want.a, want.b)
-        else:
-            assert_det_agrees(gram)
-            assert spl.trace_form_gap(images, 0) == det4(gram)
+        want = ref_det4(gram)
+        den, *ints = spl.trace_form_gap(images, 0)
+        assert [Fraction(n, den) for n in ints] == [want.a, want.b][:len(ints)]
 
 
 def matrix_of(entry_st):
@@ -794,12 +833,12 @@ def test_pair_kernel_matches_fraction_pair_reference(d, x, y, c):
     """Products and sums x + c·y agree with FracPair matrices, and nothing
     reduces: a product is over the product of the denominators, a sum over
     the shared one or, when they differ, over their product."""
-    rx, ry = pair_values(x, d), pair_values(y, d)
+    rx, ry = matrix_values(x, d), matrix_values(y, d)
     prod_xy = pair_mul(x, y, d)
-    assert pair_values(prod_xy, d) == rx * ry
+    assert matrix_values(prod_xy, d) == rx * ry
     assert prod_xy[0] == x[0] * y[0]
-    total = pair_add(x, y, c)
-    assert pair_values(total, d) == rx + ry * FracPair(c, 0, d)
+    total = mat_add(x, y, c)
+    assert matrix_values(total, d) == rx + ry * FracPair(c, 0, d)
     assert total[0] == (x[0] if x[0] == y[0] else x[0] * y[0])
 
 

@@ -14,7 +14,8 @@ from quatorder.exact import (
     frac_to_str,
     hnf,
     is_perfect_square,
-    pair_add,
+    mat_add,
+    mat_mul,
     pair_mul,
 )
 
@@ -142,11 +143,40 @@ def test_pair_matrix_field_arithmetic():
     assert pair_mul(u, ubar, 13) == scalar_pair_matrix(4, 1 - 13, 0)
     assert pair_mul(th, th, 13) == scalar_pair_matrix(1, 13, 0)
     one = scalar_pair_matrix(1, 1, 0)
-    assert pair_add(pair_add(one, th), th, -1) == one
+    assert mat_add(mat_add(one, th), th, -1) == one
     # nothing reduces: a sum over two denominators is over their product
-    assert pair_add(u, ubar, 2) == scalar_pair_matrix(2, 3, -1)
-    assert pair_add(u, th) == scalar_pair_matrix(2, 1, 3)
-    assert pair_add(th, u) == scalar_pair_matrix(2, 1, 3)
+    assert mat_add(u, ubar, 2) == scalar_pair_matrix(2, 3, -1)
+    assert mat_add(u, th) == scalar_pair_matrix(2, 1, 3)
+    assert mat_add(th, u) == scalar_pair_matrix(2, 1, 3)
+
+
+def fraction_matrix(mat):
+    """The int matrix (den, a, b, c, d) as rows of Fractions."""
+    den, a, b, c, d = mat
+    return [[Fraction(a, den), Fraction(b, den)], [Fraction(c, den), Fraction(d, den)]]
+
+
+def test_int_matrix_kernel_matches_a_fraction_reference():
+    """mat_mul and mat_add on (den, a, b, c, d) with unequal denominators
+    against 2x2 Fraction arithmetic; nothing reduces."""
+    rng = random.Random(27)
+    for _ in range(300):
+        x, y = [(rng.randint(1, 12), *[rng.randint(-50, 50) for _ in range(4)]) for _ in "xy"]
+        if x[0] == y[0]:
+            continue
+        c = rng.randint(-3, 3)
+        fx, fy = fraction_matrix(x), fraction_matrix(y)
+        prod_xy = mat_mul(x, y)
+        assert prod_xy[0] == x[0] * y[0]
+        assert fraction_matrix(prod_xy) == [
+            [sum(fx[r][t] * fy[t][col] for t in range(2)) for col in range(2)] for r in range(2)
+        ]
+        total = mat_add(x, y, c)
+        assert total[0] == x[0] * y[0]
+        assert fraction_matrix(total) == [
+            [fx[r][col] + c * fy[r][col] for col in range(2)] for r in range(2)
+        ]
+    assert mat_add((3, 1, 2, 3, 4), (3, 1, 1, 1, 1), -1) == (3, 0, 1, 2, 3)
 
 
 # --- the HNF layer against brute-force oracles ------------------------------------

@@ -147,7 +147,7 @@ def test_local_model_coefficient_tests_make_no_type_check():
             reports.append(verify_splitting(spl))
 
     stats = profile(run)
-    tests = (LocalSplitting.entry_zero, LocalSplitting.entry_val_at_least)
+    tests = (LocalSplitting.is_zero, LocalSplitting.entry_val_at_least)
     assert all(_key(f) in stats for f in tests)
     (isinstance_key,) = [k for k in stats if k[2] == "<built-in method builtins.isinstance>"]
     callers = stats[isinstance_key][4]
@@ -205,10 +205,10 @@ def test_rational_degeneracy_pair_builds_the_measured_fractions():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("place, calls", [(5, 260), ("inf", 142)])
+@pytest.mark.parametrize("place, calls", [(5, 255), ("inf", 141)])
 def test_pair_model_certificates_make_the_measured_calls(place, calls):
-    """Function calls of a warm ``verify_splitting`` at (35, 3): 260 on the
-    ramified model at q = 5 and 142 at the real place.  With an object per
+    """Function calls of a warm ``verify_splitting`` at (35, 3): 255 on the
+    ramified model at q = 5 and 141 at the real place.  With an object per
     coefficient (``QuadResidue`` and ``QuadRat``) the same certificates made
     1,096 and 2,323."""
     spl = build_splitting(AlgebraParams.create(35, 3), place)

@@ -95,8 +95,6 @@ CATALOGUE = [
 # Methods kept unreached because a test uses them as the reference for
 # another method.
 TEST_REFERENCES = {
-    "exact.Mat2.det": "tests/test_split.py::test_embedding_determinant_is_norm "
-    "checks the embedding's determinant against the reduced norm",
     "quat.QuatElem.conj": "tests/test_quat.py::test_norm_trace_multiplicative "
     "checks reduced_trace and reduced_norm against u + conj(u) and u·conj(u)",
     "exact.ZLattice4.basis": "tests/test_core_properties.py::"
