@@ -14,7 +14,9 @@ from math import gcd, isqrt, lcm, prod
 from .errors import AmbientMismatchError, InvalidParametersError, NotAnOrderBasisError
 
 
-def frac_to_str(x: Fraction) -> str:
+def frac_to_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -356,10 +358,33 @@ class ZLattice4:
         gens = [r + r for r in self.scaled_rows(d)] + [r + [0] * 4 for r in other.scaled_rows(d)]
         return ZLattice4._from_hnf(d, _vanishing_part(gens, 4), self.ambient or other.ambient)
 
+    def add(self, other: "ZLattice4") -> "ZLattice4":
+        """The sum lattice self + other: one elimination of both row sets."""
+        self._check_ambient(other)
+        d = lcm(self.denom, other.denom)
+        rows = self.scaled_rows(d) + other.scaled_rows(d)
+        return ZLattice4._from_scaled(d, rows, self.ambient or other.ambient)
+
+    def covolume(self) -> tuple[int, int]:
+        """(numerator, denominator) of a full-rank lattice's covolume: a rank-4
+        HNF is upper triangular, so (1/d)·rows has prod(diagonal)/d^4."""
+        if self.rank != 4:
+            raise InvalidParametersError("covolume needs a rank-4 lattice")
+        return prod(r[i] for i, r in enumerate(self.rows)), self.denom**4
+
+    def is_congruence_kernel(self, residues, modulus: int) -> bool:
+        """Whether self is K = {v ∈ Z^4 : residues·v ≡ 0 mod modulus}, modulus > 0,
+        without solving for K: K has index modulus / gcd(residues, modulus) in
+        Z^4, so a full-rank integral self inside K with that index is K."""
+        return (
+            self.rank == 4 and self.denom == 1
+            and not any(sum(c * x for c, x in zip(residues, r)) % modulus for r in self.rows)
+            and self.covolume()[0] == modulus // gcd(*residues, modulus)
+        )
+
     def index_in(self, superlattice: "ZLattice4") -> int:
         """[superlattice : self] for two full-rank lattices, self ⊆ superlattice.
 
-        A rank-4 HNF is upper triangular: (1/d)·rows has covolume prod(diagonal)/d^4.
         Containment is not checked, only that the covolume ratio is an integer;
         every caller checks containment itself (degeneracy's ``membership.*``,
         ``chains._is_sublattice``, ψ's ``inclusion.integer_coords``).
@@ -367,9 +392,8 @@ class ZLattice4:
         self._check_ambient(superlattice)
         if self.rank != 4 or superlattice.rank != 4:
             raise InvalidParametersError("index needs two rank-4 lattices")
-        num = prod(r[i] for i, r in enumerate(self.rows)) * superlattice.denom**4
-        den = prod(r[i] for i, r in enumerate(superlattice.rows)) * self.denom**4
-        index, rest = divmod(num, den)
+        (a, b), (c, d) = self.covolume(), superlattice.covolume()
+        index, rest = divmod(a * d, b * c)
         if rest:
             raise InvalidParametersError("not a sublattice")
         return index

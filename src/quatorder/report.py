@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 
-# Checks per C-encoder call in Report.json_chunks: about 28 KB of JSON.
+# Checks per piece of Report.json_chunks: about 28 KB of JSON.
 JSON_SLICE = 256
 
 
@@ -17,7 +17,7 @@ class Check:
     __slots__ = ("name", "ok", "witness", "prefix")
 
     def __init__(self, name: str, ok: bool, witness: str = "", prefix: str = ""):
-        self.name, self.ok, self.witness, self.prefix = name, ok, witness, prefix
+        self.name, self.ok, self.witness, self.prefix = name, bool(ok), witness, prefix
 
     @property
     def check_id(self) -> str:
@@ -25,9 +25,6 @@ class Check:
 
     def __repr__(self):
         return f"Check(check_id={self.check_id!r}, ok={self.ok!r}, witness={self.witness!r})"
-
-    def to_json(self) -> dict:
-        return {"id": self.prefix + self.name, "ok": self.ok, "witness": self.witness}
 
 
 class Report:
@@ -42,7 +39,7 @@ class Report:
         self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, ok: bool, witness: str = "") -> Check:
-        c = Check(sys.intern(check_id), bool(ok), sys.intern(witness))
+        c = Check(sys.intern(check_id), ok, sys.intern(witness))
         self.checks.append(c)
         return c
 
@@ -70,18 +67,23 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
     def to_json(self) -> dict:
-        return {
-            "checks": [c.to_json() for c in self.checks],
-            "all_pass": self.passed,
-            "vacuous": self.vacuous,
-        }
+        checks = [{"id": c.prefix + c.name, "ok": c.ok, "witness": c.witness} for c in self.checks]
+        return {"checks": checks, "all_pass": self.passed, "vacuous": self.vacuous}
 
     def json_chunks(self):
         """The text of ``json.dumps(self.to_json(), sort_keys=True)`` in pieces,
-        the checks JSON_SLICE at a time, each piece one call of the C encoder."""
-        yield f'{{"all_pass": {json.dumps(self.passed)}, "checks": ['
+        one per JSON_SLICE checks, each check written with its keys in sorted
+        order.  JSON escapes one code point at a time, so each distinct text is
+        escaped once and an id's escape is its prefix's joined to its name's."""
         checks = self.checks
+        texts = {t for c in checks for t in (c.prefix, c.name, c.witness)}
+        esc = {t: json.dumps(t)[1:-1] for t in texts}
+        yield f'{{"all_pass": {json.dumps(self.passed)}, "checks": ['
         for start in range(0, len(checks), JSON_SLICE):
-            chunk = [c.to_json() for c in checks[start:start + JSON_SLICE]]
-            yield (", " if start else "") + json.dumps(chunk, sort_keys=True)[1:-1]
+            piece = ", ".join([
+                f'{{"id": "{esc[c.prefix]}{esc[c.name]}", "ok": {"true" if c.ok else "false"}, '
+                f'"witness": "{esc[c.witness]}"}}'
+                for c in checks[start:start + JSON_SLICE]
+            ])
+            yield (", " if start else "") + piece
         yield f'], "vacuous": {json.dumps(self.vacuous)}}}'

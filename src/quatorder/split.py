@@ -238,10 +238,6 @@ class LocalSplitting:
         """The product of two matrices of the model."""
         return pair_mul(x, y, self.params.p) if self._width == 2 else mat_mul(x, y)
 
-    def add(self, x: tuple, y: tuple, c: int = 1) -> tuple:
-        """x + c·y for two matrices (or two entries) of the model and an int c."""
-        return mat_add(x, y, c)
-
     def trace_form_gap(self, images: list, target: int) -> tuple:
         """det of the trace form tr(X_r·X_c) of four images, less target, as an
         entry.  tr(XY) = Σ x_ij·y_ji; the form is symmetric."""
@@ -331,11 +327,10 @@ class LocalSplitting:
             return False, f"lower-left entry valuation below {need}"
         return True, ""
 
-    def congruence_lattice(self, entry: int, m: int) -> ZLattice4:
-        """Order-basis coordinates whose image has entry 1 (upper-right) or 2
-        (lower-left) ≡ 0 mod q^m, solved from the residues of the basis images
-        (each entry must be q-integral) by generic lattice machinery; no
-        degeneracy or chain formula enters."""
+    def congruence_functional(self, entry: int, m: int) -> tuple[list[int], int]:
+        """(ℓ, q^m), ℓ the residues mod q^m of entry 1 (upper-right) or 2 (lower-left)
+        of the q-integral order-basis images: coordinates v map to an image with
+        that entry ≡ 0 mod q^m iff ℓ·v ≡ 0.  No degeneracy or chain formula enters."""
         q = self.place
         mod = self._modulus(m)
         cols, residues = self._cols[entry], []
@@ -346,6 +341,11 @@ class LocalSplitting:
             if den % q == 0:
                 raise PrecisionLossError(f"{num}/{den} is not {q}-integral")
             residues.append(num * pow(den, -1, mod) % mod)
+        return residues, mod
+
+    def congruence_lattice(self, entry: int, m: int) -> ZLattice4:
+        """The kernel of ``congruence_functional``, solved as a coordinate lattice."""
+        residues, mod = self.congruence_functional(entry, m)
         return coords_lattice(self.params, congruence_kernel([residues], mod))
 
     def to_json(self) -> dict:
@@ -472,27 +472,27 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
 
     dn = params.dn
     p = params.p
-    one, mul, add = s.one(), s.mul, s.add
+    one, mul = s.one(), s.mul
 
     report.add(
         "relations.i_square",
-        is_zero_mat(add(mul(s.mat_i, s.mat_i), one, dn)),
+        is_zero_mat(mat_add(mul(s.mat_i, s.mat_i), one, dn)),
         f"i^2 = {-dn}",
     )
     report.add(
         "relations.j_square",
-        is_zero_mat(add(mul(s.mat_j, s.mat_j), one, -p)),
+        is_zero_mat(mat_add(mul(s.mat_j, s.mat_j), one, -p)),
         f"j^2 = {p}",
     )
     ij = mul(s.mat_i, s.mat_j)
     report.add(
         "relations.anticommute",
-        is_zero_mat(add(ij, mul(s.mat_j, s.mat_i))),
+        is_zero_mat(mat_add(ij, mul(s.mat_j, s.mat_i))),
         "ij + ji = 0",
     )
     report.add(
         "relations.k_matches",
-        is_zero_mat(add(s.mat_k, ij, -1)),
+        is_zero_mat(mat_add(s.mat_k, ij, -1)),
         "k = ij",
     )
 

@@ -616,9 +616,21 @@ class RecordingStdout:
         return len(text)
 
 
+# Texts the encoder must escape: a quote, a backslash, control characters,
+# √, ≡ and a character outside the Basic Multilingual Plane.
+AWKWARD = ('"', "\\", "\x00\n\x1f", "√", "≡", "\U0001d52d")
+
+
 def synthetic_report(n):
-    # witnesses of varying length, with characters the encoder must escape
-    return Report([Check(f"synthetic.{i}", i % 7 != 3, "é\"w" * (i % 5)) for i in range(n)])
+    """Witnesses of varying length, and ids that put the awkward texts on both
+    sides of the join of a prefix (none for every fourth check) and a name;
+    ok is an int, which a check stores as a bool."""
+    checks = []
+    for i in range(n):
+        a, b = AWKWARD[i % 6], AWKWARD[i // 6 % 6]
+        prefix = "" if i % 4 == 0 else f"p{i % 5}.{a}"
+        checks.append(Check(f"{b}synthetic.{i}", i % 7, "é\"w" * (i % 5) + a, prefix))
+    return Report(checks)
 
 
 def emit_json(monkeypatch, payload):

@@ -451,7 +451,7 @@ def dense_embed(spl, u):
     x, y, z, t = coeffs(u)
     acc = scalar_matrix(spl, x)
     for gen, c in ((spl.mat_i, y), (spl.mat_j, z), (spl.mat_k, t)):
-        acc = spl.add(acc, spl.mul(gen, scalar_matrix(spl, c)))
+        acc = mat_add(acc, spl.mul(gen, scalar_matrix(spl, c)))
     return acc
 
 
@@ -547,7 +547,7 @@ def assert_images_agree(spl, u):
     if spl.exact:
         assert matrix_values(got, spl.params.p) == matrix_values(want, spl.params.p)
     else:
-        assert spl.is_zero(spl.add(got, want, -1), spl.check_level())
+        assert spl.is_zero(mat_add(got, want, -1), spl.check_level())
 
 
 def test_models_cover_every_case():
@@ -569,7 +569,7 @@ def assert_layout(value, count):
 
 
 def test_every_model_holds_its_values_in_one_int_tuple_layout():
-    """embed, scalar, mul, add and trace_form_gap give (den, *ints), with 4·w
+    """embed, scalar, mul, mat_add and trace_form_gap give (den, *ints), with 4·w
     ints for a matrix and w for an entry (ring width w = 2 on the pair
     models, else 1), on the order and on elements not integral at q: j/13 at
     p = 13 and a half-integral element of the rational model at 2."""
@@ -587,8 +587,8 @@ def test_every_model_holds_its_values_in_one_int_tuple_layout():
             elems[0] = extra[spl]
             assert elems[0].denominator > 1 and spl.embed(elems[0])[0] > 1
         images = [spl.embed(u) for u in elems]
-        for value in [*images, spl.mul(images[1], images[2]), spl.add(images[2], images[3], -3),
-                      spl.mul(spl.mat_i, spl.mat_j), spl.add(spl.one(), spl.mat_k)]:
+        for value in [*images, spl.mul(images[1], images[2]), mat_add(images[2], images[3], -3),
+                      spl.mul(spl.mat_i, spl.mat_j), mat_add(spl.one(), spl.mat_k)]:
             assert_layout(value, 4 * w)
         for value in (spl.scalar(Fraction(-3, 2)), spl.scalar(7, 2), spl.trace_form_gap(images, 5)):
             assert_layout(value, w)
@@ -1071,6 +1071,81 @@ def test_lattices_from_hnf_rows_match_from_rows(rows, modulus, a_rows, b_rows):
     want = ZLattice4.from_rows([[Fraction(x, d) for x in r] for r in part])
     assert ZLattice4._from_hnf(d, part, None) == want == a.intersect(b)
 
+
+def scaled_rows(rows):
+    """Rational rows as (int numerators, common denominator) pairs."""
+    out = []
+    for r in rows:
+        d = lcm(*[Fraction(x).denominator for x in r])
+        out.append(([int(x * d) for x in r], d))
+    return out
+
+
+@SETTINGS
+@given(lattice_rows_st, lattice_rows_st)
+def test_lattice_sum_is_the_span_of_both_row_sets(a_rows, b_rows):
+    total = ZLattice4.from_rows(a_rows).add(ZLattice4.from_rows(b_rows))
+    both = scaled_rows(a_rows + b_rows)
+    assert total == (ZLattice4.from_scaled_rows(both) if both else ZLattice4(1, ()))
+
+
+full_rank_rows_st = st.lists(
+    st.lists(st.one_of(st.integers(-40, 40), small_rational_st), min_size=4, max_size=4),
+    min_size=4,
+    max_size=6,
+)
+
+
+def covolume(lat) -> Fraction:
+    return Fraction(*lat.covolume())
+
+
+@SETTINGS
+@given(full_rank_rows_st, full_rank_rows_st)
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 11]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 11, 0], [0, 0, 0, 1]])
+def test_covolumes_of_meet_and_sum_multiply_to_those_of_the_lattices(a_rows, b_rows):
+    """(A+B)/B ≅ A/(A∩B), so covol(A∩B)·covol(A+B) = covol(A)·covol(B)."""
+    a, b = ZLattice4.from_rows(a_rows), ZLattice4.from_rows(b_rows)
+    assume(a.rank == b.rank == 4)
+    assert covolume(a.intersect(b)) * covolume(a.add(b)) == covolume(a) * covolume(b)
+
+
+@st.composite
+def functional_and_lattice(draw):
+    """(ℓ, q^m, a lattice): the kernel of ℓ mod q^m itself, or a lattice near it."""
+    q = draw(st.sampled_from((2, 3, 5, 11)))
+    mod = q ** draw(st.integers(1, 3))
+    ell = draw(st.lists(st.integers(0, mod - 1), min_size=4, max_size=4))
+    rows = [list(r) for r in congruence_kernel([ell], mod)]
+    vec = st.lists(st.integers(-3 * mod, 3 * mod), min_size=4, max_size=4)
+    i = draw(st.integers(0, 3))
+    how = draw(st.sampled_from(("kernel", "scaled", "shifted", "extended", "divided", "dropped",
+                                "random")))
+    if how == "scaled":  # a sublattice, or the kernel again for ±1
+        t = draw(st.sampled_from((-1, 2, q)))
+        rows[i] = [t * x for x in rows[i]]
+    elif how == "shifted":
+        rows[i] = [x + y for x, y in zip(rows[i], draw(vec))]
+    elif how == "extended":  # a superlattice, or the kernel again
+        rows.append(draw(vec))
+    elif how == "divided":
+        rows[i] = [Fraction(x, draw(st.sampled_from((2, q)))) for x in rows[i]]
+    elif how == "dropped":
+        del rows[i]
+    elif how == "random":
+        rows = draw(st.lists(vec, min_size=4, max_size=5))
+    return ell, mod, ZLattice4.from_rows(rows)
+
+
+@SETTINGS
+@given(functional_and_lattice())
+@example(([0, 0, 0, 0], 5, ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])))
+@example(([0, 1, 0, 0], 11, ZLattice4.from_rows([[1, 0, 0, 0], [0, 11, 0, 0], [0, 0, 1, 0]])))
+def test_containment_and_index_decide_the_congruence_kernel(case):
+    ell, mod, lat = case
+    kernel = coords_lattice(AlgebraParams.create(35, 3), congruence_kernel([ell], mod))
+    assert lat.is_congruence_kernel(ell, mod) == (lat == kernel)
 
 PSI_PAIRS = [(35, 9, 3), (35, 3, 17), (6, 25, 5), (1, 15, 5), (10, 21, 7), (35, 99, 11)]
 

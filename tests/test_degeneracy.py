@@ -1,9 +1,12 @@
+from math import gcd
+
 import pytest
 
 from quatorder.degeneracy import (
     DEG_AT_P,
     DEG_NONSQUARE,
     DEG_SQUARE,
+    DegeneracyPair,
     classify_degeneracy,
     degeneracy_bases,
     verify_degeneracy,
@@ -15,7 +18,9 @@ from quatorder.errors import (
     RamifiedPlaceError,
 )
 from quatorder.exact import ZLattice4
-from quatorder.quat import AlgebraParams, pretty
+from quatorder.numth import INFINITE_PLACE
+from quatorder.quat import AlgebraParams, hashimoto_basis, pretty, unit_coords_lattice
+from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS, DEFAULT_PLACES
 
 
 FLAGSHIP = AlgebraParams(35, 3, 13, 5)
@@ -131,3 +136,113 @@ def test_level_divisible_by_q():
     pair = degeneracy_bases(params, 3)
     report = verify_degeneracy(pair)
     assert report.passed, report.failures()
+
+
+def default_grid_pairs():
+    """The degeneracy pairs of the default sweep: every supported finite place."""
+    for delta in DEFAULT_DELTAS:
+        for level in DEFAULT_LEVELS:
+            if gcd(delta, level) != 1:
+                continue
+            params = AlgebraParams.create(delta, level)
+            places = {params.p if q == "p" else q for q in DEFAULT_PLACES if q != INFINITE_PLACE}
+            for q in sorted(places - {1}):
+                try:
+                    yield degeneracy_bases(params, q)
+                except CaseMismatchError:
+                    continue
+
+
+def oracle_verdicts(pair) -> dict:
+    """The kernel and intersection verdicts by a second lattice solve: each
+    span against the solved congruence kernel, and the Zassenhaus intersection's
+    index against q^2."""
+    s, q = pair.splitting, pair.q
+    f, g = pair.f_lattice(), pair.g_lattice()
+    return {
+        "kernel.f": f == s.congruence_lattice(2, 1 + s.shape.ll_val),
+        "kernel.g": g == s.congruence_lattice(1, 1),
+        "intersection.index": f.intersect(g).index_in(unit_coords_lattice(pair.params)) == q * q,
+    }
+
+
+def verdicts(report, ids) -> dict:
+    return {c.check_id: c.ok for c in report.checks if c.check_id in ids}
+
+
+def test_default_grid_kernel_and_intersection_verdicts_match_the_lattice_oracle():
+    count = 0
+    for pair in default_grid_pairs():
+        want = oracle_verdicts(pair)
+        assert verdicts(verify_degeneracy(pair), want) == want, (pair.params, pair.q)
+        count += 1
+    assert count == 240
+
+
+def mutated(pair, mutation) -> DegeneracyPair:
+    """pair with one copy's basis changed: f2 + e2, q·f4, f3 + e4, f := g or g := f."""
+    e1, e2, e3, e4 = hashimoto_basis(pair.params)
+    f1, f2, f3, f4 = f = pair.f
+    g = pair.g
+    if mutation == "f2+e2":
+        f = (f1, f2 + e2, f3, f4)
+    elif mutation == "q*f4":
+        f = (f1, f2, f3, f4 * pair.q)
+    elif mutation == "f3+e4":
+        f = (f1, f2, f3 + e4, f4)
+    elif mutation == "f:=g":
+        f = g
+    else:
+        assert mutation == "g:=f"
+        g = f
+    return DegeneracyPair(pair.params, pair.q, pair.case, pair.constants, f, g, pair.splitting)
+
+
+# Failing ids at each mutated pair, as the lattice-solve certificates found them.
+SPAN = ("determinant.f", "discriminant.f", "index.f", "intersection.index", "kernel.f")
+WRONG_E3 = ("closure.f", "kernel.f", "membership.f.e3")
+F_IS_G = ("intersection.index", "kernel.f")
+G_IS_F = ("intersection.index", "kernel.g")
+MUTATED_FAILURES = {
+    # non-square: (35, 3, 11) and (10, 9, 7)
+    (35, 3, 11, "f2+e2"): ("closure.f", "kernel.f", "membership.f.e2"),
+    (35, 3, 11, "q*f4"): SPAN,
+    (35, 3, 11, "f3+e4"): SPAN + WRONG_E3,
+    (35, 3, 11, "f:=g"): F_IS_G + ("membership.f.e2",),
+    (35, 3, 11, "g:=f"): G_IS_F + ("membership.g.e2",),
+    (10, 9, 7, "f2+e2"): ("closure.f", "kernel.f", "membership.f.e2"),
+    (10, 9, 7, "q*f4"): SPAN + ("closure.f",),
+    (10, 9, 7, "f3+e4"): SPAN + WRONG_E3,
+    (10, 9, 7, "f:=g"): F_IS_G + ("membership.f.e2",),
+    # square: (35, 3, 3), the level-9 pair (10, 9, 3) and the rational (1, 6, 5)
+    (35, 3, 3, "f2+e2"): SPAN + ("closure.f",),
+    (35, 3, 3, "q*f4"): SPAN + ("closure.f",),
+    (35, 3, 3, "f3+e4"): WRONG_E3,
+    (35, 3, 3, "f:=g"): F_IS_G + ("membership.f.e3",),
+    (35, 3, 3, "g:=f"): G_IS_F + ("membership.g.e3",),
+    (10, 9, 3, "f2+e2"): SPAN,
+    (10, 9, 3, "q*f4"): SPAN + ("closure.f",),
+    (10, 9, 3, "f3+e4"): WRONG_E3,
+    (10, 9, 3, "f:=g"): F_IS_G + ("membership.f.e3",),
+    (10, 9, 3, "g:=f"): G_IS_F + ("membership.g.e3",),
+    (1, 6, 5, "f2+e2"): SPAN,
+    (1, 6, 5, "q*f4"): SPAN,
+    (1, 6, 5, "f3+e4"): WRONG_E3,
+    (1, 6, 5, "f:=g"): F_IS_G + ("membership.f.e3",),
+    # at p: (35, 3, 13), where f2 + e2 spans the same copy
+    (35, 3, 13, "f2+e2"): (),
+    (35, 3, 13, "q*f4"): SPAN,
+    (35, 3, 13, "f3+e4"): SPAN + WRONG_E3,
+    (35, 3, 13, "f:=g"): F_IS_G + ("membership.f.e3",),
+    (35, 3, 13, "g:=f"): G_IS_F + ("membership.g.e2", "membership.g.e3"),
+}
+
+
+@pytest.mark.parametrize("delta, level, q, mutation", sorted(MUTATED_FAILURES, key=str))
+def test_mutated_pairs_fail_exactly_the_pinned_checks(delta, level, q, mutation):
+    pair = mutated(degeneracy_bases(AlgebraParams.create(delta, level), q), mutation)
+    report = verify_degeneracy(pair)
+    assert len(report.checks) == 21
+    assert {c.check_id for c in report.failures()} == set(MUTATED_FAILURES[delta, level, q, mutation])
+    want = oracle_verdicts(pair)
+    assert verdicts(report, want) == want

@@ -26,7 +26,13 @@ reduces, once, so a warm certificate makes a pinned number of calls.
 
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and so is a lattice intersection, whose
-Zassenhaus vanishing part is already the HNF of the result.
+Zassenhaus vanishing part is already the HNF of the result.  A degeneracy
+pair makes no kernel solve and no Zassenhaus intersection: each copy's span
+is checked against the congruence kernel by containment and index, and the
+intersection's index is read from the covolumes of the two spans and of
+their sum, so a warm pair runs three eliminations in all.
+
+Printing an exact local model builds no ``Fraction`` for its int entries.
 
 The integer kernels do only the work their answer needs: a prime gets the
 Miller-Rabin bases of its proven tier and no more, and a Hensel lift
@@ -205,12 +211,13 @@ def test_rational_degeneracy_pair_builds_the_measured_fractions():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("place, calls", [(5, 255), ("inf", 141)])
+@pytest.mark.parametrize("place, calls", [(5, 251), ("inf", 137)])
 def test_pair_model_certificates_make_the_measured_calls(place, calls):
-    """Function calls of a warm ``verify_splitting`` at (35, 3): 255 on the
-    ramified model at q = 5 and 141 at the real place.  With an object per
+    """Function calls of a warm ``verify_splitting`` at (35, 3): 251 on the
+    ramified model at q = 5 and 137 at the real place.  With an object per
     coefficient (``QuadResidue`` and ``QuadRat``) the same certificates made
-    1,096 and 2,323."""
+    1,096 and 2,323, and 255 and 141 with a ``LocalSplitting.add`` in front
+    of ``mat_add``."""
     spl = build_splitting(AlgebraParams.create(35, 3), place)
     assert spl.case == (CASE_RAMIFIED if place == 5 else CASE_ARCHIMEDEAN)
     assert verify_splitting(spl).passed
@@ -232,6 +239,26 @@ def test_lattice_certificates_run_one_elimination_per_kernel():
     assert stats[_key(hnf)][1] == 1
     identity = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
     assert inter[0].index_in(identity) == 11 * 11
+
+
+def test_degeneracy_pair_runs_three_eliminations():
+    """The two spans and their sum; the parent's kernel solves and
+    Zassenhaus intersection made it five."""
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    reports = [verify_degeneracy(pair)]
+    stats = profile(lambda: reports.append(verify_degeneracy(pair)))
+    assert stats[_key(hnf)][1] == 3
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("delta, place", [(35, "inf"), (1, 5)])
+def test_exact_model_prints_its_ints_without_fractions(delta, place):
+    """The real-place model of (35, 3) and the rational model of (1, 3) at 5
+    print their generators' ints as they are; wrapping each in a ``Fraction``
+    built 24 and 12."""
+    spl = build_splitting(AlgebraParams.create(delta, 3), place)
+    assert spl.exact
+    assert fractions_built(spl.to_json) == 0
 
 
 # (n, Miller-Rabin bases) for the largest prime below each tier bound (41²,

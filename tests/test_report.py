@@ -67,11 +67,11 @@ def test_sweep_holds_each_distinct_text_once(narrowed):
 
 
 def test_sweep_ids_are_prefix_plus_name(narrowed, capsys):
-    for c in narrowed.checks:
+    for c, entry in zip(narrowed.checks, narrowed.to_json()["checks"], strict=True):
         assert c.prefix == "" or SWEEP_PREFIX.fullmatch(c.prefix), c.prefix
         assert not SWEEP_PREFIX.match(c.name), c.name
         assert c.check_id == c.prefix + c.name
-        assert c.to_json() == {"id": c.prefix + c.name, "ok": c.ok, "witness": c.witness}
+        assert entry == {"id": c.prefix + c.name, "ok": c.ok, "witness": c.witness}
     assert main(["verify", "--deltas", "35,6", "--levels", "1,3,9", "--json"]) == 0
     printed = json.loads(capsys.readouterr().out)["verification"]["checks"]
     assert [c["id"] for c in printed] == [c.prefix + c.name for c in narrowed.checks]
