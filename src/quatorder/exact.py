@@ -252,13 +252,12 @@ class ZLattice4:
     intersecting lattices that live in different coordinate systems.
     """
 
-    __slots__ = ("denom", "rows", "ambient", "_pivots")
+    __slots__ = ("denom", "rows", "ambient")
 
     def __init__(self, denom: int, rows: tuple, ambient=None):
         self.denom = denom
         self.rows = rows
         self.ambient = ambient
-        self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
 
     @classmethod
     def from_rows(cls, rational_rows, ambient=None) -> "ZLattice4":
@@ -312,7 +311,8 @@ class ZLattice4:
 
         nums need not be reduced against den, so integrality is decided per
         coordinate.  A full-rank HNF is upper triangular, so its solve is
-        four unrolled steps; a lower rank runs the row loop.
+        four unrolled steps; a lower rank runs the row loop, which finds each
+        row's pivot as it goes.
         """
         if len(nums) != 4:
             raise InvalidParametersError("ZLattice4 vectors must have length 4")
@@ -337,7 +337,8 @@ class ZLattice4:
             w2, w3 = w2 - t * g, w3 - t * h
             t, r = divmod(w2, i)
             return not r and not (w3 - t * j) % k
-        for row, pc in zip(rows, self._pivots):
+        for row in rows:
+            pc = next(j for j, x in enumerate(row) if x)
             t, r = divmod(w[pc], row[pc])
             if r:
                 return False
@@ -421,7 +422,8 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
 
     For x = a + b·i + c·j + d·k in (-dn, p | Q) the reduced trace of a product
     is the diagonal form tr(x·y) = 2a a' - 2dn b b' + 2p c c' + 2p·dn d d', so
-    M = C·diag(2, -2dn, 2p, 2p·dn)·Cᵀ on the integer numerators C.
+    M = C·diag(2, -2dn, 2p, 2p·dn)·Cᵀ on the integer numerators C; M is
+    symmetric, so only its upper triangle is computed.
     """
     if not elems:
         return [], []
@@ -430,10 +432,16 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
         if u.params != params:
             raise InvalidParametersError("elements of different algebras")
     dn, p = params.dn, params.p
-    weights = (2, -2 * dn, 2 * p, 2 * p * dn)
+    w2, w3 = -2 * dn, 2 * p
+    w4 = w3 * dn
     nums = [u.numerators for u in elems]
-    weighted = [[w * n for w, n in zip(weights, row)] for row in nums]
-    gram = [[sum(a * b for a, b in zip(wr, row)) for row in nums] for wr in weighted]
+    gram = [[0] * len(nums) for _ in nums]
+    for r, (a1, a2, a3, a4) in enumerate(nums):
+        a1, a2, a3, a4 = 2 * a1, w2 * a2, w3 * a3, w4 * a4
+        row = gram[r]
+        for c in range(r, len(nums)):
+            b1, b2, b3, b4 = nums[c]
+            row[c] = gram[c][r] = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
     return gram, [u.denominator for u in elems]
 
 

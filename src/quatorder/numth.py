@@ -414,11 +414,14 @@ class PadicNum:
         return {"q": self.q, "prec": m, "residue": str(self.residue(m))}
 
 
+@lru_cache(maxsize=1024)
 def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     """Square root of a q-unit square, as a PadicNum of relative precision k.
 
     For odd q the result lifts the canonical residue sqrt_mod(a, q); for q=2
     the input must be ≡ 1 (mod 8) and the root is normalized ≡ 1 (mod 4).
+    Memoised: every caller shares the returned root, which no caller
+    mutates; an error is raised again, never cached.
     """
     if k < 1:
         raise InvalidParametersError("precision must be >= 1")
@@ -451,13 +454,14 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
     return PadicNum(q, 0, x, k)
 
 
+@lru_cache(maxsize=1024)
 def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[PadicNum, PadicNum]:
     """Solve x² - p·y² = t over Z_q, p a nonsquare q-unit, t a q-unit.
 
     Returns (x, y) to precision k.  Deterministic: x₀ = 0, 1, 2, ... is the
     first integer making (x₀² - t)/p a square unit (or zero) in Z_q, and y is
     its canonical Hensel root, so x is always an exact integer and y the root
-    of an explicit rational.
+    of an explicit rational.  Memoised like ``hensel_sqrt``.
     """
     t = Fraction(t)
     if not is_prime(q):

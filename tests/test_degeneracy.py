@@ -1,7 +1,10 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quatorder import degeneracy
 from quatorder.degeneracy import (
     DEG_AT_P,
     DEG_NONSQUARE,
@@ -17,13 +20,23 @@ from quatorder.errors import (
     PrecisionLossError,
     RamifiedPlaceError,
 )
-from quatorder.exact import ZLattice4
+from quatorder.exact import ZLattice4, det4
 from quatorder.numth import INFINITE_PLACE
-from quatorder.quat import AlgebraParams, hashimoto_basis, pretty, unit_coords_lattice
+from quatorder.quat import (
+    AlgebraParams,
+    coords_product,
+    element_from_coords,
+    hashimoto_basis,
+    pretty,
+    scaled_coords,
+    structure_constants,
+    unit_coords_lattice,
+)
 from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS, DEFAULT_PLACES
 
 
 FLAGSHIP = AlgebraParams(35, 3, 13, 5)
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def test_classification():
@@ -246,3 +259,65 @@ def test_mutated_pairs_fail_exactly_the_pinned_checks(delta, level, q, mutation)
     assert {c.check_id for c in report.failures()} == set(MUTATED_FAILURES[delta, level, q, mutation])
     want = oracle_verdicts(pair)
     assert verdicts(report, want) == want
+
+
+def with_bases(pair, f, g) -> DegeneracyPair:
+    return DegeneracyPair(pair.params, pair.q, pair.case, pair.constants, f, g, pair.splitting)
+
+
+def counted_products(monkeypatch) -> list:
+    """The argument tuples of every ``coords_product`` call the certificate makes."""
+    calls = []
+    real = degeneracy.coords_product
+    monkeypatch.setattr(degeneracy, "coords_product", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_basis_without_one_runs_all_sixteen_products(monkeypatch):
+    """No product is skipped unless a basis holds 1.  With 2·e1 for e1 in both
+    copies of (35, 3, 11), closure fails on each side after the same 30
+    products as over the full loop; with e1 + f2 for e1, the same two copies
+    are certified after 16 products a side; the pair as built, whose bases
+    both begin with 1, runs 9 a side."""
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    doubled = with_bases(pair, (pair.f[0] * 2, *pair.f[1:]), (pair.g[0] * 2, *pair.g[1:]))
+    shifted = with_bases(
+        pair, (pair.f[0] + pair.f[1], *pair.f[1:]), (pair.g[0] + pair.g[1], *pair.g[1:])
+    )
+    calls = counted_products(monkeypatch)
+    report = verify_degeneracy(doubled)
+    assert {c.check_id for c in report.failures()} == {
+        "closure.f", "closure.g", "determinant.f", "determinant.g", "discriminant.f",
+        "discriminant.g", "index.f", "index.g", "intersection.index", "kernel.f", "kernel.g",
+    }
+    assert len(calls) == 30
+    counts = []
+    for certified in (shifted, pair):
+        calls.clear()
+        assert verify_degeneracy(certified).passed
+        counts.append(len(calls))
+    assert counts == [32, 18]
+
+
+ROW = st.tuples(*[st.integers(-3, 3)] * 4)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.lists(ROW, min_size=3, max_size=3), st.integers(0, 3))
+def test_closure_without_the_products_of_one_matches_all_sixteen(m, rows, at):
+    """A basis 1, then three integral vectors (a, m·b, m·c, m·d) of the
+    default algebra (35, 3), 1 at any position: the certificate's closure
+    verdict, which skips the products of 1, equals the verdict over all 16
+    products.  The span is Z + m·L for the lattice L of the (b, c, d), so it
+    is an order when that block is unimodular and usually not otherwise."""
+    coords = [(a, m * b, m * c, m * d) for a, b, c, d in rows]
+    coords.insert(at, (1, 0, 0, 0))
+    assume(det4(coords) != 0)
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    basis = tuple(element_from_coords(pair.params, c) for c in coords)
+    scaled = [scaled_coords(u) for u in basis]
+    span = ZLattice4.from_scaled_rows(scaled)
+    table = structure_constants(pair.params)
+    want = all(span.contains_scaled(*coords_product(table, u, v)) for u in scaled for v in scaled)
+    report = verify_degeneracy(with_bases(pair, basis, pair.g))
+    assert verdicts(report, {"closure.f"}) == {"closure.f": want}

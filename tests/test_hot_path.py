@@ -36,7 +36,14 @@ Printing an exact local model builds no ``Fraction`` for its int entries.
 
 The integer kernels do only the work their answer needs: a prime gets the
 Miller-Rabin bases of its proven tier and no more, and a Hensel lift
-computes one unit residue, at q = 2 as at an odd q.
+computes one unit residue, at q = 2 as at an odd q.  Each q-adic root is
+found once per process: a model built again runs no root search, and a
+degeneracy side whose basis holds 1 tests only the products of its other
+three elements, so a fresh default sweep makes a pinned number of products
+and root searches.
+
+Every test here starts with the package's memos empty, so a count does not
+depend on which tests ran before it.
 """
 
 import builtins
@@ -50,8 +57,8 @@ from quatorder import numth
 from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
-from quatorder.numth import PadicNum, hensel_sqrt, is_prime
-from quatorder.quat import AlgebraParams, coords_in_hashimoto, hashimoto_basis
+from quatorder.numth import PadicNum, hensel_sqrt, is_prime, solve_norm_equation
+from quatorder.quat import AlgebraParams, coords_in_hashimoto, coords_product, hashimoto_basis
 from quatorder.split import (
     CASE_ARCHIMEDEAN,
     CASE_RAMIFIED,
@@ -60,13 +67,21 @@ from quatorder.split import (
     build_splitting,
     verify_splitting,
 )
+from quatorder.verify import run_sweep
 from test_core_properties import MODELS
+from test_no_dead_code import clear_package_caches
 
 BOUNDARY = (coords_in_hashimoto, ZLattice4.contains, PsiMap.apply)
 
 
+@pytest.fixture(autouse=True)
+def empty_memos():
+    clear_package_caches()
+
+
 def _key(func):
-    code = func.__code__
+    """The profiler's key for func, or for the body of a memoised func."""
+    code = getattr(func, "__wrapped__", func).__code__
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
 
@@ -161,19 +176,44 @@ def test_local_model_coefficient_tests_make_no_type_check():
     assert all(r.passed for r in reports)
 
 
+def build_and_verify_every_model(reports):
+    for delta, level, place, k in MODELS:
+        spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
+        reports.append(verify_splitting(spl))
+
+
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 101 ``PadicNum``
-    instances, all of them the stated i, j and k and witnesses; certificates
+    """Building and verifying every case's model makes 99 ``PadicNum``
+    instances, all of them the stated i, j and k and witnesses (101 before
+    the root searches were memoised, two of which repeat here); certificates
     that ran on ``PadicNum`` arithmetic made 3465."""
     reports = []
-
-    def run():
-        for delta, level, place, k in MODELS:
-            spl = build_splitting(AlgebraParams.create(delta, level), place, k=k)
-            reports.append(verify_splitting(spl))
-
-    assert profile(run)[_key(PadicNum.__init__)][1] == 101
+    assert profile(lambda: build_and_verify_every_model(reports))[_key(PadicNum.__init__)][1] == 99
     assert all(r.passed for r in reports)
+
+
+def test_a_model_built_again_runs_no_root_search():
+    """The second build of every case's model reuses each q-adic root: no
+    ``hensel_sqrt`` or ``solve_norm_equation`` body runs, and 79
+    ``PadicNum`` instances are built instead of 99."""
+    reports = []
+    build_and_verify_every_model(reports)
+    stats = profile(lambda: build_and_verify_every_model(reports))
+    assert [_key(f) in stats for f in (hensel_sqrt, solve_norm_equation)] == [False, False]
+    assert stats[_key(PadicNum.__init__)][1] == 79
+    assert all(r.passed for r in reports)
+
+
+def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
+    """A default sweep from empty memos: 4,320 structure-constant products
+    and 338 ``hensel_sqrt`` and 151 ``solve_norm_equation`` bodies.  Testing
+    every closure product and searching each root per model made 7,680, 628
+    and 220."""
+    reports = []
+    stats = profile(lambda: reports.append(run_sweep()))
+    counts = [stats[_key(f)][1] for f in (coords_product, hensel_sqrt, solve_norm_equation)]
+    assert counts == [4320, 338, 151]
+    assert reports[0].passed
 
 
 def fractions_built(run) -> int:

@@ -137,13 +137,18 @@ def allowed() -> dict:
     return reasons
 
 
-def run_catalogue() -> set:
-    """The (resolved path, first line) of every code object the catalogue calls."""
+def clear_package_caches():
+    """Empty every ``lru_cache`` of the package, so each memoised body runs again."""
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("quatorder."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
-                    value.cache_clear()  # a memoised body must run again
+                    value.cache_clear()
+
+
+def run_catalogue() -> set:
+    """The (resolved path, first line) of every code object the catalogue calls."""
+    clear_package_caches()
     codes = set()
 
     def profile(frame, event, arg):

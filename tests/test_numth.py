@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatorder.errors import (
@@ -276,6 +276,49 @@ def test_solve_norm_equation_two_adic():
     assert (lhs - PadicNum.from_rational(-11, 2, 12)).val_at_least(10)
     with pytest.raises(NotANormError):
         solve_norm_equation(13, 11, 11, 8)
+
+
+def padic_outcome(func, *args):
+    """The fields of the PadicNums func returns, or the type of the error it raises."""
+    try:
+        value = func(*args)
+    except (NoSquareRootError, NotANormError) as exc:
+        return type(exc)
+    roots = value if isinstance(value, tuple) else (value,)
+    return [(r.q, r.val, r.unit, r.prec) for r in roots]
+
+
+@SETTINGS
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13, 101)),
+    st.integers(1, 30),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+    st.integers(-(10**4), 10**4),
+)
+def test_memoised_roots_equal_the_unmemoised_bodies(q, k, n, d, p):
+    """For units a = n/d and a nonsquare unit p: the memoised root searches
+    return what their bodies return, field by field; a repeated call returns
+    the same object or raises the same error again, and an error leaves the
+    memo as it was; negating, adding or multiplying a returned root leaves
+    the memoised value unchanged."""
+    n += n % q == 0
+    d += d % q == 0
+    assume(p % q and not is_square_unit(p, q))
+    a = Fraction(n, d)
+    for func, args in ((hensel_sqrt, (a, q, k)), (solve_norm_equation, (p, a, q, k))):
+        want = padic_outcome(func.__wrapped__, *args)
+        size = func.cache_info().currsize
+        assert padic_outcome(func, *args) == want
+        if isinstance(want, type):
+            assert padic_outcome(func, *args) == want
+            assert func.cache_info().currsize == size
+            continue
+        value = func(*args)
+        assert func(*args) is value
+        for r in value if isinstance(value, tuple) else (value,):
+            assert ((-r) * r + r * r).unit == 0
+        assert padic_outcome(func, *args) == want
 
 
 def test_hilbert_product_formula():
