@@ -27,7 +27,7 @@ down to Z, whose only norm-one elements are 1 and -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     CaseMismatchError,
@@ -226,26 +226,17 @@ def _x_scan(params: AlgebraParams, q: int, prefer_y_zero: bool):
     raise SearchExhaustedError(f"no norm-form witness residue at q={q}")
 
 
-def _symbolic_ll(params: AlgebraParams, q: int, prefer_y_zero: bool):
-    """Rational and sqrt parts of ll(e_i), plus the radicand of theta."""
+def _symbolic_ll(params: AlgebraParams, q: int, prefer_y_zero: bool) -> list[list[int]]:
+    """The rational and theta parts of 2p·ll(e_i), as two int rows."""
     dn, p, a = params.dn, params.p, params.a
-    half = Fraction(1, 2)
     if q == p:
-        alpha = [Fraction(0), Fraction(p, 2), Fraction(0), Fraction(a * dn)]
-        beta = [Fraction(0), Fraction(0), Fraction(p, 2), Fraction(1)]
-        return alpha, beta, Fraction(-dn)
+        return [[0, p * p, 0, 2 * p * a * dn], [0, 0, p * p, 2 * p]]
     if is_square_unit(p, q):
-        alpha = [Fraction(0), Fraction(0), Fraction(-dn, 2), Fraction(0)]
-        beta = [Fraction(0), Fraction(0), Fraction(dn, 2), Fraction(dn, p)]
-        return alpha, beta, Fraction(p)
+        return [[0, 0, -p * dn, 0], [0, 0, p * dn, 2 * dn]]
     x0 = _x_scan(params, q, prefer_y_zero)
     if x0 is None:
-        alpha = [Fraction(0), half, Fraction(0), Fraction(a * dn, p)]
-        beta = [Fraction(0), Fraction(0), -half, Fraction(-1, p)]
-        return alpha, beta, Fraction(-dn)
-    alpha = [Fraction(0), half, Fraction(-x0, 2), Fraction(a * dn - x0, p)]
-    beta = [Fraction(0), Fraction(0), half, Fraction(0)]
-    return alpha, beta, Fraction(x0 * x0 + dn, p)
+        return [[0, p, 0, 2 * a * dn], [0, 0, -p, -2]]
+    return [[0, p, -p * x0, 2 * (a * dn - x0)], [0, 0, p, 0]]
 
 
 def chain_kernel_exact(
@@ -258,17 +249,7 @@ def chain_kernel_exact(
     """
     if params.delta % q == 0:
         raise RamifiedPlaceError(f"q={q} ramifies in the algebra")
-    alpha, beta, theta_d = _symbolic_ll(params, q, prefer_y_zero)
-    if theta_d > 0 and is_perfect_square(theta_d.numerator) and is_perfect_square(
-        theta_d.denominator
-    ):
-        raise InvalidParametersError("degenerate witness: theta is rational")
-    den = lcm(*(c.denominator for c in alpha + beta))
-    rows = [
-        [int(c * den) for c in alpha],
-        [int(c * den) for c in beta],
-    ]
-    return coords_lattice(params, congruence_kernel(rows, 0))
+    return coords_lattice(params, congruence_kernel(_symbolic_ll(params, q, prefer_y_zero), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +272,7 @@ def chain_oracle(params: AlgebraParams, q: int, depth: int) -> ZLattice4:
         return build_splitting(params, q, digits).congruence_lattice(2, depth)
     # 2p·ll(e_i) = (0, p, -p·r, 2(a·dn - r))
     mod = q**digits
-    r, p = hensel_sqrt(-params.dn, q, digits).residue(digits), params.p
+    r, p = hensel_sqrt(-params.dn, q, digits), params.p
     residues = [x % mod for x in (0, p, -p * r, 2 * (params.a * params.dn - r))]
     return coords_lattice(params, congruence_kernel([residues], mod))
 

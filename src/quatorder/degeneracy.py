@@ -24,13 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidParametersError, RamifiedPlaceError
+from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
 from .exact import ZLattice4, det4, reduced_discriminant
 from .numth import is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
-    coords_in_hashimoto,
     coords_product,
     hashimoto_basis,
     order_lattice,
@@ -87,16 +86,18 @@ class DegeneracyPair:
         return coefficient_lattice(self.params, self.g)
 
     def to_json(self) -> dict:
+        f, g = ([scaled_coords(u) for u in basis] for basis in (self.f, self.g))
+        coords = lambda scaled: [[str(Fraction(n, den)) for n in nums] for nums, den in scaled]
         return {
             "q": self.q,
             "case": self.case,
             "f": [pretty(u) for u in self.f],
             "g": [pretty(u) for u in self.g],
-            "f_coords": [[str(c) for c in coords_in_hashimoto(u)] for u in self.f],
-            "g_coords": [[str(c) for c in coords_in_hashimoto(u)] for u in self.g],
+            "f_coords": coords(f),
+            "g_coords": coords(g),
             "constants": {"case": self.case, "q": self.q, **self.constants},
-            "det_f": str(_coords_det([scaled_coords(u) for u in self.f])),
-            "det_g": str(_coords_det([scaled_coords(u) for u in self.g])),
+            "det_f": str(_coords_det(f)),
+            "det_g": str(_coords_det(g)),
         }
 
 
@@ -141,8 +142,8 @@ def degeneracy_bases(
     p = params.p
 
     if case == DEG_NONSQUARE:
-        c3 = splitting.data["x"].residue(1)
-        c1 = (splitting.data["y"].residue(1) - c3) % q
+        c3 = splitting.data["x"] % q
+        c1 = (splitting.data["y"] - c3) % q
         c2 = pow(p, -1, q)
         consts = {"c1": c1, "c2": c2, "c3": c3}
         f = (e1, e2 * -c1 + e3, e2 * (-2 * c2 * (a * dn - c3)) + e4, e2 * q)
@@ -153,7 +154,7 @@ def degeneracy_bases(
         if params.delta == 1:
             c, cp = 0, 1 % q
         else:  # the model's lifts of (p -/+ omega)/2, read mod q
-            omega = splitting.data["omega"].residue(k)
+            omega = splitting.data["omega"]
             lifts = (splitting.scalar(p - omega, 2), splitting.scalar(p + omega, 2))
             c, cp = [n // den % q for den, n in lifts]
         consts = {"c": c, "c_prime": cp}
@@ -163,9 +164,13 @@ def degeneracy_bases(
 
     # q = p: the copy with the upper-right congruence needs sqrt(-dn) mod p^2,
     # one digit deeper than the lower-left copy.
+    if k < 2:
+        raise PrecisionLossError(
+            f"the upper-right copy at {p} reads sqrt(-dn) mod {p}^2; precision {k} knows it "
+            f"only mod {p}^{k}"
+        )
     s = splitting.data["s"]
-    c4 = s.residue(1)
-    c4_lift = s.residue(2)
+    c4, c4_lift = s % p, s % p**2
     b_inv = pow(2 * (a * dn + c4), -1, p)
     a_co = (1 - 2 * b_inv * (a * dn + c4)) // p
     consts = {"c4": c4, "c4_lift": c4_lift, "A": a_co, "B": b_inv}

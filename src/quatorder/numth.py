@@ -3,9 +3,9 @@
 Everything downstream leans on the conventions fixed here:
 
 * ``sqrt_mod`` returns the root in [0, q//2] (and the root ≡ 1 mod 4 for q=2),
-* ``hensel_sqrt`` lifts that canonical residue,
+* ``hensel_sqrt`` lifts that canonical residue to an int mod q^k,
 * ``solve_norm_equation`` scans x₀ = 0, 1, 2, ... and lifts y, so the returned
-  pair is deterministic and has x an exact integer,
+  int pair is deterministic,
 * ``find_hashimoto_prime`` / ``find_a`` return the smallest admissible values.
 
 Changing any of these silently changes which sublattices the rest of the
@@ -259,15 +259,16 @@ def is_square_unit(x, q: int) -> bool:
 
 
 class PadicNum:
-    """A q-adic number known to finite precision.
+    """A q-adic number known to finite precision: the print form of a local
+    model's generators.
 
     A nonzero value is ``unit * q**val + O(q**(val + prec))`` with
     0 < unit < q**prec and q ∤ unit.  A value that is indistinguishable from
     zero is stored with unit == 0 and prec == 0; ``val`` is then a lower bound
-    on the valuation.  Arithmetic tracks the minimum surviving precision; ask
-    questions with ``val_at_least`` / ``residue`` and you either get an answer
-    that is certain or a PrecisionLossError.  The local models are built from
-    PadicNums and certified on their residues.
+    on the valuation.  Arithmetic tracks the minimum surviving precision;
+    ``residue`` either gives an answer that is certain or raises
+    PrecisionLossError.  The root searches below return plain int residues,
+    and the local models are certified on ints.
     """
 
     __slots__ = ("q", "val", "unit", "prec")
@@ -305,15 +306,6 @@ class PadicNum:
         """Exponent m such that the value is known modulo q**m."""
         return self.val + self.prec if self.unit else self.val
 
-    def val_at_least(self, m: int) -> bool:
-        if self.unit:
-            return self.val >= m
-        if self.val >= m:
-            return True
-        raise PrecisionLossError(
-            f"cannot decide valuation >= {m}: only O({self.q}^{self.val}) known"
-        )
-
     def residue(self, m: int) -> int:
         """Canonical integer in [0, q**m) congruent to the value mod q**m."""
         if self.unit == 0:
@@ -329,11 +321,10 @@ class PadicNum:
         return self.unit * self.q**self.val % self.q**m
 
     # -- arithmetic -------------------------------------------------------
-    # Each operation but subtraction (a negation and a sum) is one body on
-    # the four fields.  A sum is known modulo the smaller absolute precision m
-    # and computed on the digits from the smaller valuation up to m; a zero
-    # keeps m (or the sentinel) as its valuation.  A zero known at least as
-    # far as the other term leaves it unchanged, so that term is the sum.
+    # Each operation is one body on the four fields.  A sum is known modulo
+    # the smaller absolute precision m and computed on the digits from the
+    # smaller valuation up to m; a zero keeps m (or the sentinel) as its
+    # valuation.
 
     def __add__(self, other):
         if not isinstance(other, PadicNum):
@@ -344,10 +335,6 @@ class PadicNum:
         sv, su, ov, ou = self.val, self.unit, other.val, other.unit
         m = sv + self.prec  # the absolute precision: a zero has prec 0
         om = ov + other.prec
-        if not ou and ov >= m:
-            return self
-        if not su and sv >= om:
-            return other
         if om < m:
             m = om
         base = sv if sv < ov else ov
@@ -371,11 +358,6 @@ class PadicNum:
         if self.unit == 0:
             return self
         return PadicNum(self.q, self.val, (-self.unit) % self.q**self.prec, self.prec)
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicNum):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, PadicNum):
@@ -415,13 +397,12 @@ class PadicNum:
 
 
 @lru_cache(maxsize=1024)
-def hensel_sqrt(a, q: int, k: int) -> PadicNum:
-    """Square root of a q-unit square, as a PadicNum of relative precision k.
+def hensel_sqrt(a, q: int, k: int) -> int:
+    """Square root of a q-unit square, as its residue in [0, q**k).
 
     For odd q the result lifts the canonical residue sqrt_mod(a, q); for q=2
     the input must be ≡ 1 (mod 8) and the root is normalized ≡ 1 (mod 4).
-    Memoised: every caller shares the returned root, which no caller
-    mutates; an error is raised again, never cached.
+    Memoised; an error is raised again, never cached.
     """
     if k < 1:
         raise InvalidParametersError("precision must be >= 1")
@@ -440,7 +421,7 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
         while m < k + 1:
             m = 2 * m - 2
             y = y * ((3 - a * y * y) % (2 << m) // 2) % (1 << m)
-        return PadicNum(2, 0, a * y % (1 << k), k)
+        return a * y % (1 << k)
 
     a = unit_residue(fa, q, q**k)  # one residue mod q^k; each step reads it mod q^m
     x = sqrt_mod(a % q, q)
@@ -451,17 +432,17 @@ def hensel_sqrt(a, q: int, k: int) -> PadicNum:
         m = min(2 * m, k)
         mod = q**m
         x = (x + a % mod * pow(x, -1, mod)) * ((mod + 1) // 2) % mod
-    return PadicNum(q, 0, x, k)
+    return x
 
 
 @lru_cache(maxsize=1024)
-def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[PadicNum, PadicNum]:
+def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[int, int]:
     """Solve x² - p·y² = t over Z_q, p a nonsquare q-unit, t a q-unit.
 
-    Returns (x, y) to precision k.  Deterministic: x₀ = 0, 1, 2, ... is the
-    first integer making (x₀² - t)/p a square unit (or zero) in Z_q, and y is
-    its canonical Hensel root, so x is always an exact integer and y the root
-    of an explicit rational.  Memoised like ``hensel_sqrt``.
+    Returns (x, y) as ints, each exact or a root mod q**k.  Deterministic:
+    x₀ = 0, 1, 2, ... is the first integer making (x₀² - t)/p a square unit
+    (or zero) in Z_q, and y is its canonical Hensel root; when (x₀² - t)/p
+    is zero, x is the root of t and y = 0.  Memoised like ``hensel_sqrt``.
     """
     t = Fraction(t)
     if not is_prime(q):
@@ -473,17 +454,16 @@ def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[PadicNum, PadicNum]:
     if hilbert_symbol(t, Fraction(p), q) != 1:
         raise NotANormError(f"{t} is not a norm from Z_{q}(sqrt {p})")
 
-    zero = PadicNum.exact_zero(q)
     if q == 2:
         # p ≡ 5 (mod 8); one of the two scans below succeeds for every odd t.
         for y0 in range(8):
             c = t + p * y0 * y0
             if unit_residue(c, 2, 8) == 1 and valuation(c, 2) == 0:
-                return hensel_sqrt(c, 2, k), PadicNum.from_rational(y0, 2, k)
+                return hensel_sqrt(c, 2, k), y0
         for x0 in range(8):
             c = (Fraction(x0 * x0) - t) / p
             if c != 0 and valuation(c, 2) == 0 and unit_residue(c, 2, 8) == 1:
-                return PadicNum.from_rational(x0, 2, k), hensel_sqrt(c, 2, k)
+                return x0, hensel_sqrt(c, 2, k)
         raise NotANormError(f"{t} admits no representation at q=2")
 
     pinv = pow(p % q, -1, q)
@@ -494,10 +474,10 @@ def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[PadicNum, PadicNum]:
             if x0 == 0:
                 continue
             # t ≡ x₀² mod q, so t itself is a square unit: take y = 0.
-            return hensel_sqrt(t, q, k), zero
+            return hensel_sqrt(t, q, k), 0
         if legendre(u, q) == 1:
             c = (Fraction(x0 * x0) - t) / p
-            return PadicNum.from_rational(x0, q, k), hensel_sqrt(c, q, k)
+            return x0, hensel_sqrt(c, q, k)
     raise NotANormError(f"no solution found at q={q} (unexpected)")
 
 

@@ -101,16 +101,14 @@ def classify_place(params: AlgebraParams, place) -> str:
     )
 
 
-def at_p_root(params: AlgebraParams, k: int) -> PadicNum:
-    """The root s of -dn in Z_p, to k digits, pinned by a*s = -1 (mod p).
+def at_p_root(params: AlgebraParams, k: int) -> int:
+    """The root s of -dn mod p**k, in [0, p**k), pinned by a*s = -1 (mod p).
 
     The pinning forces p | (a*dn - s), which the at-p models rely on.
     """
     p = params.p
     s = hensel_sqrt(Fraction(-params.dn), p, k)
-    if (params.a * s.residue(1) + 1) % p != 0:
-        s = -s
-    return s
+    return s if (params.a * s + 1) % p == 0 else -s % p**k
 
 
 class OrderShape:
@@ -150,12 +148,12 @@ class LocalSplitting:
     ll, lr) that to_json prints; the certificates run on mat_i, mat_j and
     mat_k, and relations.k_matches checks the stated k against mat_i·mat_j.
     data holds the case-specific witnesses (norm-form solutions, square
-    roots).  The case fixes the coefficient ring, and the model supplies the
-    matrix product and sum, the zero and valuation tests and the trace-form
-    determinant on it.  Every matrix is the int tuple (den, *ints) of
-    ``exact.mat_mul``: an entry is one int, or the pair (a, b) of a + b·√p at
-    a ramified q and at the real place (the ring width), and an entry alone is
-    (den, *ints) too.  exact marks the rational model and the real-place
+    roots) as ints, each exact or a residue mod q^k.  The case fixes the
+    coefficient ring, and the model supplies the matrix product and sum, the
+    zero and valuation tests and the trace-form determinant on it.  Every
+    matrix is the int tuple (den, *ints) of ``exact.mat_mul``: an entry is
+    one int, or the pair (a, b) of a + b·√p at a ramified q and at the real
+    place (the ring width), and an entry alone is (den, *ints) too.  exact marks the rational model and the real-place
     model: there zero means zero and precision is ignored.  A q-adic model's
     matrices are its generators' residues mod q^k; an element with
     denominator q^v·d' has ints num/d' mod q^k·q^v over q^v, known to
@@ -352,12 +350,13 @@ class LocalSplitting:
         enc = frac_to_str if self.exact else lambda v: v.to_json()
         pair = lambda e: {"a": enc(e[0]), "b": enc(e[1])}
         entry = pair if self._width == 2 else enc
+        q, k = self.place, self.precision
         body = {
-            "place": self.place if self.place == INFINITE_PLACE else int(self.place),
+            "place": q if q == INFINITE_PLACE else int(q),
             "case": self.case,
-            "precision": self.precision,
+            "precision": k,
             "shape": self.shape.describe(),
-            "data": {k: enc(v) for k, v in self.data.items()},
+            "data": {n: PadicNum.from_ratio(v, 1, q, k).to_json() for n, v in self.data.items()},
         }
         for name, gen in zip("ijk", self.generators):
             body[name] = [entry(e) for e in gen]
@@ -422,42 +421,45 @@ def build_splitting(
 
     z0 = PadicNum.exact_zero(q)
     if case == CASE_UNRAMIFIED_SQUARE:
-        omega = hensel_sqrt(p, q, k)
-        mdn, momega = pn(-dn), -omega
+        root = hensel_sqrt(p, q, k)
+        omega, mdn = pn(root), pn(-dn)
+        momega = -omega
         mi = (z0, pn(1), mdn, z0)
         mj = (momega, z0, z0, omega)
         mk = (z0, omega, mdn * momega, z0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": omega})
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": root})
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
-        x, y = solve_norm_equation(p, Fraction(-dn), q, k)
-        pp = pn(p)
+        x0, y0 = solve_norm_equation(p, Fraction(-dn), q, k)
+        x, y, pp = pn(x0), pn(y0), pn(p)
         py, mx = pp * y, -x
         mpy = -py
         mi = (x, mpy, y, mx)
         mj = (z0, pp, pn(1), z0)
         mk = (mpy, pp * x, mx, py)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x0, "y": y0})
 
     if case == CASE_AT_P:
-        s = at_p_root(params, k)
+        root = at_p_root(params, k)
         if _flip_at_p_root:
-            s = -s
-        pp, ms = pn(p), -s
+            root = -root % p**k
+        s, pp = pn(root), pn(p)
+        ms = -s
         mi = (ms, z0, z0, s)
         mj = (z0, pn(1), pp, z0)
         mk = (z0, ms, pp * s, z0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": s})
+        return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": root})
 
     # Ramified place q | delta: coefficients live in Z_q[sqrt(p)], an entry
     # the pair (a, b) = a + b·sqrt(p).
-    x, y = solve_norm_equation(p, Fraction(-dn, q), q, k)
+    x0, y0 = solve_norm_equation(p, Fraction(-dn, q), q, k)
+    x, y = pn(x0), pn(y0)
     zero, one, pp, qn = (z0, z0), pn(1), pn(p), pn(q)
     qx, qy, my = qn * x, qn * y, -y
     mi = (zero, (x, my), (qx, qy), zero)
     mj = ((z0, -one), zero, zero, (z0, one))
     mk = (zero, (pp * my, x), (-(pp * qy), -qx), zero)
-    return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x, "y": y})
+    return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x0, "y": y0})
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:
@@ -506,7 +508,7 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
     if s.case == CASE_AT_P:
         report.add(
             "at_p.root_divisibility",
-            (params.a * dn - s.data["s"].residue(1)) % p == 0,
+            (params.a * dn - s.data["s"]) % p == 0,
             f"a*dn - s = {params.a * dn} - sqrt(-dn) divisible by {p}",
         )
 

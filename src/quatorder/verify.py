@@ -119,8 +119,7 @@ def sweep_numth(seed: int = 0, pair_count: int = 80) -> Report:
             while x % q == 0:
                 x = rng.randint(1, 10_000)
             r = hensel_sqrt(x * x, q, 24)
-            diff = r * r - type(r).from_rational(x * x, q, 24)
-            if not diff.val_at_least(24):
+            if (r * r - x * x) % q**24:
                 ok = False
     report.add("numth.hensel.squares", ok, "hensel roots square back mod q^24")
 

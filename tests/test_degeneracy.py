@@ -62,8 +62,9 @@ def test_classification_rejections():
 
 def test_precision_floor():
     # At q = p = 13 the order basis costs one digit, so one working digit
-    # leaves none to read the residues from.
-    with pytest.raises(PrecisionLossError):
+    # leaves none to read the residues from; the bases refuse first, since the
+    # upper-right copy reads the root of -dn mod 13^2.
+    with pytest.raises(PrecisionLossError, match=r"mod 13\^2; precision 1"):
         verify_degeneracy(degeneracy_bases(FLAGSHIP, 13, k=1))
 
 

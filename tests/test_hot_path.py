@@ -32,7 +32,9 @@ is checked against the congruence kernel by containment and index, and the
 intersection's index is read from the covolumes of the two spans and of
 their sum, so a warm pair runs three eliminations in all.
 
-Printing an exact local model builds no ``Fraction`` for its int entries.
+Printing an exact local model builds no ``Fraction`` for its int entries,
+and printing a degeneracy pair reads each element's order-basis coordinates
+once.
 
 The integer kernels do only the work their answer needs: a prime gets the
 Miller-Rabin bases of its proven tier and no more, and a Hensel lift
@@ -58,7 +60,13 @@ from quatorder.degeneracy import degeneracy_bases, verify_degeneracy
 from quatorder.exact import ZLattice4, congruence_kernel, hnf
 from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum, hensel_sqrt, is_prime, solve_norm_equation
-from quatorder.quat import AlgebraParams, coords_in_hashimoto, coords_product, hashimoto_basis
+from quatorder.quat import (
+    AlgebraParams,
+    coords_in_hashimoto,
+    coords_product,
+    hashimoto_basis,
+    scaled_coords,
+)
 from quatorder.split import (
     CASE_ARCHIMEDEAN,
     CASE_RAMIFIED,
@@ -183,24 +191,25 @@ def build_and_verify_every_model(reports):
 
 
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 99 ``PadicNum``
-    instances, all of them the stated i, j and k and witnesses (101 before
-    the root searches were memoised, two of which repeat here); certificates
-    that ran on ``PadicNum`` arithmetic made 3465."""
+    """Building and verifying every case's model makes 95 ``PadicNum``
+    instances, all of them the stated i, j and k: the root searches return
+    ints, which the models wrap (99 when the searches returned ``PadicNum``s,
+    101 before they were memoised); certificates that ran on ``PadicNum``
+    arithmetic made 3465."""
     reports = []
-    assert profile(lambda: build_and_verify_every_model(reports))[_key(PadicNum.__init__)][1] == 99
+    assert profile(lambda: build_and_verify_every_model(reports))[_key(PadicNum.__init__)][1] == 95
     assert all(r.passed for r in reports)
 
 
 def test_a_model_built_again_runs_no_root_search():
     """The second build of every case's model reuses each q-adic root: no
-    ``hensel_sqrt`` or ``solve_norm_equation`` body runs, and 79
-    ``PadicNum`` instances are built instead of 99."""
+    ``hensel_sqrt`` or ``solve_norm_equation`` body runs, and the same 95
+    ``PadicNum`` instances are built, each cached int root wrapped again."""
     reports = []
     build_and_verify_every_model(reports)
     stats = profile(lambda: build_and_verify_every_model(reports))
     assert [_key(f) in stats for f in (hensel_sqrt, solve_norm_equation)] == [False, False]
-    assert stats[_key(PadicNum.__init__)][1] == 79
+    assert stats[_key(PadicNum.__init__)][1] == 95
     assert all(r.passed for r in reports)
 
 
@@ -291,6 +300,14 @@ def test_degeneracy_pair_runs_three_eliminations():
     assert all(r.passed for r in reports)
 
 
+def test_a_degeneracy_pair_prints_each_elements_coordinates_once():
+    """``to_json`` of the (35, 3) pair at 11 reads the order-basis
+    coordinates of its 8 elements once each, for both the coordinate strings
+    and the determinants; reading them for each made 16 calls."""
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    assert profile(pair.to_json)[_key(scaled_coords)][1] == 8
+
+
 @pytest.mark.parametrize("delta, place", [(35, "inf"), (1, 5)])
 def test_exact_model_prints_its_ints_without_fractions(delta, place):
     """The real-place model of (35, 3) and the rational model of (1, 3) at 5
@@ -344,7 +361,7 @@ def test_an_odd_hensel_lift_computes_one_unit_residue(monkeypatch, q, k):
     monkeypatch.setattr(numth, "unit_residue", counting)
     r = hensel_sqrt(Fraction(25, 49), q, k)
     assert len(residues) == 1
-    assert (r * r - PadicNum.from_ratio(25, 49, q, k)).val_at_least(k)
+    assert 0 <= r < q**k and (49 * r * r - 25) % q**k == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 20, 40])
@@ -359,5 +376,5 @@ def test_a_two_adic_hensel_lift_computes_one_unit_residue(monkeypatch, k):
     monkeypatch.setattr(numth, "unit_residue", counting)
     r = hensel_sqrt(Fraction(17, 9), 2, k)
     assert len(residues) == 1
-    assert (r * r - PadicNum.from_ratio(17, 9, 2, k)).val_at_least(k)
-    assert r.residue(min(k, 2)) == 1
+    assert 0 <= r < 2**k and (9 * r * r - 17) % 2**k == 0
+    assert r % 2 ** min(k, 2) == 1

@@ -31,6 +31,11 @@ Importing the command-line entry point loads neither ``dataclasses`` nor
 process that starts ``quatorder`` would otherwise pay for that import chain.
 
 No module's compilation peaks above ``COMPILE_PEAK_BYTES``.
+
+The q-adic roots cross module boundaries as ints: only ``numth.py`` and
+``split.py`` (``Q_ADIC_MODULES``) name ``PadicNum`` or call a ``.residue(``
+method, so the relative-precision numbers stay the print form of a local
+model's generators.
 """
 
 import ast
@@ -57,6 +62,7 @@ HEAVY_IMPORTS = {"dataclasses", "inspect"}
 # guard was added; the same on every run.
 COMPILE_PEAK_BYTES = 1_747_431
 PROTOCOL = {"__init__", "__repr__", "__str__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+Q_ADIC_MODULES = {"numth.py", "split.py"}
 
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
 QUICKSTART = re.search(r"## Library quickstart\s+```python\n(.*?)```", README, re.S).group(1)
@@ -309,3 +315,25 @@ def test_no_module_compiles_above_the_peak_bound():
     assert len(peaks) == len(paths)
     over = {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_BYTES}
     assert over == {}, f"compile peaks above {COMPILE_PEAK_BYTES} bytes: {over}"
+
+
+def test_only_numth_and_split_hold_q_adic_numbers():
+    """Elsewhere a q-adic root is an int: no other module names ``PadicNum``
+    (as a name, an attribute or an import) or calls ``.residue(``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in Q_ADIC_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = (
+                (isinstance(node, ast.Name) and node.id == "PadicNum")
+                or (isinstance(node, ast.Attribute) and node.attr == "PadicNum")
+                or (isinstance(node, ast.alias) and node.name == "PadicNum")
+            )
+            calls = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "residue")
+            if names or calls:
+                found.setdefault(path.name, []).append(
+                    f"{node.lineno}: {'PadicNum' if names else '.residue('}"
+                )
+    assert found == {}, f"q-adic numbers outside {sorted(Q_ADIC_MODULES)}: {found}"

@@ -4,7 +4,9 @@ The benchmark gate compares only (id, ok) pairs, so a refactor that changes
 a witness string would pass it.  The grid tests hash the whole ``checks``
 list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
-``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The last test
+``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The default
+sweep with the at-p fault injected is pinned whole, by the SHA-256 of its
+stdout.  The last test
 replays single-object ``--json`` calls (every ``split`` call of
 ``perfbench/frozen/calls.json`` and one call per other command and
 discriminant) and compares them with that catalogue using the gate's
@@ -25,6 +27,7 @@ from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LOW_PRECISION_SHA256 = "60bca82cf07f084bc5a3044917597fcd4d58f41114555799ec11eab5f1cb1d20"
+FAULT_REPORT_SHA256 = "d865c34bafd26b864496d8b59ef9a9cf0fbda4d782e6d8aaf2ff32d2f3975e64"
 
 
 def _load_gate():
@@ -42,6 +45,15 @@ def test_default_verify_report_is_byte_identical(capsys):
     checks = json.loads(out)["verification"]["checks"]
     assert len(checks) == frozen["checks"]
     assert _load_gate().sha256_json(checks) == frozen["checks_sha256"]
+
+
+def test_injected_fault_report_is_byte_identical(capsys):
+    """Every model at p built on the wrong root of -dn: which checks fail,
+    with every witness, id and verdict of the report."""
+    code = main(["verify", "--json", "--inject-at-p-sign-flip"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == FAULT_REPORT_SHA256
 
 
 # The frozen ``wide`` grid with the largest auxiliary prime of the pool:

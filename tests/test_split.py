@@ -5,7 +5,7 @@ import pytest
 
 from quatorder.errors import CaseMismatchError, InvalidParametersError, PrecisionLossError
 from quatorder.exact import mat_add
-from quatorder.numth import INFINITE_PLACE
+from quatorder.numth import INFINITE_PLACE, PadicNum
 from quatorder.quat import AlgebraParams, QuatElem
 from quatorder.split import (
     CASE_ARCHIMEDEAN,
@@ -190,7 +190,7 @@ def test_a_ramified_i_without_the_factor_q_in_its_lower_left_is_caught():
     spl = build_splitting(params, 5)
     gen_i, gen_j, gen_k = spl.generators
     ul, ur, _, lr = gen_i
-    ll = (spl.data["x"], spl.data["y"])
+    ll = tuple(PadicNum.from_rational(spl.data[n], 5, spl.precision) for n in "xy")
     wrong = LocalSplitting(params, 5, spl.case, spl.precision,
                            (ul, ur, ll, lr), gen_j, gen_k, spl.data)
     failed = {c.check_id for c in verify_splitting(wrong).failures()}
