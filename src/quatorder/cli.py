@@ -11,13 +11,14 @@ Subcommands build the objects of the library and verify them in one step:
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid parameters,
 3 unsupported case (ramified place, non-dividing level, exhausted search),
-4 insufficient working precision.  The working precision is --precision
-q-adic digits, split.DEFAULT_PRECISION by default.  Output is plain text, or
-under --json one compact line of canonical JSON with sorted keys (an indent
-would switch the json module to its pure-Python encoder).  The line is
-written in fixed-size slices of the report, each one call of the C encoder,
-with the same bytes as one encoding of the whole payload, so memory no
-longer grows with the size of the JSON text.
+4 insufficient working precision, 5 an internal error: any other exception,
+reported on one line with its type, never as a traceback.  The working
+precision is --precision q-adic digits, split.DEFAULT_PRECISION by default.
+Output is plain text, or under --json one compact line of canonical JSON
+with sorted keys (an indent would switch the json module to its pure-Python
+encoder).  The line is written in fixed-size slices of the report, each one
+call of the C encoder, with the same bytes as one encoding of the whole
+payload, so memory no longer grows with the size of the JSON text.
 """
 
 from __future__ import annotations
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
     except QuatOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug, which must not read as a failed certificate
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

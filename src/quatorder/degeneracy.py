@@ -30,12 +30,11 @@ from .numth import is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
-    coords_product,
     hashimoto_basis,
     order_lattice,
     pretty,
     scaled_coords,
-    structure_constants,
+    span_is_closed,
     unit_coords_lattice,
 )
 from .report import Report
@@ -55,9 +54,6 @@ from .split import (
 DEG_NONSQUARE = "nonsquare"
 DEG_SQUARE = "square"
 DEG_AT_P = "at_p"
-
-# The scaled order-basis coordinates of 1.
-_ONE = ((1, 0, 0, 0), 1)
 
 # Splitting case at q -> degeneracy case; the ramified case has no entry.
 _DEG_CASES = {
@@ -192,8 +188,8 @@ def degeneracy_bases(
 def verify_degeneracy(pair: DegeneracyPair) -> Report:
     """Replay every certificate of the two embedded copies.
 
-    Coordinates stay integer-scaled: closure multiplies coordinate vectors
-    through the order's structure constants and tests scaled membership.
+    Coordinates stay integer-scaled: closure multiplies the basis elements
+    and tests the scaled coordinates of each product for membership.
     """
     params = pair.params
     q = pair.q
@@ -203,7 +199,6 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
 
     r_lat = order_lattice(params)
     identity = unit_coords_lattice(params)
-    table = structure_constants(params)
     expected_disc = params.dn * q
     lattices = {}
 
@@ -240,17 +235,9 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             f"index in the level-N order = {q}",
         )
 
-        # 1·v = v·1 = v is a basis element, so a basis holding 1 once needs
-        # only the products of its other three
-        factors = [u for u in coords if u != _ONE]
-        if len(factors) != 3:
-            factors = coords
-        closed = all(
-            lat.contains_scaled(*coords_product(table, u, v)) for u in factors for v in factors
-        )
         report.add(
             f"closure.{side}",
-            closed,
+            span_is_closed(lat, basis),
             "all 16 pairwise products stay in the span",
         )
 

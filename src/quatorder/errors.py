@@ -6,6 +6,9 @@ Every error raised by the library derives from QuatOrderError, so callers
     2 -- invalid parameters (InvalidParametersError)
     3 -- no supported case / unsupported place (CaseMismatchError and friends)
     4 -- not enough working precision (PrecisionLossError)
+
+Any other exception is a bug in the library; the CLI reports it on one
+line and exits 5, never 1, which is kept for a failed certificate.
 """
 
 

@@ -156,11 +156,6 @@ def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
 # a4, b4).  An entry alone is laid out the same way, (den, a) or (den, a, b).
 # Nothing here reduces; a model reduces once, in a zero or valuation test.
 
-# (sign, i, j, k, l): det4's terms, the minor of rows 0, 1 on columns i, j times
-# the minor of rows 2, 3 on columns k, l.
-_LAPLACE = ((1, 0, 1, 2, 3), (-1, 0, 2, 1, 3), (1, 0, 3, 1, 2),
-            (1, 1, 2, 0, 3), (-1, 1, 3, 0, 2), (1, 2, 3, 0, 1))
-
 
 def pair_mul(x: tuple, y: tuple, d: int) -> tuple:
     """The product x·y of two pair matrices over Z[√d]."""
@@ -190,24 +185,6 @@ def mat_add(x: tuple, y: tuple, c: int = 1) -> tuple:
     return (xd * yd, *[u * yd + c * v * xd for u, v in zip(x[1:], y[1:])])
 
 
-def pair_det4(rows, d: int) -> tuple:
-    """det4 over Z[√d] of a 4x4 matrix of int pairs (a, b) = a + b·√d."""
-
-    def mul(x, y):
-        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def minor(r, s, i, j):
-        (a, b), (c, e) = mul(r[i], s[j]), mul(r[j], s[i])
-        return a - c, b - e
-
-    r0, r1, r2, r3 = rows
-    a = b = 0
-    for sign, i, j, k, l in _LAPLACE:
-        x, y = mul(minor(r0, r1, i, j), minor(r2, r3, k, l))
-        a, b = a + sign * x, b + sign * y
-    return a, b
-
-
 def mat_trace_det(mats) -> tuple:
     """det of the trace form tr(X_r·X_c) of four int matrices, as the entry
     (den, n) of n/den; see pair_trace_det."""
@@ -222,22 +199,25 @@ def mat_trace_det(mats) -> tuple:
 
 def pair_trace_det(mats, d: int) -> tuple:
     """det of the trace form tr(X_r·X_c) of four pair matrices, as the int
-    triple (den, a, b) of (a + b·√d)/den.
-
-    Each Gram entry is the pair Σ x_ij·y_ji of numerators over den_r·den_c, so
-    the determinant of the numerators is over the squared product of the dens.
+    tuple (den, n, *roots): n/den is the det of the Gram matrix's rational
+    parts, and roots are the √d parts of its ten entries over den.  A model's
+    images have rational traces, so their roots vanish.  Entry (r, c) is
+    over den_r·den_c, so den is the squared product of the dens.
     """
+    dens = [x[0] for x in mats]
+    den = prod(dens) ** 2
     gram = [[None] * 4 for _ in range(4)]
+    roots = []
     for r, x in enumerate(mats):
         _, a1, b1, a2, b2, a3, b3, a4, b4 = x
         for c in range(r, 4):
             _, c1, e1, c2, e2, c3, e3, c4, e4 = mats[c]
             gram[r][c] = gram[c][r] = (
-                a1 * c1 + a2 * c3 + a3 * c2 + a4 * c4 + d * (b1 * e1 + b2 * e3 + b3 * e2 + b4 * e4),
-                a1 * e1 + b1 * c1 + a2 * e3 + b2 * c3 + a3 * e2 + b3 * c2 + a4 * e4 + b4 * c4,
+                a1 * c1 + a2 * c3 + a3 * c2 + a4 * c4 + d * (b1 * e1 + b2 * e3 + b3 * e2 + b4 * e4)
             )
-    den = prod(x[0] for x in mats)
-    return (den * den, *pair_det4(gram, d))
+            root = a1 * e1 + b1 * c1 + a2 * e3 + b2 * c3 + a3 * e2 + b3 * c2 + a4 * e4 + b4 * c4
+            roots.append(root * (den // (dens[r] * dens[c])))
+    return (den, det4(gram), *roots)
 
 
 # ---------------------------------------------------------------------------

@@ -406,12 +406,11 @@ def hensel_sqrt(a, q: int, k: int) -> int:
     """
     if k < 1:
         raise InvalidParametersError("precision must be >= 1")
-    fa = Fraction(a)
-    if fa == 0 or valuation(fa, q) != 0:
+    if a == 0 or valuation(a, q) != 0:
         raise InvalidParametersError("hensel_sqrt expects a q-adic unit")
 
     if q == 2:
-        a = unit_residue(fa, 2, 2 ** max(k + 1, 3))  # one residue, mod 2^(k+1)
+        a = unit_residue(a, 2, 2 ** max(k + 1, 3))  # one residue, mod 2^(k+1)
         if a % 8 != 1:
             raise NoSquareRootError("2-adic squares among units are ≡ 1 mod 8")
         # Newton on the inverse root: a·y² ≡ 1 (mod 2^m) gives it mod 2^(2m-2)
@@ -423,7 +422,7 @@ def hensel_sqrt(a, q: int, k: int) -> int:
             y = y * ((3 - a * y * y) % (2 << m) // 2) % (1 << m)
         return a * y % (1 << k)
 
-    a = unit_residue(fa, q, q**k)  # one residue mod q^k; each step reads it mod q^m
+    a = unit_residue(a, q, q**k)  # one residue mod q^k; each step reads it mod q^m
     x = sqrt_mod(a % q, q)
     if x == 0:
         raise NoSquareRootError("not a unit square")
@@ -444,14 +443,14 @@ def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[int, int]:
     (or zero) in Z_q, and y is its canonical Hensel root; when (x₀² - t)/p
     is zero, x is the root of t and y = 0.  Memoised like ``hensel_sqrt``.
     """
-    t = Fraction(t)
+    t = as_rational(t)
     if not is_prime(q):
         raise InvalidParametersError(f"{q} is not prime")
-    if valuation(Fraction(p), q) != 0 or is_square_unit(p, q):
+    if valuation(p, q) != 0 or is_square_unit(p, q):
         raise InvalidParametersError(f"{p} must be a nonsquare unit at {q}")
     if valuation(t, q) != 0:
         raise NotANormError(f"{t} is not a q-unit at {q}")
-    if hilbert_symbol(t, Fraction(p), q) != 1:
+    if hilbert_symbol(t, p, q) != 1:
         raise NotANormError(f"{t} is not a norm from Z_{q}(sqrt {p})")
 
     if q == 2:
@@ -481,7 +480,7 @@ def solve_norm_equation(p: int, t, q: int, k: int) -> tuple[int, int]:
     raise NotANormError(f"no solution found at q={q} (unexpected)")
 
 
-def _two_adic_eps_omega(x: Fraction) -> tuple[int, int]:
+def _two_adic_eps_omega(x) -> tuple[int, int]:
     r = unit_residue(x, 2, 8)
     eps = (r - 1) // 2 % 2
     omega = (r * r - 1) // 8 % 2
@@ -490,7 +489,7 @@ def _two_adic_eps_omega(x: Fraction) -> tuple[int, int]:
 
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a finite prime or INFINITE_PLACE; values ±1."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_rational(a), as_rational(b)
     if a == 0 or b == 0:
         raise InvalidParametersError("hilbert symbol needs nonzero arguments")
     if place == INFINITE_PLACE:

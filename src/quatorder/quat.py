@@ -18,9 +18,9 @@ the representation is canonical.  Sums, products, conjugates, norms and
 traces run in integer arithmetic and divide once; ``numerators`` and
 ``denominator`` read the stored ints.  Every order-basis denominator divides
 2p, so the common denominator stays small.
-Order-basis coordinates are integer-scaled the same way (``scaled_coords``),
-and products of coordinate vectors go through the order's integer
-structure constants.
+Order-basis coordinates are integer-scaled the same way (``scaled_coords``);
+whether a span is a ring is tested on the quaternion products of its
+elements (``span_is_closed``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import numth
-from .errors import InvalidParametersError, NotAnOrderBasisError
+from .errors import InvalidParametersError
 from .exact import ZLattice4, as_rational, reduced_discriminant
 
 
@@ -316,45 +316,12 @@ def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Frac
     return tuple(Fraction(n, den) for n in nums)
 
 
-@lru_cache(maxsize=1024)
-def structure_constants(params: AlgebraParams) -> tuple:
-    """T[a][b] = the integer order-basis coordinates of e_a·e_b.
-
-    Computed once per algebra from the quaternion products; R(N) is a ring,
-    so every entry is an integer.
-    """
-    e = hashimoto_basis(params)
-    table = []
-    for u in e:
-        row = []
-        for v in e:
-            nums, den = scaled_coords(u * v)
-            if any(n % den for n in nums):
-                raise NotAnOrderBasisError(f"e·e' leaves the order for {params}")
-            row.append(tuple(n // den for n in nums))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def coords_product(table: tuple, u, v) -> tuple[list[int], int]:
-    """Scaled coordinates of the product of two elements given by scaled coordinates.
-
-    The bilinear form Σ uₐ·v_b·T[a][b] of the algebra's ``structure_constants``
-    table T on the numerators, over the product of the denominators; exact
-    for non-integral coordinates too.
-    """
-    (un, ud), (vn, vd) = u, v
-    out = [0, 0, 0, 0]
-    for ua, row in zip(un, table):
-        if ua:
-            for vb, (t1, t2, t3, t4) in zip(vn, row):
-                if vb:
-                    w = ua * vb
-                    out[0] += w * t1
-                    out[1] += w * t2
-                    out[2] += w * t3
-                    out[3] += w * t4
-    return out, ud * vd
+def span_is_closed(lattice: ZLattice4, elems) -> bool:
+    """Whether the span of elems, given as lattice in order-basis
+    coordinates, is closed under multiplication: every product u·v lies in
+    it.  1·v = v·1 = v, so an element equal to 1 is left out."""
+    factors = [u for u in elems if (u.numerators, u.denominator) != ((1, 0, 0, 0), 1)]
+    return all(lattice.contains_scaled(*scaled_coords(u * v)) for u in factors for v in factors)
 
 
 def element_from_coords(params: AlgebraParams, coords) -> QuatElem:

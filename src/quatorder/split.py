@@ -26,7 +26,6 @@ and only a zero or valuation test reduces, once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -107,7 +106,7 @@ def at_p_root(params: AlgebraParams, k: int) -> int:
     The pinning forces p | (a*dn - s), which the at-p models rely on.
     """
     p = params.p
-    s = hensel_sqrt(Fraction(-params.dn), p, k)
+    s = hensel_sqrt(-params.dn, p, k)
     return s if (params.a * s + 1) % p == 0 else -s % p**k
 
 
@@ -237,13 +236,14 @@ class LocalSplitting:
         return pair_mul(x, y, self.params.p) if self._width == 2 else mat_mul(x, y)
 
     def trace_form_gap(self, images: list, target: int) -> tuple:
-        """det of the trace form tr(X_r·X_c) of four images, less target, as an
-        entry.  tr(XY) = Σ x_ij·y_ji; the form is symmetric."""
+        """det of the trace form tr(X_r·X_c) of four images, less target, as
+        (den, *ints): zero when the determinant is target and, over Z[√p],
+        every trace is rational.  tr(XY) = Σ x_ij·y_ji; the form is symmetric."""
         if self._width == 2:
-            den, a, b = pair_trace_det(images, self.params.p)
-            return den, a - target * den, b
-        den, a = mat_trace_det(images)
-        return den, a - target * den
+            den, a, *rest = pair_trace_det(images, self.params.p)
+        else:
+            den, a, *rest = mat_trace_det(images)
+        return (den, a - target * den, *rest)
 
     def check_level(self) -> int:
         """q-adic level the certificates assert: precision minus λ = v_q(2p).
@@ -430,7 +430,7 @@ def build_splitting(
         return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": root})
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
-        x0, y0 = solve_norm_equation(p, Fraction(-dn), q, k)
+        x0, y0 = solve_norm_equation(p, -dn, q, k)
         x, y, pp = pn(x0), pn(y0), pn(p)
         py, mx = pp * y, -x
         mpy = -py
@@ -452,7 +452,7 @@ def build_splitting(
 
     # Ramified place q | delta: coefficients live in Z_q[sqrt(p)], an entry
     # the pair (a, b) = a + b·sqrt(p).
-    x0, y0 = solve_norm_equation(p, Fraction(-dn, q), q, k)
+    x0, y0 = solve_norm_equation(p, -dn // q, q, k)
     x, y = pn(x0), pn(y0)
     zero, one, pp, qn = (z0, z0), pn(1), pn(p), pn(q)
     qx, qy, my = qn * x, qn * y, -y

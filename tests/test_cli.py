@@ -162,6 +162,22 @@ def test_unsupported_case_exit_three(capsys, monkeypatch):
     assert "denominator <= 2" in err
 
 
+def test_internal_error_exits_five_on_one_line(capsys, monkeypatch):
+    """A bug, here a matrix kernel that raises, is no failed certificate:
+    exit 5 with one line naming the exception, and no traceback."""
+
+    def broken(x, y):
+        raise ZeroDivisionError("integer division or modulo by zero")
+
+    monkeypatch.setattr(split, "mat_mul", broken)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "split", "--delta", "35", "--level", "3", "--place", "11", *json_flag
+        )
+        assert (code, out) == (5, "")
+        assert err == "error: internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+
 def test_precision_too_small_exit_four(capsys):
     # The order basis costs v_q(2p) = 1 digit at q = p and at q = 2, so one
     # digit of working precision leaves none to assert there.

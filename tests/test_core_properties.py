@@ -30,7 +30,6 @@ from quatorder.exact import (
     det4,
     hnf,
     mat_add,
-    pair_det4,
     pair_mul,
     reduced_discriminant,
 )
@@ -41,11 +40,9 @@ from quatorder.quat import (
     QuatElem,
     coords_in_hashimoto,
     coords_lattice,
-    coords_product,
     element_from_coords,
     hashimoto_basis,
     scaled_coords,
-    structure_constants,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -581,7 +578,9 @@ def test_every_model_holds_its_values_in_one_int_tuple_layout():
     """embed, scalar, mul, mat_add and trace_form_gap give (den, *ints), with 4·w
     ints for a matrix and w for an entry (ring width w = 2 on the pair
     models, else 1), on the order and on elements not integral at q: j/13 at
-    p = 13 and a half-integral element of the rational model at 2."""
+    p = 13 and a half-integral element of the rational model at 2.  The gap
+    is one int, and on the pair models also the √p parts of the ten Gram
+    entries."""
     at_p = split.build_splitting(AlgebraParams.create(35, 3), 13)
     rational = split.build_splitting(AlgebraParams.create(1, 6), 2)
     assert (at_p.case, rational.case) == (split.CASE_AT_P, split.CASE_RATIONAL)
@@ -599,8 +598,9 @@ def test_every_model_holds_its_values_in_one_int_tuple_layout():
         for value in [*images, spl.mul(images[1], images[2]), mat_add(images[2], images[3], -3),
                       spl.mul(spl.mat_i, spl.mat_j), mat_add(spl.one(), spl.mat_k)]:
             assert_layout(value, 4 * w)
-        for value in (spl.scalar(Fraction(-3, 2)), spl.scalar(7, 2), spl.trace_form_gap(images, 5)):
+        for value in (spl.scalar(Fraction(-3, 2)), spl.scalar(7, 2)):
             assert_layout(value, w)
+        assert_layout(spl.trace_form_gap(images, 5), 11 if w == 2 else 1)
 
 
 sparse_coeffs_st = st.tuples(*[st.one_of(st.just(Fraction(0)), rational_st)] * 4)
@@ -780,17 +780,61 @@ class PadicRing:
         return PadicRing(self.x * other.x)
 
 
+def trace_gram(images, rad):
+    """The Gram matrix tr(X_r·X_c) of matrices (den, *ints), as FracPairs."""
+    mats = [matrix_values(x, rad) for x in images]
+    return [[(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in mats] for a in mats]
+
+
 def test_laplace_det_matches_permutation_sum_on_trace_forms():
-    """Every model's trace-form determinant against the permutation sum over
-    the same images read as FracPairs, on which both are exact."""
+    """Every model's trace-form gap against the permutation sum over the same
+    images read as FracPairs, on which both are exact: the determinant of the
+    Gram matrix's rational parts, then on the pair models the √p parts of
+    its ten entries, all over one denominator."""
     for index in range(len(MODELS)):
         spl = local_model(index)
         images = [spl.embed(e) for e in hashimoto_basis(spl.params)]
-        mats = [matrix_values(x, spl.params.p) for x in images]
-        gram = [[(a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d) for b in mats] for a in mats]
-        want = ref_det4(gram)
+        gram = trace_gram(images, spl.params.p)
+        want = [ref_det4([[x.a for x in row] for row in gram])]
+        if is_pair(spl):
+            want += [gram[r][c].b for r in range(4) for c in range(r, 4)]
         den, *ints = spl.trace_form_gap(images, 0)
-        assert [Fraction(n, den) for n in ints] == [want.a, want.b][:len(ints)]
+        assert [Fraction(n, den) for n in ints] == want
+
+
+def times_root(spl, mat, inverse=False):
+    """√p·mat, or √p·mat/p, for a matrix (den, *pairs) of a pair model."""
+    p = spl.params.p
+    den, *ints = mat
+    out = [x for a, b in zip(ints[::2], ints[1::2]) for x in (p * b, a)]
+    if not inverse:
+        return (den, *out)
+    if spl.exact:
+        return (den * p, *out)
+    mod = spl.place**spl.precision * den
+    return (den, *[x * pow(p, -1, mod) % mod for x in out])
+
+
+@pytest.mark.parametrize("place", ["inf", 5])
+def test_trace_form_gap_rejects_irrational_traces_of_the_target_determinant(place):
+    """Scaling the images of e1 and e2 by √p and √p/p keeps the determinant
+    over Z[√p] at -(dn)², but the Gram entries between those two and e3, e4
+    gain √p parts: no image of the order has such traces, and the gap is
+    not zero at the model's level."""
+    spl = split.build_splitting(AlgebraParams.create(35, 3), place)
+    assert is_pair(spl)
+    target, level, q = -(spl.params.dn ** 2), spl.check_level(), spl.place
+    images = [spl.embed(e) for e in hashimoto_basis(spl.params)]
+    assert spl.is_zero(spl.trace_form_gap(images, target), level)
+    scaled = [times_root(spl, images[0]), times_root(spl, images[1], inverse=True), *images[2:]]
+    gram = trace_gram(scaled, spl.params.p)
+    det = ref_det4(gram)
+    if spl.exact:
+        assert (det.a, det.b) == (target, 0)
+    else:
+        assert all(x == 0 or valuation(x, q) >= level for x in (det.a - target, det.b))
+    assert any(x.b for row in gram for x in row)
+    assert not spl.is_zero(spl.trace_form_gap(scaled, target), level)
 
 
 def matrix_of(entry_st):
@@ -815,19 +859,11 @@ def test_laplace_det_matches_permutation_sum_over_q(rows):
     assert type(got) is type(want) and got == want
 
 
-pair_int_st = st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
-
-
 @SETTINGS
-@given(
-    matrix_of(st.builds(FracPair, small_rational_st, small_rational_st, st.just(13))),
-    matrix_of(pair_int_st),
-)
-def test_laplace_det_matches_permutation_sum_over_quadratic_field(rows, int_rows):
-    """det4 over the reference field, and the int kernel pair_det4."""
+@given(matrix_of(st.builds(FracPair, small_rational_st, small_rational_st, st.just(13))))
+def test_laplace_det_matches_permutation_sum_over_quadratic_field(rows):
+    """det4 over the reference field."""
     assert det4(rows) == ref_det4(rows)
-    want = ref_det4([[FracPair(a, b, 13) for a, b in row] for row in int_rows])
-    assert pair_det4(int_rows, 13) == (want.a, want.b)
 
 
 @SETTINGS
@@ -964,26 +1000,6 @@ def test_hnf_is_canonical_under_unimodular_row_transforms(data):
 
 
 # --- the integer lattice layer against its Fraction routes ------------------------
-
-
-@SETTINGS
-@given(params_st)
-def test_structure_constants_are_the_basis_products(params):
-    e = hashimoto_basis(params)
-    table = structure_constants(params)
-    for a in range(4):
-        for b in range(4):
-            assert table[a][b] == coords_in_hashimoto(e[a] * e[b])
-            assert all(type(t) is int for t in table[a][b])
-
-
-@SETTINGS
-@given(params_st, coeffs_st, coeffs_st)
-def test_structure_constant_product_matches_quaternion_product(params, cu, cv):
-    # cu, cv are order-basis coordinates, generally not integral.
-    u, v = element_from_coords(params, cu), element_from_coords(params, cv)
-    nums, den = coords_product(structure_constants(params), scaled_coords(u), scaled_coords(v))
-    assert tuple(Fraction(n, den) for n in nums) == coords_in_hashimoto(u * v)
 
 
 def ref_contains(lat, vec):

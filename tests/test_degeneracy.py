@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatorder import degeneracy
 from quatorder.degeneracy import (
     DEG_AT_P,
     DEG_NONSQUARE,
@@ -24,12 +23,11 @@ from quatorder.exact import ZLattice4, det4
 from quatorder.numth import INFINITE_PLACE
 from quatorder.quat import (
     AlgebraParams,
-    coords_product,
+    QuatElem,
     element_from_coords,
     hashimoto_basis,
     pretty,
     scaled_coords,
-    structure_constants,
     unit_coords_lattice,
 )
 from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS, DEFAULT_PLACES
@@ -267,10 +265,11 @@ def with_bases(pair, f, g) -> DegeneracyPair:
 
 
 def counted_products(monkeypatch) -> list:
-    """The argument tuples of every ``coords_product`` call the certificate makes."""
+    """The factor pairs of every quaternion product the certificate makes,
+    all of them closure's, through ``span_is_closed``."""
     calls = []
-    real = degeneracy.coords_product
-    monkeypatch.setattr(degeneracy, "coords_product", lambda *a: calls.append(a) or real(*a))
+    real = QuatElem.__mul__
+    monkeypatch.setattr(QuatElem, "__mul__", lambda u, v: calls.append((u, v)) or real(u, v))
     return calls
 
 
@@ -316,9 +315,7 @@ def test_closure_without_the_products_of_one_matches_all_sixteen(m, rows, at):
     assume(det4(coords) != 0)
     pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
     basis = tuple(element_from_coords(pair.params, c) for c in coords)
-    scaled = [scaled_coords(u) for u in basis]
-    span = ZLattice4.from_scaled_rows(scaled)
-    table = structure_constants(pair.params)
-    want = all(span.contains_scaled(*coords_product(table, u, v)) for u in scaled for v in scaled)
+    span = ZLattice4.from_scaled_rows([scaled_coords(u) for u in basis])
+    want = all(span.contains_scaled(*scaled_coords(u * v)) for u in basis for v in basis)
     report = verify_degeneracy(with_bases(pair, basis, pair.g))
     assert verdicts(report, {"closure.f"}) == {"closure.f": want}

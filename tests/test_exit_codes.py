@@ -1,7 +1,8 @@
 """The exit-code contract, fuzzed over a grammar of all six commands.
 
 Every argv either exits 0 with "all pass", exits 1 with failing checks of a
-known kind, or exits 2, 3 or 4; no exception escapes ``cli.main``.  The draw
+known kind, or exits 2, 3 or 4; no exception escapes ``cli.main``, and none
+reaches its internal-error exit 5.  The draw
 is derandomized, so a run is reproducible, and the grammar keeps every input
 small enough for the whole test to take a few seconds.
 """
@@ -131,6 +132,7 @@ def _expected_failure(argv, check_id) -> bool:
 def test_exit_code_tells_the_truth(argv):
     code, out, err = run(argv)
     event(f"{argv[0]} exit {code}")
+    assert code != 5, (argv, err)
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err
     if code == 0 and argv[0] != "construct":

@@ -2,7 +2,7 @@
 
 The degeneracy and level-map certificates never cross into ``Fraction``.
 Both run on integer-scaled coordinates: ``scaled_coords``, scaled lattice
-membership, the structure-constant product and the integer matrix of ψ.
+membership, the quaternion products of closure and the integer matrix of ψ.
 Under the standard-library profiler, no ``Fraction.__new__`` call may be
 reached from the three ``Fraction`` boundary functions below.  The profiler
 records each caller -> callee edge, so the functions reachable from the
@@ -20,9 +20,10 @@ its certificate runs on their residues mod q^k: verifying it builds no
 coefficient ring, so its zero and valuation tests never ask a coefficient
 for its type.  The two quadratic models, at a ramified q and at the real
 place, hold a matrix as one int tuple, the pairs a + b√p of its entries over
-one denominator; their products, sums and trace-form determinant build no
-object per entry and never reduce, and only a zero or valuation test
-reduces, once, so a warm certificate makes a pinned number of calls.
+one denominator; their products, sums and trace form build no object per
+entry and never reduce, and only a zero or valuation test reduces, once, so
+a warm certificate makes a pinned number of calls.  The trace form's
+determinant is the integer one of its rational parts.
 
 The lattice certificates run one elimination per kernel: a congruence
 kernel is one ``hnf`` call, and so is a lattice intersection, whose
@@ -40,9 +41,10 @@ The integer kernels do only the work their answer needs: a prime gets the
 Miller-Rabin bases of its proven tier and no more, and a Hensel lift
 computes one unit residue, at q = 2 as at an odd q.  Each q-adic root is
 found once per process: a model built again runs no root search, and a
-degeneracy side whose basis holds 1 tests only the products of its other
-three elements, so a fresh default sweep makes a pinned number of products
-and root searches.
+root search takes int arguments as they are.  A closure test skips the
+products of 1, so a degeneracy side tests the products of its other three
+elements, and a fresh default sweep makes a pinned number of products,
+``Fraction``s and root searches.
 
 Every test here starts with the package's memos empty, so a count does not
 depend on which tests ran before it.
@@ -62,8 +64,8 @@ from quatorder.isomap import PsiMap, build_psi, verify_psi, verify_psi_inclusion
 from quatorder.numth import PadicNum, hensel_sqrt, is_prime, solve_norm_equation
 from quatorder.quat import (
     AlgebraParams,
+    QuatElem,
     coords_in_hashimoto,
-    coords_product,
     hashimoto_basis,
     scaled_coords,
 )
@@ -214,14 +216,19 @@ def test_a_model_built_again_runs_no_root_search():
 
 
 def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
-    """A default sweep from empty memos: 4,320 structure-constant products
-    and 338 ``hensel_sqrt`` and 151 ``solve_norm_equation`` bodies.  Testing
-    every closure product and searching each root per model made 7,680, 628
-    and 220."""
+    """A default sweep from empty memos: 7,568 quaternion products, 5,332
+    ``Fraction``s, and 338 ``hensel_sqrt`` and 151 ``solve_norm_equation``
+    bodies.  ``span_is_closed`` makes 4,358 of the products, 9 a side for
+    each of the 240 degeneracy pairs and one for each of the 38 chains.
+    A structure-constant table of coordinate products made 4,178
+    quaternion products; testing every closure product and searching each
+    root per model made 7,680 closure products and 628 and 220 searches;
+    root searches handed their int arguments as ``Fraction``s built 7,541."""
     reports = []
     stats = profile(lambda: reports.append(run_sweep()))
-    counts = [stats[_key(f)][1] for f in (coords_product, hensel_sqrt, solve_norm_equation)]
-    assert counts == [4320, 338, 151]
+    counts = [stats[_key(f)][1] for f in (QuatElem.__mul__, Fraction.__new__)]
+    assert counts == [7568, 5332]
+    assert [stats[_key(f)][1] for f in (hensel_sqrt, solve_norm_equation)] == [338, 151]
     assert reports[0].passed
 
 
@@ -260,13 +267,13 @@ def test_rational_degeneracy_pair_builds_the_measured_fractions():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("place, calls", [(5, 251), ("inf", 137)])
+@pytest.mark.parametrize("place, calls", [(5, 227), ("inf", 113)])
 def test_pair_model_certificates_make_the_measured_calls(place, calls):
-    """Function calls of a warm ``verify_splitting`` at (35, 3): 251 on the
-    ramified model at q = 5 and 137 at the real place.  With an object per
+    """Function calls of a warm ``verify_splitting`` at (35, 3): 227 on the
+    ramified model at q = 5 and 113 at the real place.  With an object per
     coefficient (``QuadResidue`` and ``QuadRat``) the same certificates made
-    1,096 and 2,323, and 255 and 141 with a ``LocalSplitting.add`` in front
-    of ``mat_add``."""
+    1,096 and 2,323, 255 and 141 with a ``LocalSplitting.add`` in front of
+    ``mat_add``, and 251 and 137 with a trace-form determinant over Z[√p]."""
     spl = build_splitting(AlgebraParams.create(35, 3), place)
     assert spl.case == (CASE_RAMIFIED if place == 5 else CASE_ARCHIMEDEAN)
     assert verify_splitting(spl).passed

@@ -6,12 +6,12 @@ list with the benchmark's own ``sha256_json`` and compare it with the digest
 frozen in ``perfbench/frozen/grid.json`` (the default sweep) and
 ``perfbench/frozen/wide.json`` (two large-coefficient sweeps).  The default
 sweep with the at-p fault injected is pinned whole, by the SHA-256 of its
-stdout.  The last test
-replays single-object ``--json`` calls (every ``split`` call of
-``perfbench/frozen/calls.json`` and one call per other command and
-discriminant) and compares them with that catalogue using the gate's
-``call_digest``, and three q = 2 splittings, which the catalogue lacks, with
-digests pinned here.  The frozen files are read, never written.
+stdout.  The last tests
+replay single-object ``--json`` calls (every ``split``, ``degeneracy`` and
+``chain`` call of ``perfbench/frozen/calls.json`` and one call per other
+command and discriminant) and compare them with that catalogue using the
+gate's ``call_digest``, and three q = 2 splittings, which the catalogue
+lacks, with digests pinned here.  The frozen files are read, never written.
 """
 
 import hashlib
@@ -141,6 +141,22 @@ def test_single_object_output_matches_frozen_digest(capsys, key, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert _load_gate().call_digest(json.loads(out)) == digest
+
+
+def test_every_degeneracy_and_chain_call_matches_frozen_digest(capsys):
+    """All 204 ``degeneracy`` and 24 ``chain`` calls of the catalogue, in one
+    loop: their closure and ring checks and their witnesses."""
+    digests = json.loads((PERFBENCH / "frozen" / "calls.json").read_text())["digests"]
+    gate = _load_gate()
+    keys = [key for key in digests if key.split()[0] in ("degeneracy", "chain")]
+    assert len(keys) == 228
+    mismatched = []
+    for key in keys:
+        code = main(key.split())
+        out = capsys.readouterr().out
+        if code != 0 or gate.call_digest(json.loads(out)) != digests[key]:
+            mismatched.append(key)
+    assert mismatched == []
 
 
 def _low_precision_argvs() -> list:
