@@ -24,14 +24,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidParametersError, PrecisionLossError, RamifiedPlaceError
+from .errors import (
+    InvalidParametersError,
+    NotAnOrderBasisError,
+    PrecisionLossError,
+    RamifiedPlaceError,
+)
 from .exact import ZLattice4, det4, reduced_discriminant
 from .numth import is_prime
 from .quat import (
     AlgebraParams,
     coefficient_lattice,
     hashimoto_basis,
-    order_lattice,
     pretty,
     scaled_coords,
     span_is_closed,
@@ -189,7 +193,10 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
     """Replay every certificate of the two embedded copies.
 
     Coordinates stay integer-scaled: closure multiplies the basis elements
-    and tests the scaled coordinates of each product for membership.
+    and tests the scaled coordinates of each product for membership.  An
+    index, discriminant or intersection check whose lattice or trace form is
+    degenerate, or whose covolume ratio is no integer, fails instead of
+    raising.
     """
     params = pair.params
     q = pair.q
@@ -197,7 +204,6 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
     report = Report()
     check_level = s.check_level()
 
-    r_lat = order_lattice(params)
     identity = unit_coords_lattice(params)
     expected_disc = params.dn * q
     lattices = {}
@@ -206,7 +212,8 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
         coords = [scaled_coords(u) for u in basis]
         lat = lattices[side] = ZLattice4.from_scaled_rows(coords, ambient=identity.ambient)
 
-        in_order = all(r_lat.contains_scaled(u.numerators, u.denominator) for u in basis)
+        # R is the span of e1..e4, so u lies in R exactly when its coordinates are integers
+        in_order = all(n % den == 0 for nums, den in coords for n in nums)
         report.add(f"membership.{side}.order", in_order, "all four lie in the level-N order")
 
         for idx, u in enumerate(basis, start=1):
@@ -229,11 +236,11 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             abs(det) == q,
             f"|det| = {abs(det)}, expected {q}",
         )
-        report.add(
-            f"index.{side}",
-            lat.index_in(identity) == q,
-            f"index in the level-N order = {q}",
-        )
+        try:
+            index_ok = lat.index_in(identity) == q
+        except InvalidParametersError:  # rank below 4, or a covolume ratio that is no integer
+            index_ok = False
+        report.add(f"index.{side}", index_ok, f"index in the level-N order = {q}")
 
         report.add(
             f"closure.{side}",
@@ -241,11 +248,11 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             "all 16 pairwise products stay in the span",
         )
 
-        report.add(
-            f"discriminant.{side}",
-            reduced_discriminant(basis) == expected_disc,
-            f"reduced discriminant = {expected_disc}",
-        )
+        try:
+            disc_ok = reduced_discriminant(basis) == expected_disc
+        except NotAnOrderBasisError:
+            disc_ok = False
+        report.add(f"discriminant.{side}", disc_ok, f"reduced discriminant = {expected_disc}")
 
         # f deepens the lower-left congruence by a digit; g meets the upper-right one
         entry, m = (2, 1 + s.shape.ll_val) if side == "f" else (1, 1)
@@ -256,11 +263,14 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
         )
 
     # (F+G)/G ≅ F/(F∩G): covol(F∩G)·covol(F+G) = covol(F)·covol(G), on ints
-    (nf, df), (ng, dg) = lattices["f"].covolume(), lattices["g"].covolume()
-    ns, ds = lattices["f"].add(lattices["g"]).covolume()
+    meet_ok = lattices["f"].rank == lattices["g"].rank == 4
+    if meet_ok:
+        (nf, df), (ng, dg) = lattices["f"].covolume(), lattices["g"].covolume()
+        ns, ds = lattices["f"].add(lattices["g"]).covolume()
+        meet_ok = nf * ng * ds == q * q * ns * df * dg
     report.add(
         "intersection.index",
-        nf * ng * ds == q * q * ns * df * dg,
+        meet_ok,
         f"index of the intersection of the two copies = {q}^2",
     )
     return report

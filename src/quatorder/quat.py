@@ -212,10 +212,14 @@ class QuatElem:
         a, b, c, d = self._num
         return QuatElem._scaled(self.params, a, -b, -c, -d, self._den)
 
-    def reduced_norm(self) -> Fraction:
+    def _norm_numerator(self) -> int:
+        """nrd(self) times the denominator squared, an int."""
         dn, p = self.params.dn, self.params.p
         a, b, c, d = self._num
-        return Fraction(a * a + dn * b * b - p * c * c - p * dn * d * d, self._den**2)
+        return a * a + dn * b * b - p * c * c - p * dn * d * d
+
+    def reduced_norm(self) -> Fraction:
+        return Fraction(self._norm_numerator(), self._den**2)
 
     def reduced_trace(self) -> Fraction:
         return Fraction(2 * self._num[0], self._den)
@@ -319,9 +323,27 @@ def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Frac
 def span_is_closed(lattice: ZLattice4, elems) -> bool:
     """Whether the span of elems, given as lattice in order-basis
     coordinates, is closed under multiplication: every product u·v lies in
-    it.  1·v = v·1 = v, so an element equal to 1 is left out."""
+    it.  1·v = v·1 = v, so an element equal to 1 is left out.
+
+    When 1 is among elems and every other u has integral trd(u) and nrd(u),
+    trd is integral on the whole span and u² = trd(u)·u − nrd(u) lies in it;
+    once u·v lies in it, so does
+    v·u = trd(u)·v + trd(v)·u + trd(uv) − trd(u)·trd(v) − u·v.  Then the
+    products u·v with u listed before v decide; otherwise every product is
+    tested.
+    """
     factors = [u for u in elems if (u.numerators, u.denominator) != ((1, 0, 0, 0), 1)]
-    return all(lattice.contains_scaled(*scaled_coords(u * v)) for u in factors for v in factors)
+    if len(factors) < len(elems) and all(map(_integral_trace_and_norm, factors)):
+        pairs = [(u, v) for i, u in enumerate(factors) for v in factors[i + 1:]]
+    else:
+        pairs = [(u, v) for u in factors for v in factors]
+    return all(lattice.contains_scaled(*scaled_coords(u * v)) for u, v in pairs)
+
+
+def _integral_trace_and_norm(u: QuatElem) -> bool:
+    """Whether trd(u) and nrd(u) are integers, decided on u's stored ints."""
+    den = u.denominator
+    return 2 * u.numerators[0] % den == 0 and u._norm_numerator() % (den * den) == 0
 
 
 def element_from_coords(params: AlgebraParams, coords) -> QuatElem:

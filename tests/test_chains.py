@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
+from quatorder import chains
 from quatorder.chains import (
     CHAIN_AT_P,
     CHAIN_AUX,
     CHAIN_DIRECT,
     CHAIN_SQUARE,
     TRANSVERSE_FAMILIES,
+    ChainBasis,
     chain_closed_form,
     chain_kernel_exact,
     chain_lattice_level_one,
@@ -222,6 +226,20 @@ def test_verify_chain_check_ids():
         "oracle.descending.depth10_12",
         "oracle.index_growth.depth10_12",
     ]
+
+
+def test_a_ring_element_with_a_non_integral_norm_fails_closed_ring(monkeypatch):
+    """Halving u = -210 - i of the (35, 11) chain leaves trd(u/2) = -210 but
+    makes nrd(u/2) = 44135/4, so (u/2)² = trd·(u/2) − nrd lies outside
+    Z + Z·u/2: the three-product path needs an integral norm, and the loop
+    over every product fails ``closed.ring``."""
+    cb = chain_closed_form(35, 11)
+    one, u = cb.basis
+    halved = ChainBasis(cb.params, cb.q, cb.case, (one, u * Fraction(1, 2)))
+    assert halved.basis[1].reduced_norm() == Fraction(44135, 4)
+    monkeypatch.setattr(chains, "chain_closed_form", lambda *args, **kwargs: halved)
+    _, report = verify_chain(35, 11)
+    assert "closed.ring" in {c.check_id for c in report.failures()}
 
 
 def test_level_one_lattice_frozen():

@@ -1,6 +1,10 @@
 import argparse
+import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -670,3 +674,49 @@ def test_json_report_stream_is_exact_at_slice_edges(monkeypatch, head, n):
     writes = emit_json(monkeypatch, {**head, "verification": report})
     expected = json.dumps({**head, "verification": report.to_json()}, sort_keys=True) + "\n"
     assert "".join(writes) == expected
+
+
+# One argv per exit code of the contract, 0 to 4.
+EXIT_ARGVS = {
+    0: ["construct", "--delta", "35", "--level", "3"],
+    1: ["verify", "--deltas", "35", "--levels", "3", "--places", "13",
+        "--sections", "split", "--inject-at-p-sign-flip"],
+    2: ["construct", "--delta", "30"],
+    3: ["degeneracy", "--delta", "35", "--level", "3", "--q", "5"],
+    4: ["split", "--delta", "35", "--level", "9", "--place", "3", "--precision", "1"],
+}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args):
+    """A fresh interpreter with the package's source first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_ARGVS))
+def test_a_process_exits_as_main_returns(capsys, code):
+    """``python -m quatorder.cli`` exits through ``run``, which freezes the
+    collector before the interpreter's finalization: the same stdout, stderr
+    and exit code as ``main`` in this process, whose collector stays as it was."""
+    expected = run(capsys, *EXIT_ARGVS[code])
+    assert expected[0] == code
+    assert gc.get_freeze_count() == 0
+    done = python("-m", "quatorder.cli", *EXIT_ARGVS[code])
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+def test_the_module_path_freezes_before_the_atexit_handlers():
+    """Run as ``__main__``, the module freezes every live object before it
+    exits, and the interpreter still runs the atexit handlers afterwards."""
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['quatorder', *sys.argv[1:]]\n"
+        "runpy.run_module('quatorder.cli', run_name='__main__')\n"
+    )
+    done = python("-c", probe, *EXIT_ARGVS[0])
+    assert done.returncode == 0
+    assert done.stdout.startswith("delta=35 level=3 p=13 a=5")
+    assert done.stderr == "frozen True\n"

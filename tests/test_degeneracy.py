@@ -1,4 +1,6 @@
+from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -260,6 +262,27 @@ def test_mutated_pairs_fail_exactly_the_pinned_checks(delta, level, q, mutation)
     assert verdicts(report, want) == want
 
 
+# A wrong copy fails checks instead of raising: f4 := f3 spans a rank-3
+# lattice, whose index, trace form and intersection are degenerate, and
+# f4 := f4/2 leaves the level-N order, so its covolume ratio is no integer.
+WRONG_COPY_FAILURES = {
+    "f4:=f3": ("closure.f", "determinant.f", "discriminant.f", "index.f",
+               "intersection.index", "kernel.f"),
+    "f4:=f4/2": ("closure.f", "determinant.f", "discriminant.f", "index.f", "kernel.f",
+                 "membership.f.order"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(WRONG_COPY_FAILURES))
+def test_a_wrong_copy_fails_the_pinned_checks_instead_of_raising(mutation):
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    f1, f2, f3, f4 = pair.f
+    f = (f1, f2, f3, f3 if mutation == "f4:=f3" else f4 * Fraction(1, 2))
+    report = verify_degeneracy(with_bases(pair, f, pair.g))
+    assert len(report.checks) == 21
+    assert {c.check_id for c in report.failures()} == set(WRONG_COPY_FAILURES[mutation])
+
+
 def with_bases(pair, f, g) -> DegeneracyPair:
     return DegeneracyPair(pair.params, pair.q, pair.case, pair.constants, f, g, pair.splitting)
 
@@ -278,7 +301,9 @@ def test_a_basis_without_one_runs_all_sixteen_products(monkeypatch):
     copies of (35, 3, 11), closure fails on each side after the same 30
     products as over the full loop; with e1 + f2 for e1, the same two copies
     are certified after 16 products a side; the pair as built, whose bases
-    both begin with 1, runs 9 a side."""
+    both begin with 1 and whose other elements have integral trace and norm,
+    runs the 3 products u·v with u before v a side (9 when only the products
+    of 1 were skipped)."""
     pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
     doubled = with_bases(pair, (pair.f[0] * 2, *pair.f[1:]), (pair.g[0] * 2, *pair.g[1:]))
     shifted = with_bases(
@@ -296,26 +321,43 @@ def test_a_basis_without_one_runs_all_sixteen_products(monkeypatch):
         calls.clear()
         assert verify_degeneracy(certified).passed
         counts.append(len(calls))
-    assert counts == [32, 18]
+    assert counts == [32, 6]
 
 
 ROW = st.tuples(*[st.integers(-3, 3)] * 4)
 
 
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "rational"])
 @SETTINGS
-@given(st.integers(1, 3), st.lists(ROW, min_size=3, max_size=3), st.integers(0, 3))
-def test_closure_without_the_products_of_one_matches_all_sixteen(m, rows, at):
-    """A basis 1, then three integral vectors (a, m·b, m·c, m·d) of the
-    default algebra (35, 3), 1 at any position: the certificate's closure
-    verdict, which skips the products of 1, equals the verdict over all 16
-    products.  The span is Z + m·L for the lattice L of the (b, c, d), so it
-    is an order when that block is unimodular and usually not otherwise."""
-    coords = [(a, m * b, m * c, m * d) for a, b, c, d in rows]
-    coords.insert(at, (1, 0, 0, 0))
+@given(
+    st.integers(1, 3),
+    st.lists(ROW, min_size=4, max_size=4),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.integers(0, 4),
+)
+def test_closure_without_the_products_of_one_matches_all_sixteen(rational, m, rows, dens, at):
+    """Four vectors (a, m·b, m·c, m·d)/den in order-basis coordinates of the
+    default algebra (35, 3), den in 1..3 when rational and 1 otherwise, with
+    1 at position at < 4 and no 1 when at = 4: the certificate's closure
+    verdict equals the verdict over all 16 products.  An integral basis
+    holding 1 spans an order's sublattice Z + m·L, with L the lattice of the
+    (b, c, d), so every element and product has integral trace and norm and
+    the three products u·v with u before v decide; the basis without 1 and
+    most rational ones run the loop over every product."""
+    coords = [
+        tuple(Fraction(x, den if rational else 1) for x in (a, m * b, m * c, m * d))
+        for (a, b, c, d), den in zip(rows, dens)
+    ]
+    if at < 4:
+        coords[at] = (1, 0, 0, 0)
     assume(det4(coords) != 0)
     pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
     basis = tuple(element_from_coords(pair.params, c) for c in coords)
     span = ZLattice4.from_scaled_rows([scaled_coords(u) for u in basis])
     want = all(span.contains_scaled(*scaled_coords(u * v)) for u in basis for v in basis)
-    report = verify_degeneracy(with_bases(pair, basis, pair.g))
+    real = QuatElem.__mul__
+    with patch.object(QuatElem, "__mul__", autospec=True, side_effect=real) as mul:
+        report = verify_degeneracy(with_bases(pair, basis, pair.g))
     assert verdicts(report, {"closure.f"}) == {"closure.f": want}
+    if not rational and at < 4:  # the copy g as built takes 3 products too
+        assert mul.call_count <= 6

@@ -216,18 +216,21 @@ def test_a_model_built_again_runs_no_root_search():
 
 
 def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
-    """A default sweep from empty memos: 7,568 quaternion products, 5,332
+    """A default sweep from empty memos: 4,650 quaternion products, 5,332
     ``Fraction``s, and 338 ``hensel_sqrt`` and 151 ``solve_norm_equation``
-    bodies.  ``span_is_closed`` makes 4,358 of the products, 9 a side for
-    each of the 240 degeneracy pairs and one for each of the 38 chains.
-    A structure-constant table of coordinate products made 4,178
-    quaternion products; testing every closure product and searching each
-    root per model made 7,680 closure products and 628 and 220 searches;
-    root searches handed their int arguments as ``Fraction``s built 7,541."""
+    bodies.  ``span_is_closed`` makes 1,440 of the products, the 3 products
+    u·v with u before v a side for each of the 240 degeneracy pairs, and
+    none for the 38 chains, whose rings are decided by trace and norm.
+    Testing the 9 products a side other than those of 1, and one a chain,
+    made 7,568; a structure-constant table of coordinate products made
+    4,178 quaternion products; testing every closure product and searching
+    each root per model made 7,680 closure products and 628 and 220
+    searches; root searches handed their int arguments as ``Fraction``s
+    built 7,541."""
     reports = []
     stats = profile(lambda: reports.append(run_sweep()))
     counts = [stats[_key(f)][1] for f in (QuatElem.__mul__, Fraction.__new__)]
-    assert counts == [7568, 5332]
+    assert counts == [4650, 5332]
     assert [stats[_key(f)][1] for f in (hensel_sqrt, solve_norm_equation)] == [338, 151]
     assert reports[0].passed
 

@@ -4,8 +4,8 @@ exports exactly its declared surface.
 The reachability guard runs ``CATALOGUE`` in one process under
 ``sys.setprofile``: every command as text and as ``--json``, every local-model
 case, the exit-2/3/4 paths, a narrowed sweep over all five sections, the
-factorisation that needs Pollard–Brent rho, the demos and the README
-quickstart.  Every function and method defined in the package must be
+factorisation that needs Pollard–Brent rho, the demos, the README
+quickstart and the process exit path ``cli.run``.  Every function and method defined in the package must be
 called, apart from the object-protocol dunders in ``PROTOCOL`` and the
 entries of ``allowed()``, each with its reason: the targets that
 ``perfbench/tracer.py`` traces, and the methods a named test uses as the
@@ -67,6 +67,21 @@ Q_ADIC_MODULES = {"numth.py", "split.py"}
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
 QUICKSTART = re.search(r"## Library quickstart\s+```python\n(.*?)```", README, re.S).group(1)
 
+# The process exit path, run in this process: ``run`` raises SystemExit with
+# ``main``'s code after freezing the collector, which this test then undoes.
+EXIT_PATH = """
+import gc, sys
+from quatorder import cli
+argv, sys.argv = sys.argv, ["quatorder", "construct", "--delta", "35", "--level", "3"]
+try:
+    cli.run()
+except SystemExit:
+    pass
+finally:
+    sys.argv = argv
+    gc.unfreeze()
+"""
+
 # One entry per run: a list is a ``quatorder`` argv, a Path a demo script run
 # as __main__, and a str Python source.
 CATALOGUE = [
@@ -96,6 +111,7 @@ CATALOGUE = [
     ["split", "--delta", "35", "--level", "9", "--place", "3", "--precision", "1"],  # exit 4
     *DEMOS,
     QUICKSTART,
+    EXIT_PATH,
 ]
 
 # Methods kept unreached because a test uses them as the reference for
