@@ -192,8 +192,8 @@ def degeneracy_bases(
 def verify_degeneracy(pair: DegeneracyPair) -> Report:
     """Replay every certificate of the two embedded copies.
 
-    Coordinates stay integer-scaled: closure multiplies the basis elements
-    and tests the scaled coordinates of each product for membership.  An
+    Coordinates stay integer-scaled: closure forms the products of the basis
+    elements on their ints and tests their scaled coordinates for membership.  An
     index, discriminant or intersection check whose lattice or trace form is
     degenerate, or whose covolume ratio is no integer, fails instead of
     raising.
@@ -208,7 +208,8 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
     expected_disc = params.dn * q
     lattices = {}
 
-    for side, basis in (("f", pair.f), ("g", pair.g)):
+    # f deepens the lower-left congruence by a digit; g meets the upper-right one
+    for side, basis, congruence in (("f", pair.f, (1, 0)), ("g", pair.g, (0, 1))):
         coords = [scaled_coords(u) for u in basis]
         lat = lattices[side] = ZLattice4.from_scaled_rows(coords, ambient=identity.ambient)
 
@@ -217,13 +218,7 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
         report.add(f"membership.{side}.order", in_order, "all four lie in the level-N order")
 
         for idx, u in enumerate(basis, start=1):
-            img = s.embed(u)
-            if side == "f":
-                ok, why = s.matrix_in_shape(img, check_level, extra_ll=1)
-            else:
-                ok, why = s.matrix_in_shape(img, check_level)
-                if ok and not s.entry_val_at_least(s.entries(img)[1], 1):
-                    ok, why = False, "upper-right entry not divisible by q"
+            ok, why = s.matrix_in_shape(s.embed(u), check_level, *congruence)
             report.add(
                 f"membership.{side}.e{idx}",
                 ok,
@@ -254,7 +249,6 @@ def verify_degeneracy(pair: DegeneracyPair) -> Report:
             disc_ok = False
         report.add(f"discriminant.{side}", disc_ok, f"reduced discriminant = {expected_disc}")
 
-        # f deepens the lower-left congruence by a digit; g meets the upper-right one
         entry, m = (2, 1 + s.shape.ll_val) if side == "f" else (1, 1)
         report.add(
             f"kernel.{side}",

@@ -49,23 +49,17 @@ def det4(rows):
     """Determinant of a 4x4 matrix over any commutative ring, ints included.
 
     Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
-    times the signed complementary minor of rows 2, 3 (30 ring products).
+    times the signed complementary minor of rows 2, 3 (30 ring products),
+    written out so a determinant makes no call.
     """
-    r0, r1, r2, r3 = rows
-
-    def top(i, j):
-        return r0[i] * r1[j] - r0[j] * r1[i]
-
-    def bottom(i, j):
-        return r2[i] * r3[j] - r2[j] * r3[i]
-
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     return (
-        top(0, 1) * bottom(2, 3)
-        - top(0, 2) * bottom(1, 3)
-        + top(0, 3) * bottom(1, 2)
-        + top(1, 2) * bottom(0, 3)
-        - top(1, 3) * bottom(0, 2)
-        + top(2, 3) * bottom(0, 1)
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
     )
 
 
@@ -409,7 +403,7 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
         return [], []
     params = elems[0].params
     for u in elems:
-        if u.params != params:
+        if u.params is not params and u.params != params:
             raise InvalidParametersError("elements of different algebras")
     dn, p = params.dn, params.p
     w2, w3 = -2 * dn, 2 * p

@@ -20,7 +20,7 @@ traces run in integer arithmetic and divide once; ``numerators`` and
 2p, so the common denominator stays small.
 Order-basis coordinates are integer-scaled the same way (``scaled_coords``);
 whether a span is a ring is tested on the quaternion products of its
-elements (``span_is_closed``).
+elements, each formed and read in coordinates on ints (``span_is_closed``).
 """
 
 from __future__ import annotations
@@ -188,24 +188,30 @@ class QuatElem:
         return QuatElem._scaled(self.params, -a, -b, -c, -d, self._den)
 
     def __mul__(self, other):
-        a1, b1, c1, d1 = self._num
         if not isinstance(other, QuatElem):
+            a1, b1, c1, d1 = self._num
             s = as_rational(other)
             n = s.numerator
             return QuatElem._scaled(
                 self.params, a1 * n, b1 * n, c1 * n, d1 * n, self._den * s.denominator
             )
-        self._check(other)
+        a, b, c, d = self._times(other)
+        return QuatElem._scaled(self.params, a, b, c, d, self._den * other._den)
+
+    def _times(self, other: "QuatElem") -> tuple[int, int, int, int]:
+        """The numerators of self·other over the product of the denominators,
+        unreduced: the quaternion-product formula on the stored ints."""
         params = self.params
+        if other.params is not params:
+            self._check(other)
         dn, p = params.dn, params.p
+        a1, b1, c1, d1 = self._num
         a2, b2, c2, d2 = other._num
-        return QuatElem._scaled(
-            params,
+        return (
             a1 * a2 - dn * b1 * b2 + p * c1 * c2 + p * dn * d1 * d2,
             a1 * b2 + b1 * a2 - p * c1 * d2 + p * d1 * c2,
             a1 * c2 + c1 * a2 - dn * b1 * d2 + dn * d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
-            self._den * other._den,
         )
 
     def conj(self) -> "QuatElem":
@@ -279,7 +285,7 @@ def pretty(u: QuatElem) -> str:
     return f"{body}/{den}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def hashimoto_basis(params: AlgebraParams) -> tuple[QuatElem, QuatElem, QuatElem, QuatElem]:
     """The order basis (e₁, e₂, e₃, e₄) of R(N)."""
     half = Fraction(1, 2)
@@ -304,14 +310,19 @@ def scaled_coords(u: QuatElem) -> tuple[tuple[int, int, int, int], int]:
     The denominator is u's own and is not reduced against the numerators,
     so a coordinate is integral exactly when its numerator is divisible by it.
     """
-    params = u.params
-    x, y, z, t = u.numerators
+    return _coords(u.params, u._num), u._den
+
+
+def _coords(params: AlgebraParams, nums) -> tuple[int, int, int, int]:
+    """The order-basis coordinate numerators of the element with numerators
+    nums, over the same denominator."""
+    x, y, z, t = nums
     w = t - y
     if params.delta == 1:
         m, c4 = params.level, w
     else:
         m, c4 = params.a * params.dn, params.p * w
-    return (x - z + m * w, 2 * z - 2 * m * w, 2 * y, c4), u.denominator
+    return (x - z + m * w, 2 * z - 2 * m * w, 2 * y, c4)
 
 
 def coords_in_hashimoto(u: QuatElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -330,20 +341,21 @@ def span_is_closed(lattice: ZLattice4, elems) -> bool:
     once u·v lies in it, so does
     v·u = trd(u)·v + trd(v)·u + trd(uv) − trd(u)·trd(v) − u·v.  Then the
     products u·v with u listed before v decide; otherwise every product is
-    tested.
+    tested.  A product is tested on ints (``QuatElem._times``); none is built.
     """
-    factors = [u for u in elems if (u.numerators, u.denominator) != ((1, 0, 0, 0), 1)]
+    factors = [u for u in elems if (u._num, u._den) != ((1, 0, 0, 0), 1)]
     if len(factors) < len(elems) and all(map(_integral_trace_and_norm, factors)):
         pairs = [(u, v) for i, u in enumerate(factors) for v in factors[i + 1:]]
     else:
         pairs = [(u, v) for u in factors for v in factors]
-    return all(lattice.contains_scaled(*scaled_coords(u * v)) for u, v in pairs)
+    return all(lattice.contains_scaled(_coords(u.params, u._times(v)), u._den * v._den)
+               for u, v in pairs)
 
 
 def _integral_trace_and_norm(u: QuatElem) -> bool:
     """Whether trd(u) and nrd(u) are integers, decided on u's stored ints."""
-    den = u.denominator
-    return 2 * u.numerators[0] % den == 0 and u._norm_numerator() % (den * den) == 0
+    den = u._den
+    return 2 * u._num[0] % den == 0 and u._norm_numerator() % (den * den) == 0
 
 
 def element_from_coords(params: AlgebraParams, coords) -> QuatElem:

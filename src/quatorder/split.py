@@ -149,7 +149,8 @@ class LocalSplitting:
     data holds the case-specific witnesses (norm-form solutions, square
     roots) as ints, each exact or a residue mod q^k.  The case fixes the
     coefficient ring, and the model supplies the matrix product and sum, the
-    zero and valuation tests and the trace-form determinant on it.  Every
+    zero test, the shape test (one pass over a matrix's ints) and the
+    trace-form determinant on it.  Every
     matrix is the int tuple (den, *ints) of ``exact.mat_mul``: an entry is
     one int, or the pair (a, b) of a + b·√p at a ramified q and at the real
     place (the ring width), and an entry alone is (den, *ints) too.  exact marks the rational model and the real-place
@@ -299,30 +300,45 @@ class LocalSplitting:
         b = value[2]
         return not (2 * a % qm or 2 * b % qm or (a * a - self.params.p * b * b) % (qm * qm))
 
-    def matrix_in_shape(self, mat: tuple, check_level: int, extra_ll: int = 0) -> tuple[bool, str]:
-        """Test membership of a matrix in the target order shape.
+    def matrix_in_shape(self, mat: tuple, check_level: int, extra_ll: int = 0,
+                        ur_val: int = 0) -> tuple[bool, str]:
+        """Test membership of a matrix in the target order shape: the tests of
+        ``entry_val_at_least`` and ``is_zero``, on ul, ur, ll, lr in turn, in
+        one pass over the matrix's ints.
 
-        extra_ll strengthens the lower-left divisibility requirement, which is
-        how deeper-level suborders are recognized inside the same model.
+        extra_ll strengthens the lower-left divisibility requirement and
+        ur_val asks the upper-right entry for that valuation, which is how
+        deeper-level suborders are recognized inside the same model.
         """
         shape = self.shape
         if shape.kind == "none":
             return True, "no integrality constraint at the real place"
-        entries = self.entries(mat)
-        for name, e in zip(("ul", "ur", "ll", "lr"), entries):
-            if not self.entry_val_at_least(e, 0):
-                return False, f"{name} entry not integral"
-        if shape.kind == "ramified_maximal":
-            (den, a1, b1), (_, a2, b2), (_, a3, b3), (_, a4, b4) = entries
+        den = mat[0]
+        if self._width == 2:
+            _, a1, b1, a2, b2, a3, b3, a4, b4 = mat
+            p, den2 = self.params.p, den * den
+            for name, a, b in (("ul", a1, b1), ("ur", a2, b2), ("ll", a3, b3), ("lr", a4, b4)):
+                if 2 * a % den or 2 * b % den or (a * a - p * b * b) % den2:
+                    return False, f"{name} entry not integral"
             q = shape.q
-            if not self.is_zero((den, a4 - a1, b4 + b1), check_level):
+            qm = self._modulus(check_level) * den
+            if (a4 - a1) % qm or (b4 + b1) % qm:
                 return False, "lower-right entry is not the conjugate of the upper-left"
-            if not self.is_zero((den, a3 - q * a2, b3 + q * b2), check_level):
-                return False, f"lower-left entry is not {shape.q} times conj(upper-right)"
+            if (a3 - q * a2) % qm or (b3 + q * b2) % qm:
+                return False, f"lower-left entry is not {q} times conj(upper-right)"
+            return True, ""
+        if self.exact and shape.q:  # the rational model's den is the element's own
+            den = shape.q ** valuation(den, shape.q)
+        for name, a in zip(("ul", "ur", "ll", "lr"), mat[1:]):
+            if a % den:
+                return False, f"{name} entry not integral"
+        if shape.q is None:  # at the real place "integral" is all a valuation asks
             return True, ""
         need = shape.ll_val + extra_ll
-        if need and not self.entry_val_at_least(entries[2], need):
+        if need and mat[3] % (self._modulus(need) * den):
             return False, f"lower-left entry valuation below {need}"
+        if ur_val and mat[2] % (self._modulus(ur_val) * den):
+            return False, "upper-right entry not divisible by q"
         return True, ""
 
     def congruence_functional(self, entry: int, m: int) -> tuple[list[int], int]:

@@ -726,6 +726,111 @@ def test_rational_model_images_of_the_order_are_int_matrices():
             assert all(n % den == 0 for n in ints)
 
 
+# --- the one-pass shape test against the per-entry reference -------------------
+
+
+def ref_matrix_in_shape(spl, mat, check_level, extra_ll=0, ur_val=0):
+    """The shape test an entry at a time, through ``entries``,
+    ``entry_val_at_least`` and ``is_zero``, as it ran before its one pass,
+    followed by the degeneracy certificate's upper-right test."""
+    shape = spl.shape
+    if shape.kind == "none":
+        return True, "no integrality constraint at the real place"
+    entries = spl.entries(mat)
+    for name, e in zip(("ul", "ur", "ll", "lr"), entries):
+        if not spl.entry_val_at_least(e, 0):
+            return False, f"{name} entry not integral"
+    if shape.kind == "ramified_maximal":
+        (den, a1, b1), (_, a2, b2), (_, a3, b3), (_, a4, b4) = entries
+        q = shape.q
+        if not spl.is_zero((den, a4 - a1, b4 + b1), check_level):
+            return False, "lower-right entry is not the conjugate of the upper-left"
+        if not spl.is_zero((den, a3 - q * a2, b3 + q * b2), check_level):
+            return False, f"lower-left entry is not {q} times conj(upper-right)"
+        return True, ""
+    need = shape.ll_val + extra_ll
+    if need and not spl.entry_val_at_least(entries[2], need):
+        return False, f"lower-left entry valuation below {need}"
+    if ur_val and not spl.entry_val_at_least(entries[1], ur_val):
+        return False, "upper-right entry not divisible by q"
+    return True, ""
+
+
+def assert_shape_tests_agree(spl, mat) -> set:
+    """Both shape tests, for the model's own shape and for the two level-Nq
+    congruences of the degeneracy certificate; the witnesses they give."""
+    level = spl.check_level()
+    witnesses = set()
+    for extra_ll, ur_val in ((0, 0), (1, 0), (0, 1)):
+        got = outcome(lambda: spl.matrix_in_shape(mat, level, extra_ll, ur_val))
+        want = outcome(lambda: ref_matrix_in_shape(spl, mat, level, extra_ll, ur_val))
+        assert got == want, (spl.case, spl.place, mat, extra_ll, ur_val)
+        witnesses.add(got[1])
+    return witnesses
+
+
+# A change to one int of a matrix: a small int, or den·q^e·c, which keeps the
+# entry integral with valuation e or more; e = -1 is the model's check level,
+# where the change vanishes, and e = -2 one digit below it.
+int_change_st = st.one_of(
+    st.integers(-3, 3),
+    st.tuples(st.sampled_from([0, 1, 2, 3, -1, -2]), st.integers(-9, 9)),
+)
+
+
+@SETTINGS
+@given(
+    st.integers(0, len(MODELS) - 1),
+    st.tuples(*[st.integers(-10**3, 10**3)] * 4),
+    st.dictionaries(st.integers(0, 7), int_change_st, max_size=3),
+    st.tuples(st.integers(0, 2), st.sampled_from([1, 1, 2, 3]), st.integers(0, 2)),
+)
+@example(12, (0, 1, 0, 0), {}, (0, 1, 0))  # ramified at q = 2: (1 -/+ sqrt(5))/2 entries
+@example(0, (0, 1, 1, 0), {}, (1, 2, 1))  # rational at 7: a den 14 whose q-part 7 divides
+@example(10, (0, 1, 0, 0), {0: (-2, 1)}, (0, 1, 0))  # ramified at 5: conjugate one digit short
+def test_one_pass_shape_test_matches_the_per_entry_reference(index, coords, changes, scales):
+    """The image of an order element in every model, a few of its ints
+    changed, then its ints times q^t and its denominator times c·q^s (at the
+    real place, c): the one-pass test gives the reference's verdict and
+    witness."""
+    spl = local_model(index)
+    q = spl.place if spl.shape.q else 1
+    den, *ints = spl.embed(element_from_coords(spl.params, coords))
+    for pos, change in changes.items():
+        if isinstance(change, tuple):
+            e, c = change
+            change = den * q ** (e if e >= 0 else spl.check_level() + 1 + e) * c
+        ints[pos % len(ints)] += change
+    s, c, t = scales
+    assert_shape_tests_agree(spl, (den * c * q**s, *[n * q**t for n in ints]))
+
+
+def test_one_pass_shape_test_names_each_failing_entry():
+    """In every model with a shape, a one at each entry of a zero matrix over
+    q (2 at the real place) is that entry's failure; over 1, a one at the
+    lower-left and upper-right fails the level-Nq congruences, and at a
+    ramified q each of the two conjugation tests."""
+    witnesses = set()
+    for index in range(len(MODELS)):
+        spl = local_model(index)
+        if spl.shape.kind == "none":
+            continue
+        w = 2 if is_pair(spl) else 1
+        for den in (spl.shape.q or 2, 1):
+            for pos in range(4):
+                ints = [0] * (4 * w)
+                ints[pos * w] = 1
+                witnesses |= assert_shape_tests_agree(spl, (den, *ints))
+    assert {f"{name} entry not integral" for name in ("ul", "ur", "ll", "lr")} <= witnesses
+    assert {
+        "upper-right entry not divisible by q",
+        "lower-left entry valuation below 1",
+        "lower-left entry valuation below 3",
+        "lower-right entry is not the conjugate of the upper-left",
+        "lower-left entry is not 5 times conj(upper-right)",
+    } <= witnesses
+
+
 real_place_st = st.sampled_from([d for d in DELTAS if d > 1]).map(
     lambda d: split.build_splitting(AlgebraParams.create(d, 1), "inf")
 )

@@ -26,6 +26,7 @@ from quatorder.numth import INFINITE_PLACE
 from quatorder.quat import (
     AlgebraParams,
     QuatElem,
+    _coords,
     element_from_coords,
     hashimoto_basis,
     pretty,
@@ -289,10 +290,13 @@ def with_bases(pair, f, g) -> DegeneracyPair:
 
 def counted_products(monkeypatch) -> list:
     """The factor pairs of every quaternion product the certificate makes,
-    all of them closure's, through ``span_is_closed``."""
+    all of them closure's, through ``span_is_closed``: each product's
+    numerators come from ``QuatElem._times``, which ``QuatElem.__mul__``
+    also calls (the count was taken on ``__mul__`` while closure built each
+    product as a ``QuatElem``)."""
     calls = []
-    real = QuatElem.__mul__
-    monkeypatch.setattr(QuatElem, "__mul__", lambda u, v: calls.append((u, v)) or real(u, v))
+    real = QuatElem._times
+    monkeypatch.setattr(QuatElem, "_times", lambda u, v: calls.append((u, v)) or real(u, v))
     return calls
 
 
@@ -343,7 +347,10 @@ def test_closure_without_the_products_of_one_matches_all_sixteen(rational, m, ro
     holding 1 spans an order's sublattice Z + m·L, with L the lattice of the
     (b, c, d), so every element and product has integral trace and norm and
     the three products u·v with u before v decide; the basis without 1 and
-    most rational ones run the loop over every product."""
+    most rational ones run the loop over every product.  Closure forms each
+    product on ints and builds no ``QuatElem``: its numerators over the
+    product of the denominators give the coordinates of the ``QuatElem``
+    product, unreduced."""
     coords = [
         tuple(Fraction(x, den if rational else 1) for x in (a, m * b, m * c, m * d))
         for (a, b, c, d), den in zip(rows, dens)
@@ -355,9 +362,16 @@ def test_closure_without_the_products_of_one_matches_all_sixteen(rational, m, ro
     basis = tuple(element_from_coords(pair.params, c) for c in coords)
     span = ZLattice4.from_scaled_rows([scaled_coords(u) for u in basis])
     want = all(span.contains_scaled(*scaled_coords(u * v)) for u in basis for v in basis)
-    real = QuatElem.__mul__
-    with patch.object(QuatElem, "__mul__", autospec=True, side_effect=real) as mul:
+    for u in basis:
+        for v in basis:
+            nums, den = scaled_coords(u * v)
+            int_den = u.denominator * v.denominator
+            int_nums = _coords(pair.params, u._times(v))
+            assert [n * int_den for n in nums] == [n * den for n in int_nums]
+    with patch.object(QuatElem, "_times", autospec=True, side_effect=QuatElem._times) as times, \
+            patch.object(QuatElem, "__mul__", autospec=True, side_effect=QuatElem.__mul__) as mul:
         report = verify_degeneracy(with_bases(pair, basis, pair.g))
     assert verdicts(report, {"closure.f"}) == {"closure.f": want}
+    assert mul.call_count == 0
     if not rational and at < 4:  # the copy g as built takes 3 products too
-        assert mul.call_count <= 6
+        assert times.call_count <= 6

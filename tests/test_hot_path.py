@@ -17,7 +17,7 @@ discriminant witnesses.  These are counted in a warm process.
 A q-adic model keeps the ``PadicNum`` images of i, j and k it prints, but
 its certificate runs on their residues mod q^k: verifying it builds no
 ``PadicNum`` and no ``Fraction``.  A local model's case fixes its
-coefficient ring, so its zero and valuation tests never ask a coefficient
+coefficient ring, so its zero and shape tests never ask a coefficient
 for its type.  The two quadratic models, at a ramified q and at the real
 place, hold a matrix as one int tuple, the pairs a + b√p of its entries over
 one denominator; their products, sums and trace form build no object per
@@ -43,8 +43,11 @@ computes one unit residue, at q = 2 as at an odd q.  Each q-adic root is
 found once per process: a model built again runs no root search, and a
 root search takes int arguments as they are.  A closure test skips the
 products of 1, so a degeneracy side tests the products of its other three
-elements, and a fresh default sweep makes a pinned number of products,
-``Fraction``s and root searches.
+elements, formed on ints, and a fresh default sweep makes a pinned number
+of products, ``Fraction``s and root searches.  A warm degeneracy pair and
+its model make a pinned number of calls: the shape test reads a matrix's
+ints in one pass, closure builds no ``QuatElem`` and a determinant writes
+its minors out.
 
 Every test here starts with the package's memos empty, so a count does not
 depend on which tests ran before it.
@@ -169,7 +172,9 @@ def test_qadic_splitting_certificates_build_no_padic_number_and_no_fraction():
 
 def test_local_model_coefficient_tests_make_no_type_check():
     """Building and verifying every case's model runs each test, none of
-    which calls isinstance."""
+    which calls isinstance.  The tests were ``is_zero`` and
+    ``entry_val_at_least`` while the shape test asked for one entry at a
+    time."""
     reports = []
 
     def run():
@@ -178,7 +183,7 @@ def test_local_model_coefficient_tests_make_no_type_check():
             reports.append(verify_splitting(spl))
 
     stats = profile(run)
-    tests = (LocalSplitting.is_zero, LocalSplitting.entry_val_at_least)
+    tests = (LocalSplitting.is_zero, LocalSplitting.matrix_in_shape)
     assert all(_key(f) in stats for f in tests)
     (isinstance_key,) = [k for k in stats if k[2] == "<built-in method builtins.isinstance>"]
     callers = stats[isinstance_key][4]
@@ -216,11 +221,13 @@ def test_a_model_built_again_runs_no_root_search():
 
 
 def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
-    """A default sweep from empty memos: 4,650 quaternion products, 5,332
+    """A default sweep from empty memos: 3,210 quaternion products, 5,332
     ``Fraction``s, and 338 ``hensel_sqrt`` and 151 ``solve_norm_equation``
-    bodies.  ``span_is_closed`` makes 1,440 of the products, the 3 products
-    u·v with u before v a side for each of the 240 degeneracy pairs, and
-    none for the 38 chains, whose rings are decided by trace and norm.
+    bodies.  ``span_is_closed`` forms its products on ints, the 3 products
+    u·v with u before v a side for each of the 240 degeneracy pairs and
+    none for the 38 chains, whose rings are decided by trace and norm: no
+    ``QuatElem`` product.  Building each of those 1,440 products as a
+    ``QuatElem`` made 4,650 quaternion products.
     Testing the 9 products a side other than those of 1, and one a chain,
     made 7,568; a structure-constant table of coordinate products made
     4,178 quaternion products; testing every closure product and searching
@@ -230,7 +237,7 @@ def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
     reports = []
     stats = profile(lambda: reports.append(run_sweep()))
     counts = [stats[_key(f)][1] for f in (QuatElem.__mul__, Fraction.__new__)]
-    assert counts == [4650, 5332]
+    assert counts == [3210, 5332]
     assert [stats[_key(f)][1] for f in (hensel_sqrt, solve_norm_equation)] == [338, 151]
     assert reports[0].passed
 
@@ -270,19 +277,45 @@ def test_rational_degeneracy_pair_builds_the_measured_fractions():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("place, calls", [(5, 227), ("inf", 113)])
+@pytest.mark.parametrize("place, calls", [(5, 147), ("inf", 101)])
 def test_pair_model_certificates_make_the_measured_calls(place, calls):
-    """Function calls of a warm ``verify_splitting`` at (35, 3): 227 on the
-    ramified model at q = 5 and 113 at the real place.  With an object per
-    coefficient (``QuadResidue`` and ``QuadRat``) the same certificates made
-    1,096 and 2,323, 255 and 141 with a ``LocalSplitting.add`` in front of
-    ``mat_add``, and 251 and 137 with a trace-form determinant over Z[√p]."""
+    """Function calls of a warm ``verify_splitting`` at (35, 3): 147 on the
+    ramified model at q = 5 and 101 at the real place.  A shape test that
+    asked for one entry at a time and a determinant through 12 minor calls
+    made 227 and 113; with an object per coefficient (``QuadResidue`` and
+    ``QuadRat``) the same certificates made 1,096 and 2,323, 255 and 141
+    with a ``LocalSplitting.add`` in front of ``mat_add``, and 251 and 137
+    with a trace-form determinant over Z[√p]."""
     spl = build_splitting(AlgebraParams.create(35, 3), place)
     assert spl.case == (CASE_RAMIFIED if place == 5 else CASE_ARCHIMEDEAN)
     assert verify_splitting(spl).passed
+    assert warm_calls(verify_splitting, spl) == calls
+
+
+def warm_calls(verify, arg) -> int:
+    """Function calls of verify(arg), summed over the profiler's entries:
+    ``pstats`` keys a function by file, line and name, so two generator
+    expressions on one line would share one count, whichever came last."""
     prof = cProfile.Profile()
-    prof.runcall(verify_splitting, spl)
-    assert pstats.Stats(prof).total_calls == calls
+    prof.runcall(verify, arg)
+    return sum(entry.callcount for entry in prof.getstats())
+
+
+@pytest.mark.parametrize("certificate, calls", [("degeneracy", 883), ("splitting", 137)])
+def test_degeneracy_pair_certificates_make_the_measured_calls(certificate, calls):
+    """Function calls of a warm ``verify_degeneracy`` of the (35, 3) pair at
+    q = 11, 883, and of ``verify_splitting`` on its q = 11 model, 137: the
+    shape test reads each image's ints in one pass, closure forms its
+    products on ints and a determinant makes no call.  Asking for one entry
+    at a time, building each closure product and computing 12 minors a
+    determinant made 1,129 and 189."""
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    verify, arg = {
+        "degeneracy": (verify_degeneracy, pair),
+        "splitting": (verify_splitting, pair.splitting),
+    }[certificate]
+    assert verify(arg).passed
+    assert warm_calls(verify, arg) == calls
 
 
 def test_lattice_certificates_run_one_elimination_per_kernel():

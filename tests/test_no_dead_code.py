@@ -121,6 +121,11 @@ TEST_REFERENCES = {
     "checks reduced_trace and reduced_norm against u + conj(u) and u·conj(u)",
     "exact.ZLattice4.basis": "tests/test_core_properties.py::"
     "test_scaled_membership_matches_fraction_contains builds lattice vectors from it",
+    "split.LocalSplitting.entries": "tests/test_core_properties.py::"
+    "test_one_pass_shape_test_matches_the_per_entry_reference splits a matrix into entries",
+    "split.LocalSplitting.entry_val_at_least": "tests/test_core_properties.py::"
+    "test_one_pass_shape_test_matches_the_per_entry_reference checks matrix_in_shape "
+    "against it an entry at a time",
 }
 
 
@@ -166,6 +171,21 @@ def clear_package_caches():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def test_every_package_memo_is_bounded():
+    """Every ``lru_cache`` of the package has a finite ``maxsize``, so a
+    long-lived process that walks many algebras holds a bounded number of
+    results."""
+    memos = {
+        f"{module.__name__}.{name}": value.cache_info().maxsize
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("quatorder.")
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert "quatorder.quat.hashimoto_basis" in memos
+    assert {name: size for name, size in memos.items() if size is None} == {}
 
 
 def run_catalogue() -> set:
