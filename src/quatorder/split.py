@@ -15,10 +15,11 @@ The resulting map phi is checked, never trusted: verify_splitting replays the
 defining relations, the integrality of the order basis images, the shape of
 the image lattice, and the discriminant of the trace form, all at a stated
 q-adic level: the working precision k less the λ = v_q(2p) digits the basis
-costs.  Each model states the images of i, j and k; a q-adic model prints
-them as ``PadicNum`` entries (pairs (a, b) = a + b√p at a ramified q) but
-certifies on their exact residues mod q^k; a test deeper than the stated
-level raises PrecisionLossError.  Every model holds a matrix as one int
+costs.  Each model states the images of i, j and k; a q-adic model forms
+them from its int roots mod q^k and certifies on those ints, and only to
+print them lifts the same roots into ``PadicNum`` entries (pairs (a, b) =
+a + b√p at a ramified q); a test deeper than the stated level raises
+PrecisionLossError.  Every model holds a matrix as one int
 tuple, its entries over one denominator (an int, or at a ramified q and at
 the real place the pair (a, b) of a + b√p): its arithmetic never reduces,
 and only a zero or valuation test reduces, once.
@@ -154,22 +155,26 @@ class LocalSplitting:
     matrix is the int tuple (den, *ints) of ``exact.mat_mul``: an entry is
     one int, or the pair (a, b) of a + b·√p at a ramified q and at the real
     place (the ring width), and an entry alone is (den, *ints) too.  exact marks the rational model and the real-place
-    model: there zero means zero and precision is ignored.  A q-adic model's
-    matrices are its generators' residues mod q^k; an element with
+    model: there zero means zero and precision is ignored.  A q-adic model
+    built from its roots (gen_i, gen_j and gen_k None) forms its matrices
+    from data's ints mod q^k, and its ``PadicNum`` generators only when they
+    are read, to print it; one given stated generators certifies their
+    residues mod q^k.  An element with
     denominator q^v·d' has ints num/d' mod q^k·q^v over q^v, known to
     check_level() when v <= λ, as for the order, whose denominators divide
     2p; a larger v is refused.
     """
 
     __slots__ = (
-        "params", "place", "case", "precision", "generators", "mat_i", "mat_j", "mat_k",
+        "params", "place", "case", "precision", "_generators", "mat_i", "mat_j", "mat_k",
         "data", "shape", "exact", "_width", "_level", "_mod", "_dens", "_one", "_cols",
     )
 
     def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 gen_i: tuple, gen_j: tuple, gen_k: tuple, data: dict):
+                 gen_i: tuple | None, gen_j: tuple | None, gen_k: tuple | None, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
-        self.generators = (gen_i, gen_j, gen_k)
+        stated = gen_i is not None
+        self._generators = (gen_i, gen_j, gen_k) if stated else None
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
         self._width = width = 2 if case in (CASE_RAMIFIED, CASE_ARCHIMEDEAN) else 1
@@ -178,17 +183,34 @@ class LocalSplitting:
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
         self.shape = OrderShape(kind, place if finite else None, ll_val)
         self._level = precision - (0 if exact else basis_digit_cost(params, place))
-        mats = self.generators
+        mats = self._generators or _qadic_images(case, params, place, data, int, 0)
         if width == 2:  # each entry the pair (a, b) of a + b·√p, flattened
             mats = [[x for e in m for x in e] for m in mats]
         if not exact:
-            self._mod, self._dens = place**precision, {}
-            mats = [[x.residue(precision) for x in m] for m in mats]
+            self._mod = mod = place**precision
+            self._dens = {}
+            if stated:
+                mats = [[x.residue(precision) for x in m] for m in mats]
+            else:
+                mats = [[x % mod for x in m] for m in mats]
         one = (1, 0, 0, 0, 0, 0, 1, 0) if width == 2 else (1, 0, 0, 1)
         # For each int of a matrix, its values in 1, i, j and k: an image is
         # their combination with an element's numerators.
         self._cols = tuple(zip(one, *mats))
         self._one, self.mat_i, self.mat_j, self.mat_k = [(1, *m) for m in (one, *mats)]
+
+    @property
+    def generators(self) -> tuple:
+        """The stated images of i, j and k as to_json prints them.  A model
+        built from its roots forms them on first read, as ``PadicNum``
+        entries lifted from data with tracked precision."""
+        if self._generators is None:
+            q, k = self.place, self.precision
+            self._generators = _qadic_images(
+                self.case, self.params, q, self.data,
+                lambda value: PadicNum.from_rational(value, q, k), PadicNum.exact_zero(q),
+            )
+        return self._generators
 
     def scalar(self, value, den: int = 1) -> tuple:
         """Lift the rational value/den (den > 0) into the coefficient ring."""
@@ -431,51 +453,49 @@ def build_splitting(
 
     q = place
     check_modulus(q, k, "precision", k)
-
-    def pn(value) -> PadicNum:
-        return PadicNum.from_rational(value, q, k)
-
-    z0 = PadicNum.exact_zero(q)
     if case == CASE_UNRAMIFIED_SQUARE:
-        root = hensel_sqrt(p, q, k)
-        omega, mdn = pn(root), pn(-dn)
+        data = {"omega": hensel_sqrt(p, q, k)}
+    elif case == CASE_AT_P:
+        root = at_p_root(params, k)
+        data = {"s": -root % p**k if _flip_at_p_root else root}
+    else:  # non-square or ramified: x² - p·y² = -dn, or -dn/q at a ramified q
+        x0, y0 = solve_norm_equation(p, -dn // q if case == CASE_RAMIFIED else -dn, q, k)
+        data = {"x": x0, "y": y0}
+    return LocalSplitting(params, q, case, k, None, None, None, data)
+
+
+def _qadic_images(case: str, params: AlgebraParams, q: int, data: dict, lift, z0) -> tuple:
+    """The images of i, j and k of a q-adic model, formed from its int roots
+    data: lift takes an int into the coefficient ring and z0 is the ring's
+    zero.  With ``int`` and 0 they are the ints the certificates reduce mod
+    q^k; with a ``PadicNum`` lift they are the generators to_json prints.  At
+    a ramified q an entry is the pair (a, b) = a + b·sqrt(p) over Z_q[sqrt(p)].
+    """
+    dn, p = params.dn, params.p
+    if case == CASE_UNRAMIFIED_SQUARE:
+        omega, mdn = lift(data["omega"]), lift(-dn)
         momega = -omega
-        mi = (z0, pn(1), mdn, z0)
-        mj = (momega, z0, z0, omega)
-        mk = (z0, omega, mdn * momega, z0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"omega": root})
+        return (z0, lift(1), mdn, z0), (momega, z0, z0, omega), (z0, omega, mdn * momega, z0)
 
     if case == CASE_UNRAMIFIED_NONSQUARE:
-        x0, y0 = solve_norm_equation(p, -dn, q, k)
-        x, y, pp = pn(x0), pn(y0), pn(p)
+        x, y, pp = lift(data["x"]), lift(data["y"]), lift(p)
         py, mx = pp * y, -x
         mpy = -py
-        mi = (x, mpy, y, mx)
-        mj = (z0, pp, pn(1), z0)
-        mk = (mpy, pp * x, mx, py)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x0, "y": y0})
+        return (x, mpy, y, mx), (z0, pp, lift(1), z0), (mpy, pp * x, mx, py)
 
     if case == CASE_AT_P:
-        root = at_p_root(params, k)
-        if _flip_at_p_root:
-            root = -root % p**k
-        s, pp = pn(root), pn(p)
+        s, pp = lift(data["s"]), lift(p)
         ms = -s
-        mi = (ms, z0, z0, s)
-        mj = (z0, pn(1), pp, z0)
-        mk = (z0, ms, pp * s, z0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {"s": root})
+        return (ms, z0, z0, s), (z0, lift(1), pp, z0), (z0, ms, pp * s, z0)
 
-    # Ramified place q | delta: coefficients live in Z_q[sqrt(p)], an entry
-    # the pair (a, b) = a + b·sqrt(p).
-    x0, y0 = solve_norm_equation(p, -dn // q, q, k)
-    x, y = pn(x0), pn(y0)
-    zero, one, pp, qn = (z0, z0), pn(1), pn(p), pn(q)
+    # Ramified place q | delta: an entry the pair (a, b) = a + b·sqrt(p).
+    x, y = lift(data["x"]), lift(data["y"])
+    zero, one, pp, qn = (z0, z0), lift(1), lift(p), lift(q)
     qx, qy, my = qn * x, qn * y, -y
     mi = (zero, (x, my), (qx, qy), zero)
     mj = ((z0, -one), zero, zero, (z0, one))
     mk = (zero, (pp * my, x), (-(pp * qy), -qx), zero)
-    return LocalSplitting(params, place, case, k, mi, mj, mk, {"x": x0, "y": y0})
+    return mi, mj, mk
 
 
 def verify_splitting(splitting: LocalSplitting) -> Report:

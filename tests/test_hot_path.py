@@ -14,9 +14,10 @@ builds no ``Fraction``; the ψ samples are drawn integer-scaled, and a
 degeneracy pair over the rational model builds only its determinant and
 discriminant witnesses.  These are counted in a warm process.
 
-A q-adic model keeps the ``PadicNum`` images of i, j and k it prints, but
-its certificate runs on their residues mod q^k: verifying it builds no
-``PadicNum`` and no ``Fraction``.  A local model's case fixes its
+A q-adic model forms its matrices from its int roots mod q^k, and the
+``PadicNum`` images of i, j and k only when it is printed: building and
+verifying it builds no ``PadicNum`` and no ``Fraction``, and neither does a
+fresh default sweep.  A local model's case fixes its
 coefficient ring, so its zero and shape tests never ask a coefficient
 for its type.  The two quadratic models, at a ramified q and at the real
 place, hold a matrix as one int tuple, the pairs a + b√p of its entries over
@@ -197,27 +198,43 @@ def build_and_verify_every_model(reports):
         reports.append(verify_splitting(spl))
 
 
+def padic_numbers_built(stats) -> int:
+    key = _key(PadicNum.__init__)
+    return stats[key][1] if key in stats else 0
+
+
 def test_local_models_build_the_measured_padic_numbers():
-    """Building and verifying every case's model makes 95 ``PadicNum``
-    instances, all of them the stated i, j and k: the root searches return
-    ints, which the models wrap (99 when the searches returned ``PadicNum``s,
-    101 before they were memoised); certificates that ran on ``PadicNum``
-    arithmetic made 3465."""
+    """Building and verifying every case's model makes no ``PadicNum``: a
+    q-adic model forms its matrices from its int roots mod q^k.  Wrapping
+    the roots to build the stated i, j and k made 95 instances (99 when the
+    root searches returned ``PadicNum``s, 101 before they were memoised);
+    certificates that ran on ``PadicNum`` arithmetic made 3465."""
     reports = []
-    assert profile(lambda: build_and_verify_every_model(reports))[_key(PadicNum.__init__)][1] == 95
+    assert padic_numbers_built(profile(lambda: build_and_verify_every_model(reports))) == 0
     assert all(r.passed for r in reports)
 
 
 def test_a_model_built_again_runs_no_root_search():
     """The second build of every case's model reuses each q-adic root: no
-    ``hensel_sqrt`` or ``solve_norm_equation`` body runs, and the same 95
-    ``PadicNum`` instances are built, each cached int root wrapped again."""
+    ``hensel_sqrt`` or ``solve_norm_equation`` body runs, and no ``PadicNum``
+    is built (95 while each cached int root was wrapped again)."""
     reports = []
     build_and_verify_every_model(reports)
     stats = profile(lambda: build_and_verify_every_model(reports))
     assert [_key(f) in stats for f in (hensel_sqrt, solve_norm_equation)] == [False, False]
-    assert stats[_key(PadicNum.__init__)][1] == 95
+    assert padic_numbers_built(stats) == 0
     assert all(r.passed for r in reports)
+
+
+def test_printing_the_local_models_forms_the_measured_padic_numbers():
+    """Reading the generators of every case's model forms the 95
+    ``PadicNum`` instances of the printed i, j and k, each once; printing
+    the models adds the 16 printed roots."""
+    models = [build_splitting(AlgebraParams.create(delta, level), place, k=k)
+              for delta, level, place, k in MODELS]
+    assert padic_numbers_built(profile(lambda: [spl.generators for spl in models])) == 95
+    assert padic_numbers_built(profile(lambda: [spl.generators for spl in models])) == 0
+    assert padic_numbers_built(profile(lambda: [spl.to_json() for spl in models])) == 16
 
 
 def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
@@ -233,12 +250,15 @@ def test_a_fresh_sweep_makes_the_measured_products_and_root_searches():
     4,178 quaternion products; testing every closure product and searching
     each root per model made 7,680 closure products and 628 and 220
     searches; root searches handed their int arguments as ``Fraction``s
-    built 7,541."""
+    built 7,541.  The sweep certifies its 677 local models on their int
+    roots and prints none of them, so it builds no ``PadicNum`` (4,134
+    while every model wrapped its roots)."""
     reports = []
     stats = profile(lambda: reports.append(run_sweep()))
     counts = [stats[_key(f)][1] for f in (QuatElem.__mul__, Fraction.__new__)]
     assert counts == [3210, 5332]
     assert [stats[_key(f)][1] for f in (hensel_sqrt, solve_norm_equation)] == [338, 151]
+    assert padic_numbers_built(stats) == 0
     assert reports[0].passed
 
 
