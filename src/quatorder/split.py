@@ -15,10 +15,11 @@ The resulting map phi is checked, never trusted: verify_splitting replays the
 defining relations, the integrality of the order basis images, the shape of
 the image lattice, and the discriminant of the trace form, all at a stated
 q-adic level: the working precision k less the λ = v_q(2p) digits the basis
-costs.  Each model states the images of i, j and k; a q-adic model forms
-them from its int roots mod q^k and certifies on those ints, and only to
-print them lifts the same roots into ``PadicNum`` entries (pairs (a, b) =
-a + b√p at a ramified q); a test deeper than the stated level raises
+costs.  A model is its case and its data: one table, ``_images``, forms
+the images of i, j and k of every case from the data's ints.  A q-adic
+model certifies on those ints mod q^k, and only to print them lifts the
+same roots into ``PadicNum`` entries (pairs (a, b) = a + b√p at a ramified
+q); a test deeper than the stated level raises
 PrecisionLossError.  Every model holds a matrix as one int
 tuple, its entries over one denominator (an int, or at a ramified q and at
 the real place the pair (a, b) of a + b√p): its arithmetic never reduces,
@@ -144,11 +145,12 @@ _FIXED_SHAPES = {CASE_ARCHIMEDEAN: "none", CASE_RAMIFIED: "ramified_maximal"}
 class LocalSplitting:
     """An explicit isomorphism from the algebra into 2x2 matrices at one place.
 
-    generators are the stated images of i, j and k, each the tuple (ul, ur,
-    ll, lr) that to_json prints; the certificates run on mat_i, mat_j and
-    mat_k, and relations.k_matches checks the stated k against mat_i·mat_j.
-    data holds the case-specific witnesses (norm-form solutions, square
-    roots) as ints, each exact or a residue mod q^k.  The case fixes the
+    A model is its case and its data: data holds the case-specific
+    witnesses (norm-form solutions, square roots) as ints, each exact or a
+    residue mod q^k, and ``_images`` forms mat_i, mat_j and mat_k from them;
+    relations.k_matches checks mat_k against mat_i·mat_j.  generators are
+    the same images, each the tuple (ul, ur, ll, lr), as to_json prints
+    them.  The case fixes the
     coefficient ring, and the model supplies the matrix product and sum, the
     zero test, the shape test (one pass over a matrix's ints) and the
     trace-form determinant on it.  Every
@@ -156,10 +158,8 @@ class LocalSplitting:
     one int, or the pair (a, b) of a + b·√p at a ramified q and at the real
     place (the ring width), and an entry alone is (den, *ints) too.  exact marks the rational model and the real-place
     model: there zero means zero and precision is ignored.  A q-adic model
-    built from its roots (gen_i, gen_j and gen_k None) forms its matrices
-    from data's ints mod q^k, and its ``PadicNum`` generators only when they
-    are read, to print it; one given stated generators certifies their
-    residues mod q^k.  An element with
+    reduces its images mod q^k, and forms its ``PadicNum`` generators only
+    when they are read, to print it.  An element with
     denominator q^v·d' has ints num/d' mod q^k·q^v over q^v, known to
     check_level() when v <= λ, as for the order, whose denominators divide
     2p; a larger v is refused.
@@ -170,11 +170,8 @@ class LocalSplitting:
         "data", "shape", "exact", "_width", "_level", "_mod", "_dens", "_one", "_cols",
     )
 
-    def __init__(self, params: AlgebraParams, place, case: str, precision: int,
-                 gen_i: tuple | None, gen_j: tuple | None, gen_k: tuple | None, data: dict):
+    def __init__(self, params: AlgebraParams, place, case: str, precision: int, data: dict):
         self.params, self.place, self.case, self.precision = params, place, case, precision
-        stated = gen_i is not None
-        self._generators = (gen_i, gen_j, gen_k) if stated else None
         self.data = data
         self.exact = exact = case in (CASE_RATIONAL, CASE_ARCHIMEDEAN)
         self._width = width = 2 if case in (CASE_RAMIFIED, CASE_ARCHIMEDEAN) else 1
@@ -183,16 +180,14 @@ class LocalSplitting:
         kind = _FIXED_SHAPES.get(case, "triangular" if ll_val else "matrix_ring")
         self.shape = OrderShape(kind, place if finite else None, ll_val)
         self._level = precision - (0 if exact else basis_digit_cost(params, place))
-        mats = self._generators or _qadic_images(case, params, place, data, int, 0)
+        mats = _images(case, params, place, data)
+        self._generators = mats if exact else None
         if width == 2:  # each entry the pair (a, b) of a + b·√p, flattened
             mats = [[x for e in m for x in e] for m in mats]
         if not exact:
             self._mod = mod = place**precision
             self._dens = {}
-            if stated:
-                mats = [[x.residue(precision) for x in m] for m in mats]
-            else:
-                mats = [[x % mod for x in m] for m in mats]
+            mats = [[x % mod for x in m] for m in mats]
         one = (1, 0, 0, 0, 0, 0, 1, 0) if width == 2 else (1, 0, 0, 1)
         # For each int of a matrix, its values in 1, i, j and k: an image is
         # their combination with an element's numerators.
@@ -201,12 +196,12 @@ class LocalSplitting:
 
     @property
     def generators(self) -> tuple:
-        """The stated images of i, j and k as to_json prints them.  A model
-        built from its roots forms them on first read, as ``PadicNum``
-        entries lifted from data with tracked precision."""
+        """The images of i, j and k as to_json prints them: the int images
+        at an exact model, and at a q-adic model ``PadicNum`` entries lifted
+        from data with tracked precision, formed on first read."""
         if self._generators is None:
             q, k = self.place, self.precision
-            self._generators = _qadic_images(
+            self._generators = _images(
                 self.case, self.params, q, self.data,
                 lambda value: PadicNum.from_rational(value, q, k), PadicNum.exact_zero(q),
             )
@@ -419,59 +414,49 @@ def check_modulus(q: int, k: int, setting: str, value: int) -> None:
     )
 
 
-def build_splitting(
-    params: AlgebraParams,
-    place,
-    k: int = DEFAULT_PRECISION,
-    _flip_at_p_root: bool = False,
-) -> LocalSplitting:
-    """Construct the matrix model of the algebra at one place.
+def build_splitting(params: AlgebraParams, place, k: int = DEFAULT_PRECISION) -> LocalSplitting:
+    """Construct the matrix model of the algebra at one place: classify the
+    place and find the model's data.
 
     k is the number of q-adic digits carried by truncated coefficients; at a
-    finite place q**k may have at most MAX_MODULUS_DIGITS decimal digits.  The
-    hidden _flip_at_p_root switch deliberately picks the wrong root of -dn at
-    the prime p; it exists so the verification layer can prove it would catch
-    that mistake.
+    finite place q**k may have at most MAX_MODULUS_DIGITS decimal digits.
     """
     if k < 1:
         raise InvalidParametersError(f"precision must be positive: {k}")
     case = classify_place(params, place)
-    dn = params.dn
-    p = params.p
-
-    if case == CASE_RATIONAL:
-        n = params.level
-        mi, mj, mk = (0, -1, n, 0), (-1, 0, 0, 1), (0, -1, -n, 0)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {})
-
-    if case == CASE_ARCHIMEDEAN:  # Q(sqrt(p)), an entry the int pair (a, b) = a + b·sqrt(p)
-        zero, theta, mtheta = (0, 0), (0, 1), (0, -1)
-        mi = (zero, (1, 0), (-dn, 0), zero)
-        mj = (theta, zero, zero, mtheta)
-        mk = (zero, mtheta, (0, -dn), zero)
-        return LocalSplitting(params, place, case, k, mi, mj, mk, {})
-
-    q = place
+    if case in (CASE_RATIONAL, CASE_ARCHIMEDEAN):
+        return LocalSplitting(params, place, case, k, {})
+    q, p, dn = place, params.p, params.dn
     check_modulus(q, k, "precision", k)
     if case == CASE_UNRAMIFIED_SQUARE:
         data = {"omega": hensel_sqrt(p, q, k)}
     elif case == CASE_AT_P:
-        root = at_p_root(params, k)
-        data = {"s": -root % p**k if _flip_at_p_root else root}
+        data = {"s": at_p_root(params, k)}
     else:  # non-square or ramified: x² - p·y² = -dn, or -dn/q at a ramified q
         x0, y0 = solve_norm_equation(p, -dn // q if case == CASE_RAMIFIED else -dn, q, k)
         data = {"x": x0, "y": y0}
-    return LocalSplitting(params, q, case, k, None, None, None, data)
+    return LocalSplitting(params, q, case, k, data)
 
 
-def _qadic_images(case: str, params: AlgebraParams, q: int, data: dict, lift, z0) -> tuple:
-    """The images of i, j and k of a q-adic model, formed from its int roots
-    data: lift takes an int into the coefficient ring and z0 is the ring's
-    zero.  With ``int`` and 0 they are the ints the certificates reduce mod
-    q^k; with a ``PadicNum`` lift they are the generators to_json prints.  At
-    a ramified q an entry is the pair (a, b) = a + b·sqrt(p) over Z_q[sqrt(p)].
+def _images(case: str, params: AlgebraParams, place, data: dict, lift=int, z0=0) -> tuple:
+    """The images of i, j and k of a model, formed from its data: the one
+    place the formulas of every case are written.  lift takes an int into
+    the coefficient ring and z0 is the ring's zero: with ``int`` and 0 they
+    are the ints the certificates run on (reduced mod q^k at a q-adic
+    model); with a ``PadicNum`` lift they are the generators to_json prints.
+    At a ramified q and at the real place an entry is the pair (a, b) =
+    a + b·sqrt(p), over Z_q[sqrt(p)] or Q(sqrt(p)).
     """
     dn, p = params.dn, params.p
+    if case == CASE_RATIONAL:
+        n = params.level
+        return (0, -1, n, 0), (-1, 0, 0, 1), (0, -1, -n, 0)
+
+    if case == CASE_ARCHIMEDEAN:
+        zero, theta, mtheta = (0, 0), (0, 1), (0, -1)
+        mi = (zero, (1, 0), (-dn, 0), zero)
+        return mi, (theta, zero, zero, mtheta), (zero, mtheta, (0, -dn), zero)
+
     if case == CASE_UNRAMIFIED_SQUARE:
         omega, mdn = lift(data["omega"]), lift(-dn)
         momega = -omega
@@ -488,9 +473,9 @@ def _qadic_images(case: str, params: AlgebraParams, q: int, data: dict, lift, z0
         ms = -s
         return (ms, z0, z0, s), (z0, lift(1), pp, z0), (z0, ms, pp * s, z0)
 
-    # Ramified place q | delta: an entry the pair (a, b) = a + b·sqrt(p).
+    # Ramified place q | delta.
     x, y = lift(data["x"]), lift(data["y"])
-    zero, one, pp, qn = (z0, z0), lift(1), lift(p), lift(q)
+    zero, one, pp, qn = (z0, z0), lift(1), lift(p), lift(place)
     qx, qy, my = qn * x, qn * y, -y
     mi = (zero, (x, my), (qx, qy), zero)
     mj = ((z0, -one), zero, zero, (z0, one))

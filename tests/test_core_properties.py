@@ -715,24 +715,34 @@ def test_differential_models_cover_every_qadic_case():
     assert local_model(12).place == 2 and local_model(12).case == split.CASE_RAMIFIED
 
 
-@pytest.mark.parametrize("index", QADIC_MODELS)
+@pytest.mark.parametrize("index", range(len(MODELS)))
 @pytest.mark.parametrize("k", [1, 2, 3, 20])
 def test_a_model_built_from_int_roots_certifies_its_printed_generators(index, k):
-    """mat_i, mat_j and mat_k, formed from the int roots mod q^k, are the
-    residues mod q^k of the ``PadicNum`` generators to_json prints, formed
-    from the same roots with tracked precision; at p also with the flipped
-    root.  A ramified pair (a, b) is compared entry by entry."""
+    """mat_i, mat_j and mat_k, formed by ``split._images`` from the model's
+    data, are what to_json prints: at the rational and real-place models
+    the printed ints themselves, and at a q-adic model the residues mod q^k
+    of the ``PadicNum`` generators formed from the same roots with tracked
+    precision; at p also with the other root.  A pair (a, b) is compared
+    entry by entry."""
     delta, level, place, _ = MODELS[index]
     params = AlgebraParams.create(delta, level)
-    flips = (False, True) if split.classify_place(params, place) == split.CASE_AT_P else (False,)
-    for flip in flips:
-        spl = split.build_splitting(params, place, k=k, _flip_at_p_root=flip)
-        for mat, gen in zip((spl.mat_i, spl.mat_j, spl.mat_k), spl.generators):
+    spl = split.build_splitting(params, place, k=k)
+    models = [spl]
+    if spl.case == split.CASE_AT_P:
+        flipped = {"s": -spl.data["s"] % place**k}
+        models.append(split.LocalSplitting(params, place, spl.case, k, flipped))
+    for model in models:
+        if model.exact:  # the ints to_json prints, each entry a str or {"a": …, "b": …}
+            body = model.to_json()
+            printed = [[int(x) for e in body[n] for x in (e.values() if is_pair(model) else [e])]
+                       for n in "ijk"]
+        else:
+            printed = [[x.residue(k) for e in gen for x in (e if is_pair(model) else [e])]
+                       for gen in model.generators]
+        for mat, want in zip((model.mat_i, model.mat_j, model.mat_k), printed):
             den, *ints = mat
-            if is_pair(spl):
-                gen = [x for entry in gen for x in entry]
             assert den == 1
-            assert ints == [x.residue(k) for x in gen], (spl.case, place, k, flip)
+            assert ints == want, (model.case, place, k, model.data)
 
 
 def test_rational_model_images_of_the_order_are_int_matrices():

@@ -33,9 +33,13 @@ process that starts ``quatorder`` would otherwise pay for that import chain.
 No module's compilation peaks above ``COMPILE_PEAK_BYTES``.
 
 The q-adic roots cross module boundaries as ints: only ``numth.py`` and
-``split.py`` (``Q_ADIC_MODULES``) name ``PadicNum`` or call a ``.residue(``
-method, so the relative-precision numbers stay the print form of a local
-model's generators.
+``split.py`` (``Q_ADIC_MODULES``) name ``PadicNum``, and only ``numth.py``
+calls a ``.residue(`` method, so the relative-precision numbers stay the
+print form of a local model's generators.
+
+No function declares a parameter whose name starts with ``_``: a caller
+chooses a model's behaviour only through its public arguments, and a fault
+is injected from a test, not through a hidden switch.
 """
 
 import ast
@@ -355,21 +359,35 @@ def test_no_module_compiles_above_the_peak_bound():
 
 def test_only_numth_and_split_hold_q_adic_numbers():
     """Elsewhere a q-adic root is an int: no other module names ``PadicNum``
-    (as a name, an attribute or an import) or calls ``.residue(``."""
+    (as a name, an attribute or an import), and no module but ``numth.py``
+    calls ``.residue(``."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in Q_ADIC_MODULES:
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = (
+            names = path.name not in Q_ADIC_MODULES and (
                 (isinstance(node, ast.Name) and node.id == "PadicNum")
                 or (isinstance(node, ast.Attribute) and node.attr == "PadicNum")
                 or (isinstance(node, ast.alias) and node.name == "PadicNum")
             )
-            calls = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                     and node.func.attr == "residue")
+            calls = (path.name != "numth.py" and isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and node.func.attr == "residue")
             if names or calls:
                 found.setdefault(path.name, []).append(
                     f"{node.lineno}: {'PadicNum' if names else '.residue('}"
                 )
     assert found == {}, f"q-adic numbers outside {sorted(Q_ADIC_MODULES)}: {found}"
+
+
+def test_no_function_declares_a_hidden_parameter():
+    """No function, method or lambda of the package takes a parameter whose
+    name starts with ``_``, such as a switch that plants a fault."""
+    hidden = [
+        f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({arg.arg})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and arg.arg.startswith("_")
+    ]
+    assert hidden == [], f"parameters named with a leading underscore: {hidden}"

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from quatorder import split
 from quatorder.errors import CaseMismatchError, InvalidParametersError, PrecisionLossError
 from quatorder.exact import mat_add
-from quatorder.numth import INFINITE_PLACE, PadicNum
+from quatorder.numth import INFINITE_PLACE
 from quatorder.quat import AlgebraParams, QuatElem
 from quatorder.split import (
     CASE_ARCHIMEDEAN,
@@ -130,21 +131,44 @@ def test_at_p_image_is_full_matrix_ring():
 
 def test_at_p_sign_flip_is_caught():
     params = AlgebraParams(35, 3, 13, 5)
-    spl = build_splitting(params, 13, _flip_at_p_root=True)
+    right = build_splitting(params, 13)
+    k = right.precision
+    spl = LocalSplitting(params, 13, CASE_AT_P, k, {"s": -right.data["s"] % 13**k})
     report = verify_splitting(spl)
     bad = sorted(c.check_id for c in report.failures())
     assert bad == ["at_p.root_divisibility", "integrality.e4"]
 
 
-@pytest.mark.parametrize("place", [5, 13])  # ramified; at p, on int residues
-def test_a_wrong_stated_k_fails_k_matches(place):
-    params = AlgebraParams(35, 3, 13, 5)
+def wrong_model(monkeypatch, spl, edit):
+    """spl rebuilt with a fault injected at the image table: edit takes the
+    int images of i, j and k that ``split._images`` forms from spl's data
+    and returns the three images the model certifies instead."""
+    images = split._images
+    with monkeypatch.context() as patch:
+        patch.setattr(split, "_images", lambda *args: edit(*images(*args)))
+        return LocalSplitting(spl.params, spl.place, spl.case, spl.precision, spl.data)
+
+
+def negate_first_nonzero(mat):
+    """mat with its first nonzero entry negated: an int, or a pair (a, b)."""
+    index = next(n for n, e in enumerate(mat) if e != 0 and e != (0, 0))
+    entry = mat[index]
+    entry = -entry if isinstance(entry, int) else tuple(-x for x in entry)
+    return (*mat[:index], entry, *mat[index + 1:])
+
+
+@pytest.mark.parametrize("params, place, case", [
+    (AlgebraParams.create(1, 6), 7, CASE_RATIONAL),
+    (AlgebraParams(35, 3, 13, 5), INFINITE_PLACE, CASE_ARCHIMEDEAN),
+    (AlgebraParams(35, 3, 13, 5), 3, CASE_UNRAMIFIED_SQUARE),
+    (AlgebraParams(35, 3, 13, 5), 11, CASE_UNRAMIFIED_NONSQUARE),
+    (AlgebraParams(35, 3, 13, 5), 13, CASE_AT_P),
+    (AlgebraParams(35, 3, 13, 5), 5, CASE_RAMIFIED),
+])
+def test_a_wrong_stated_k_fails_k_matches(monkeypatch, params, place, case):
     spl = build_splitting(params, place)
-    gen_i, gen_j, gen_k = spl.generators
-    ul, ur, ll, lr = gen_k
-    ur = (-ur[0], -ur[1]) if spl.case == CASE_RAMIFIED else -ur
-    wrong = LocalSplitting(params, place, spl.case, spl.precision,
-                           gen_i, gen_j, (ul, ur, ll, lr), spl.data)
+    assert spl.case == case
+    wrong = wrong_model(monkeypatch, spl, lambda i, j, k: (i, j, negate_first_nonzero(k)))
     assert verify_splitting(spl).passed
     failed = {c.check_id for c in verify_splitting(wrong).failures()}
     assert "relations.k_matches" in failed
@@ -172,28 +196,29 @@ def test_precision_guard():
         spl.scalar(Fraction(1, 11**7))
 
 
-def test_a_real_place_j_with_theta_on_both_diagonal_entries_is_caught():
+def test_a_real_place_j_with_theta_on_both_diagonal_entries_is_caught(monkeypatch):
     """j = [[θ, 0], [0, θ]] squares to p but commutes with i."""
     params = AlgebraParams(35, 3, 13, 5)
     spl = build_splitting(params, INFINITE_PLACE)
-    gen_i, gen_j, gen_k = spl.generators
-    ul, ur, ll, _ = gen_j
-    wrong = LocalSplitting(params, INFINITE_PLACE, spl.case, spl.precision,
-                           gen_i, (ul, ur, ll, ul), gen_k, spl.data)
-    failed = {c.check_id for c in verify_splitting(wrong).failures()}
+
+    def edit(i, j, k):
+        ul, ur, ll, _ = j
+        return i, (ul, ur, ll, ul), k
+
+    failed = {c.check_id for c in verify_splitting(wrong_model(monkeypatch, spl, edit)).failures()}
     assert failed == {"relations.anticommute", "relations.k_matches", "discriminant.trace_form"}
 
 
-def test_a_ramified_i_without_the_factor_q_in_its_lower_left_is_caught():
+def test_a_ramified_i_without_the_factor_q_in_its_lower_left_is_caught(monkeypatch):
     """i = [[0, x - y√p], [x + y√p, 0]] squares to -dn/q, not -dn."""
     params = AlgebraParams(35, 3, 13, 5)
     spl = build_splitting(params, 5)
-    gen_i, gen_j, gen_k = spl.generators
-    ul, ur, _, lr = gen_i
-    ll = tuple(PadicNum.from_rational(spl.data[n], 5, spl.precision) for n in "xy")
-    wrong = LocalSplitting(params, 5, spl.case, spl.precision,
-                           (ul, ur, ll, lr), gen_j, gen_k, spl.data)
-    failed = {c.check_id for c in verify_splitting(wrong).failures()}
+
+    def edit(i, j, k):
+        ul, ur, _, lr = i
+        return (ul, ur, (spl.data["x"], spl.data["y"]), lr), j, k
+
+    failed = {c.check_id for c in verify_splitting(wrong_model(monkeypatch, spl, edit)).failures()}
     assert failed == {
         "relations.i_square", "relations.k_matches", "integrality.e3", "discriminant.trace_form",
     }
