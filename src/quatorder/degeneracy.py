@@ -21,8 +21,8 @@ the two copies, from the covolumes of the copies and of their sum.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import prod
 
 from .errors import (
     InvalidParametersError,
@@ -41,7 +41,7 @@ from .quat import (
     span_is_closed,
     unit_coords_lattice,
 )
-from .report import Report
+from .report import Check, Report
 from .split import (
     CASE_AT_P,
     CASE_RAMIFIED,
@@ -102,9 +102,10 @@ class DegeneracyPair:
 
 
 def _coords_det(coords):
-    """Determinant of four order-basis coordinate vectors given scaled: an
-    int when integral, a Fraction otherwise."""
-    num, den = det4([nums for nums, _ in coords]), prod(den for _, den in coords)
+    """Determinant of four order-basis coordinate vectors, each four int
+    numerators over its denominator: an int when integral, a Fraction otherwise."""
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = coords
+    num, den = det4((n1, n2, n3, n4)), d1 * d2 * d3 * d4
     return num // den if num % den == 0 else Fraction(num, den)
 
 
@@ -189,82 +190,73 @@ def degeneracy_bases(
     return DegeneracyPair(params, q, case, consts, f, g, splitting)
 
 
+# Each side's check names in report order, interned once, as Report.add would.
+_NAMES = {side: [sys.intern(name % side) for name in (
+    "membership.%s.order", "membership.%s.e1", "membership.%s.e2", "membership.%s.e3",
+    "membership.%s.e4", "determinant.%s", "index.%s", "closure.%s", "discriminant.%s",
+    "kernel.%s",
+)] for side in "fg"}
+
+
 def verify_degeneracy(pair: DegeneracyPair) -> Report:
     """Replay every certificate of the two embedded copies.
 
-    Coordinates stay integer-scaled: closure forms the products of the basis
-    elements on their ints and tests their scaled coordinates for membership.  An
-    index, discriminant or intersection check whose lattice or trace form is
+    Each copy is certified in one pass over its basis, read once as four-wide
+    scaled coordinates: closure forms the products of the basis elements on
+    their ints and tests their scaled coordinates for membership.  An index,
+    discriminant or intersection check whose lattice or trace form is
     degenerate, or whose covolume ratio is no integer, fails instead of
-    raising.
+    raising.  The pair's witness texts are built and interned once.
     """
-    params = pair.params
-    q = pair.q
-    s = pair.splitting
-    report = Report()
+    params, q, s = pair.params, pair.q, pair.splitting
     check_level = s.check_level()
-
     identity = unit_coords_lattice(params)
     expected_disc = params.dn * q
-    lattices = {}
+    order_w, shape_w, det_w, index_w, closed_w, disc_w, kernel_w, meet_w = [
+        sys.intern(text) for text in (
+            "all four lie in the level-N order", f"image satisfies the level-Nq congruence at {q}",
+            f"|det| = {q}, expected {q}", f"index in the level-N order = {q}",
+            "all 16 pairwise products stay in the span", f"reduced discriminant = {expected_disc}",
+            "basis span = independently solved congruence kernel",
+            f"index of the intersection of the two copies = {q}^2",
+        )
+    ]
+    checks, lattices = [], []
 
     # f deepens the lower-left congruence by a digit; g meets the upper-right one
-    for side, basis, congruence in (("f", pair.f, (1, 0)), ("g", pair.g, (0, 1))):
+    for side, basis, congruence, kernel_at in (("f", pair.f, (1, 0), (2, 1 + s.shape.ll_val)),
+                                               ("g", pair.g, (0, 1), (1, 1))):
         coords = [scaled_coords(u) for u in basis]
-        lat = lattices[side] = ZLattice4.from_scaled_rows(coords, ambient=identity.ambient)
-
+        lat = ZLattice4.from_scaled_rows(coords, ambient=identity.ambient)
+        lattices.append(lat)
         # R is the span of e1..e4, so u lies in R exactly when its coordinates are integers
-        in_order = all(n % den == 0 for nums, den in coords for n in nums)
-        report.add(f"membership.{side}.order", in_order, "all four lie in the level-N order")
-
-        for idx, u in enumerate(basis, start=1):
-            ok, why = s.matrix_in_shape(s.embed(u), check_level, *congruence)
-            report.add(
-                f"membership.{side}.e{idx}",
-                ok,
-                why or f"image satisfies the level-Nq congruence at {q}",
-            )
-
-        det = _coords_det(coords)
-        report.add(
-            f"determinant.{side}",
-            abs(det) == q,
-            f"|det| = {abs(det)}, expected {q}",
-        )
+        in_order = not any([n % den for nums, den in coords for n in nums])
+        shapes = [s.matrix_in_shape(s.embed(u), check_level, *congruence) for u in basis]
+        det = abs(_coords_det(coords))
         try:
             index_ok = lat.index_in(identity) == q
         except InvalidParametersError:  # rank below 4, or a covolume ratio that is no integer
             index_ok = False
-        report.add(f"index.{side}", index_ok, f"index in the level-N order = {q}")
-
-        report.add(
-            f"closure.{side}",
-            span_is_closed(lat, basis),
-            "all 16 pairwise products stay in the span",
-        )
-
+        closed = span_is_closed(lat, basis)
         try:
             disc_ok = reduced_discriminant(basis) == expected_disc
         except NotAnOrderBasisError:
             disc_ok = False
-        report.add(f"discriminant.{side}", disc_ok, f"reduced discriminant = {expected_disc}")
-
-        entry, m = (2, 1 + s.shape.ll_val) if side == "f" else (1, 1)
-        report.add(
-            f"kernel.{side}",
-            lat.is_congruence_kernel(*s.congruence_functional(entry, m)),
-            "basis span = independently solved congruence kernel",
+        kernel_ok = lat.is_congruence_kernel(*s.congruence_functional(*kernel_at))
+        checks += map(
+            Check, _NAMES[side],
+            (in_order, *[ok for ok, _ in shapes], det == q, index_ok, closed, disc_ok, kernel_ok),
+            (order_w, *[sys.intern(why) if why else shape_w for _, why in shapes],
+             det_w if det == q else sys.intern(f"|det| = {det}, expected {q}"),
+             index_w, closed_w, disc_w, kernel_w),
         )
 
     # (F+G)/G ≅ F/(F∩G): covol(F∩G)·covol(F+G) = covol(F)·covol(G), on ints
-    meet_ok = lattices["f"].rank == lattices["g"].rank == 4
+    f_lat, g_lat = lattices
+    meet_ok = f_lat.rank == g_lat.rank == 4
     if meet_ok:
-        (nf, df), (ng, dg) = lattices["f"].covolume(), lattices["g"].covolume()
-        ns, ds = lattices["f"].add(lattices["g"]).covolume()
+        (nf, df), (ng, dg) = f_lat.covolume(), g_lat.covolume()
+        ns, ds = f_lat.add(g_lat).covolume()
         meet_ok = nf * ng * ds == q * q * ns * df * dg
-    report.add(
-        "intersection.index",
-        meet_ok,
-        f"index of the intersection of the two copies = {q}^2",
-    )
-    return report
+    checks.append(Check(sys.intern("intersection.index"), meet_ok, meet_w))
+    return Report(checks)

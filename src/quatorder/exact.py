@@ -239,18 +239,18 @@ class ZLattice4:
 
     @classmethod
     def from_scaled_rows(cls, scaled_rows, ambient=None) -> "ZLattice4":
-        """The lattice spanned by rows given as (four int numerators, denominator > 0)."""
-        for nums, _ in scaled_rows:
+        """The lattice spanned by rows given as (four int numerators, denominator > 0);
+        a row over the common denominator enters the elimination as it is."""
+        d, ints = lcm(*[den for _, den in scaled_rows]), []
+        for nums, den in scaled_rows:
             if len(nums) != 4:
                 raise InvalidParametersError("ZLattice4 rows must have length 4")
-        d = lcm(*[den for _, den in scaled_rows])
-        ints = [[n * (d // den) for n in nums] for nums, den in scaled_rows]
-        return cls._from_scaled(d, ints, ambient)
-
-    @classmethod
-    def _from_scaled(cls, d: int, int_rows: list, ambient) -> "ZLattice4":
-        """The lattice spanned by (1/d)·int_rows, in reduced form."""
-        return cls._from_hnf(d, hnf(int_rows), ambient)
+            if den != d:
+                a, b, c, e = nums
+                t = d // den
+                nums = (a * t, b * t, c * t, e * t)
+            ints.append(nums)
+        return cls._from_hnf(d, hnf(ints), ambient)
 
     @classmethod
     def _from_hnf(cls, d: int, h: list, ambient) -> "ZLattice4":
@@ -262,7 +262,7 @@ class ZLattice4:
         if g > 1:
             d //= g
             h = [[x // g for x in r] for r in h]
-        return cls(d, tuple(tuple(r) for r in h), ambient)
+        return cls(d, tuple(map(tuple, h)), ambient)
 
     @property
     def rank(self) -> int:
@@ -334,27 +334,33 @@ class ZLattice4:
         return ZLattice4._from_hnf(d, _vanishing_part(gens, 4), self.ambient or other.ambient)
 
     def add(self, other: "ZLattice4") -> "ZLattice4":
-        """The sum lattice self + other: one elimination of both row sets."""
+        """The sum lattice self + other: one elimination of both sets of
+        four-wide rows, as stored when the two denominators agree."""
         self._check_ambient(other)
         d = lcm(self.denom, other.denom)
-        rows = self.scaled_rows(d) + other.scaled_rows(d)
-        return ZLattice4._from_scaled(d, rows, self.ambient or other.ambient)
+        rows = self.rows + other.rows if self.denom == other.denom else (
+            self.scaled_rows(d) + other.scaled_rows(d))
+        return ZLattice4._from_hnf(d, hnf(rows), self.ambient or other.ambient)
 
     def covolume(self) -> tuple[int, int]:
         """(numerator, denominator) of a full-rank lattice's covolume: a rank-4
-        HNF is upper triangular, so (1/d)·rows has prod(diagonal)/d^4."""
-        if self.rank != 4:
+        HNF is four upper-triangular rows four wide, so (1/d)·rows has
+        prod(diagonal)/d^4."""
+        if len(self.rows) != 4:
             raise InvalidParametersError("covolume needs a rank-4 lattice")
-        return prod(r[i] for i, r in enumerate(self.rows)), self.denom**4
+        (a, _, _, _), (_, b, _, _), (_, _, c, _), (_, _, _, e) = self.rows
+        return a * b * c * e, self.denom**4
 
     def is_congruence_kernel(self, residues, modulus: int) -> bool:
         """Whether self is K = {v ∈ Z^4 : residues·v ≡ 0 mod modulus}, modulus > 0,
         without solving for K: K has index modulus / gcd(residues, modulus) in
-        Z^4, so a full-rank integral self inside K with that index is K."""
+        Z^4, so a full-rank integral self inside K with that index is K.  The
+        four residues meet each four-wide row in one sum."""
+        l1, l2, l3, l4 = residues
         return (
-            self.rank == 4 and self.denom == 1
-            and not any(sum(c * x for c, x in zip(residues, r)) % modulus for r in self.rows)
-            and self.covolume()[0] == modulus // gcd(*residues, modulus)
+            len(self.rows) == 4 and self.denom == 1
+            and not any([(l1 * a + l2 * b + l3 * c + l4 * e) % modulus for a, b, c, e in self.rows])
+            and self.covolume()[0] == modulus // gcd(l1, l2, l3, l4, modulus)
         )
 
     def index_in(self, superlattice: "ZLattice4") -> int:
@@ -396,11 +402,9 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
 
     For x = a + b·i + c·j + d·k in (-dn, p | Q) the reduced trace of a product
     is the diagonal form tr(x·y) = 2a a' - 2dn b b' + 2p c c' + 2p·dn d d', so
-    M = C·diag(2, -2dn, 2p, 2p·dn)·Cᵀ on the integer numerators C; M is
-    symmetric, so only its upper triangle is computed.
+    M = C·diag(2, -2dn, 2p, 2p·dn)·Cᵀ on the four-wide integer numerators C of
+    the elements; M is symmetric, so only its upper triangle is computed.
     """
-    if not elems:
-        return [], []
     params = elems[0].params
     for u in elems:
         if u.params is not params and u.params != params:
@@ -420,15 +424,16 @@ def _scaled_gram(elems) -> tuple[list[list[int]], list[int]]:
 
 
 def reduced_discriminant(elems) -> int:
-    """√|det| of the reduced-trace Gram matrix of four elements.
+    """√|det| of the reduced-trace Gram matrix of four elements, over the
+    squared product of their four denominators.
 
     Raises NotAnOrderBasisError unless the determinant is a nonzero integer
     whose absolute value is a perfect square.
     """
     if len(elems) != 4:
         raise NotAnOrderBasisError("need exactly four elements")
-    gram, dens = _scaled_gram(elems)
-    num, den = det4(gram), prod(dens) ** 2
+    gram, (d1, d2, d3, d4) = _scaled_gram(elems)
+    num, den = det4(gram), (d1 * d2 * d3 * d4) ** 2
     if num == 0:
         raise NotAnOrderBasisError("degenerate trace form")
     d, rest = divmod(num, den)

@@ -341,15 +341,16 @@ def span_is_closed(lattice: ZLattice4, elems) -> bool:
     once u·v lies in it, so does
     v·u = trd(u)·v + trd(v)·u + trd(uv) − trd(u)·trd(v) − u·v.  Then the
     products u·v with u listed before v decide; otherwise every product is
-    tested.  A product is tested on ints (``QuatElem._times``); none is built.
+    tested.  A product's four-wide numerators (``QuatElem._times``) are
+    tested as coordinates on ints; none is built.
     """
-    factors = [u for u in elems if (u._num, u._den) != ((1, 0, 0, 0), 1)]
-    if len(factors) < len(elems) and all(map(_integral_trace_and_norm, factors)):
-        pairs = [(u, v) for i, u in enumerate(factors) for v in factors[i + 1:]]
-    else:
-        pairs = [(u, v) for u in factors for v in factors]
-    return all(lattice.contains_scaled(_coords(u.params, u._times(v)), u._den * v._den)
-               for u, v in pairs)
+    factors = [u for u in elems if u._den != 1 or u._num != (1, 0, 0, 0)]
+    ordered = len(factors) < len(elems) and all(map(_integral_trace_and_norm, factors))
+    for i, u in enumerate(factors):
+        for v in factors[i + 1:] if ordered else factors:
+            if not lattice.contains_scaled(_coords(u.params, u._times(v)), u._den * v._den):
+                return False
+    return True
 
 
 def _integral_trace_and_norm(u: QuatElem) -> bool:

@@ -361,12 +361,14 @@ class LocalSplitting:
     def congruence_functional(self, entry: int, m: int) -> tuple[list[int], int]:
         """(ℓ, q^m), ℓ the residues mod q^m of entry 1 (upper-right) or 2 (lower-left)
         of the q-integral order-basis images: coordinates v map to an image with
-        that entry ≡ 0 mod q^m iff ℓ·v ≡ 0.  No degeneracy or chain formula enters."""
+        that entry ≡ 0 mod q^m iff ℓ·v ≡ 0, the entry's values in 1, i, j and k met by
+        each element's four numerators in one sum.  No degeneracy or chain formula enters."""
         q = self.place
         mod = self._modulus(m)
-        cols, residues = self._cols[entry], []
+        (w, i, j, k), residues = self._cols[entry], []
         for e in hashimoto_basis(self.params):
-            den, num = self._lift([sum(n * c for n, c in zip(e.numerators, cols))], e.denominator)
+            x, y, z, t = e.numerators
+            den, num = self._lift([x * w + y * i + z * j + t * k], e.denominator)
             g = gcd(num, den)
             num, den = num // g, den // g
             if den % q == 0:

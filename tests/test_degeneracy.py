@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from fractions import Fraction
 from math import gcd
 from unittest.mock import patch
@@ -6,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quatorder import degeneracy as degeneracy_module
+from quatorder import exact as exact_module
+from quatorder import quat as quat_module
 from quatorder.degeneracy import (
     DEG_AT_P,
     DEG_NONSQUARE,
@@ -33,6 +38,7 @@ from quatorder.quat import (
     scaled_coords,
     unit_coords_lattice,
 )
+from quatorder.split import LocalSplitting
 from quatorder.verify import DEFAULT_DELTAS, DEFAULT_LEVELS, DEFAULT_PLACES
 
 
@@ -375,3 +381,87 @@ def test_closure_without_the_products_of_one_matches_all_sixteen(rational, m, ro
     assert mul.call_count == 0
     if not rational and at < 4:  # the copy g as built takes 3 products too
         assert times.call_count <= 6
+
+
+def one_site_fault(func, old: str, new: str):
+    """func recompiled from its source with the one site old replaced by new,
+    in a copy of its module's namespace; a decorated method comes back
+    decorated, ready to be set on its class."""
+    module = inspect.getmodule(func)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, (func.__name__, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[func.__name__]
+
+
+# A one-site fault in each kernel the certificate runs on, where it is set
+# (degeneracy reads span_is_closed and reduced_discriminant by name), and the
+# checks of the flagship pair at q = 11 whose verdict it moves: a kernel whose
+# fault moved nothing would be dead weight in the certificate.
+COVOLUME_READERS = ("index.f", "index.g", "intersection.index", "kernel.f", "kernel.g")
+KERNEL_FAULTS = {
+    "congruence kernel, last term dropped": (
+        ZLattice4, "is_congruence_kernel", ZLattice4.is_congruence_kernel,
+        "l1 * a + l2 * b + l3 * c + l4 * e", "l1 * a + l2 * b + l3 * c",
+        None, ("kernel.f", "kernel.g"),
+    ),
+    "covolume, a wrong diagonal entry": (
+        ZLattice4, "covolume", ZLattice4.covolume, "a * b * c * e", "a * b * c * c",
+        None, COVOLUME_READERS,
+    ),
+    "scaled rows, last coordinate unscaled": (
+        ZLattice4, "from_scaled_rows", ZLattice4.from_scaled_rows,
+        "nums = (a * t, b * t, c * t, e * t)", "nums = (a * t, b * t, c * t, e)",
+        None, ("closure.f", "closure.g", *COVOLUME_READERS),
+    ),
+    "sum lattice, one side twice": (
+        ZLattice4, "add", ZLattice4.add, "self.rows + other.rows if", "self.rows + self.rows if",
+        None, ("intersection.index",),
+    ),
+    "trace form, wrong k weight": (
+        exact_module, "_scaled_gram", exact_module._scaled_gram, "w4 = w3 * dn", "w4 = w3",
+        None, ("discriminant.f", "discriminant.g"),
+    ),
+    "discriminant, denominator not squared": (
+        degeneracy_module, "reduced_discriminant", exact_module.reduced_discriminant,
+        "(d1 * d2 * d3 * d4) ** 2", "(d1 * d2 * d3 * d4)",
+        None, ("discriminant.f", "discriminant.g"),
+    ),
+    "closure, product test inverted": (
+        degeneracy_module, "span_is_closed", quat_module.span_is_closed,
+        "if not lattice.contains_scaled", "if lattice.contains_scaled",
+        None, ("closure.f", "closure.g"),
+    ),
+    "closure, products skipped": (
+        degeneracy_module, "span_is_closed", quat_module.span_is_closed,
+        "factors[i + 1:]", "factors[i + 2:]",
+        "f2+e2", ("closure.f",),
+    ),
+    "coordinate determinant, a denominator dropped": (
+        degeneracy_module, "_coords_det", degeneracy_module._coords_det,
+        "d1 * d2 * d3 * d4", "d1 * d2 * d3",
+        None, ("determinant.f", "determinant.g"),
+    ),
+    "congruence functional, i term dropped": (
+        LocalSplitting, "congruence_functional", LocalSplitting.congruence_functional,
+        "x * w + y * i + z * j + t * k", "x * w + z * j + t * k",
+        None, ("kernel.f", "kernel.g"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+def test_a_one_site_kernel_fault_moves_its_family_on_the_flagship_pair(monkeypatch, fault):
+    """Each fault moves exactly its pinned checks: on the pair as built they
+    fail, and on a wrong copy, for the skipped closure products, the wrong
+    copy's failing closure check passes."""
+    owner, name, func, old, new, mutation, moved = KERNEL_FAULTS[fault]
+    pair = degeneracy_bases(FLAGSHIP, 11)
+    if mutation is not None:
+        pair = mutated(pair, mutation)
+    before = {c.check_id: c.ok for c in verify_degeneracy(pair).checks}
+    monkeypatch.setattr(owner, name, one_site_fault(func, old, new))
+    after = {c.check_id: c.ok for c in verify_degeneracy(pair).checks}
+    assert sorted(i for i in before if before[i] != after[i]) == sorted(moved)
+    assert all(after[i] for i in moved) == (mutation is not None)

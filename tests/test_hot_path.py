@@ -321,14 +321,17 @@ def warm_calls(verify, arg) -> int:
     return sum(entry.callcount for entry in prof.getstats())
 
 
-@pytest.mark.parametrize("certificate, calls", [("degeneracy", 883), ("splitting", 137)])
+@pytest.mark.parametrize("certificate, calls", [("degeneracy", 555), ("splitting", 137)])
 def test_degeneracy_pair_certificates_make_the_measured_calls(certificate, calls):
     """Function calls of a warm ``verify_degeneracy`` of the (35, 3) pair at
-    q = 11, 883, and of ``verify_splitting`` on its q = 11 model, 137: the
+    q = 11, 555, and of ``verify_splitting`` on its q = 11 model, 137: the
     shape test reads each image's ints in one pass, closure forms its
-    products on ints and a determinant makes no call.  Asking for one entry
-    at a time, building each closure product and computing 12 minors a
-    determinant made 1,129 and 189."""
+    products on ints and a determinant makes no call, and each copy is
+    certified in one pass over four-wide int tuples, with its check names
+    and witness texts built once.  Asking for one entry at a time, building
+    each closure product and computing 12 minors a determinant made 1,129
+    and 189; generator frames in the lattice kernels and one ``Report.add``
+    per check made the degeneracy certificate 883."""
     pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
     verify, arg = {
         "degeneracy": (verify_degeneracy, pair),
@@ -336,6 +339,18 @@ def test_degeneracy_pair_certificates_make_the_measured_calls(certificate, calls
     }[certificate]
     assert verify(arg).passed
     assert warm_calls(verify, arg) == calls
+
+
+def test_a_warm_degeneracy_pair_runs_no_generator_frame():
+    """The certificate and its kernels loop over fixed-width int tuples or
+    build lists: no generator expression is resumed under a warm
+    ``verify_degeneracy`` of the (35, 3) pair at q = 11."""
+    pair = degeneracy_bases(AlgebraParams.create(35, 3), 11)
+    assert verify_degeneracy(pair).passed
+    prof = cProfile.Profile()
+    prof.runcall(verify_degeneracy, pair)
+    frames = [entry.code for entry in prof.getstats() if not isinstance(entry.code, str)]
+    assert frames and [code for code in frames if code.co_name == "<genexpr>"] == []
 
 
 def test_lattice_certificates_run_one_elimination_per_kernel():

@@ -17,6 +17,7 @@ from quatorder.quat import (
     order_discriminant,
     phi_membership,
     pretty,
+    span_is_closed,
 )
 
 
@@ -116,6 +117,18 @@ def test_order_closed_under_multiplication():
     for u in basis:
         for v in basis:
             assert lat.contains(list(coords_in_hashimoto(u * v)))
+
+
+def test_products_across_two_algebras_are_refused():
+    """The algebra check of a product: u·v and closure over a basis that mixes
+    two algebras raise instead of multiplying with one algebra's constants."""
+    params, other = AlgebraParams.create(35, 3), AlgebraParams.create(6, 1)
+    i, i_other = gens(params)[0], gens(other)[0]
+    with pytest.raises(InvalidParametersError, match="different algebras"):
+        i * i_other
+    lat = coefficient_lattice(params, hashimoto_basis(params))
+    with pytest.raises(InvalidParametersError, match="different algebras"):
+        span_is_closed(lat, (one(params), i, i_other))
 
 
 def test_order_discriminant_is_dn():
