@@ -3,7 +3,10 @@
 All lattice work happens over Z after clearing denominators; the Hermite
 normal form here is the row-style echelon form with positive pivots and the
 entries above each pivot reduced into [0, pivot), which makes it a canonical
-representative usable for equality tests.
+representative usable for equality tests.  Four-wide rows, every span and
+sum, are eliminated on int tuples and rows of any other width in the same
+loop on lists; a kernel of one congruence on four coordinates is written
+down in closed form.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ def det4(rows):
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = s·a + t·b and |g| = gcd(a, b)."""
+    """(g, s, t) with g = s·a + t·b and |g| = gcd(a, b); g > 0 when b > 0,
+    since every remainder is then nonnegative."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -75,13 +79,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Canonical row HNF; zero rows dropped.
 
-    One pass clears each column under the pivot row top (Cohen, GTM 138, §2.4):
-    a row whose entry b the pivot entry p divides loses (b/p)·top; otherwise
-    top and row become (s·top + t·row, (p/g)·row − (b/g)·top), g = s·p + t·b.
+    One pass per column (Cohen, GTM 138, §2.4): its first nonzero entry, made
+    positive, is the pivot p of row top.  A row below whose entry b p divides
+    loses (b/p)·top; otherwise top and row become (s·top + t·row,
+    (p/g)·row − (b/g)·top), g = s·p + t·b = gcd(p, b), and p becomes g.  The
+    rows above come last, indexed from the end of the rows below, so each
+    loses ⌊entry/p⌋·top for the final p.  Four-wide rows, every lattice span
+    and sum, run on int tuples with each row operation written out.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
+    four = n == 4
+    a = list(map(tuple if four else list, rows))
     rank = 0
     for col in range(n):
         for piv in range(rank, m):
@@ -92,28 +101,35 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
         top = a[piv]
         a[piv] = a[rank]
         p = top[col]
-        for i in range(piv + 1, m):
-            b = a[i][col]
-            if not b:
-                continue
-            if b % p:
-                g, s, t = _xgcd(p, b)
-                pg, bg = p // g, b // g
-                row = a[i]
-                a[i] = [pg * x - bg * y for x, y in zip(row, top)]
-                top, p = [s * y + t * x for x, y in zip(row, top)], g
-            else:
-                t = b // p
-                a[i] = [x - t * y for x, y in zip(a[i], top)]
         if p < 0:
             top, p = [-x for x in top], -p
-        a[rank] = top
-        for i in range(rank):
-            t = a[i][col] // p
-            if t:
-                a[i] = [x - t * y for x, y in zip(a[i], top)]
+        if four:
+            t0, t1, t2, t3 = top
+        for i in range(piv + 1 - m, rank):
+            row = a[i]
+            b = row[col]
+            if not b:
+                continue
+            if i < 0 and b % p:
+                g, t, s = _xgcd(b, p)
+                pg, bg = p // g, b // g
+                if four:
+                    r0, r1, r2, r3 = row
+                    a[i] = (pg * r0 - bg * t0, pg * r1 - bg * t1, pg * r2 - bg * t2, pg * r3 - bg * t3)
+                    t0, t1, t2, t3 = s * t0 + t * r0, s * t1 + t * r1, s * t2 + t * r2, s * t3 + t * r3
+                else:
+                    a[i] = [pg * x - bg * y for x, y in zip(row, top)]
+                    top = [s * y + t * x for x, y in zip(row, top)]
+                p = g
+            elif t := b // p:
+                if four:
+                    r0, r1, r2, r3 = row
+                    a[i] = (r0 - t * t0, r1 - t * t1, r2 - t * t2, r3 - t * t3)
+                else:
+                    a[i] = [x - t * y for x, y in zip(row, top)]
+        a[rank] = (t0, t1, t2, t3) if four else top
         rank += 1
-    return a[:rank]
+    return list(map(list, a[:rank]))
 
 
 def _vanishing_part(gens: list[list[int]], n: int) -> list[list[int]]:
@@ -128,14 +144,36 @@ def _vanishing_part(gens: list[list[int]], n: int) -> list[list[int]]:
 def congruence_kernel(rows: list[list[int]], modulus: int) -> list[list[int]]:
     """Basis (HNF) of {v in Z^n : rows @ v ≡ 0 (mod modulus)}.
 
-    The vanishing part of the lattice spanned by (rowsᵀ·e_i, e_i) and
-    (modulus·e_j, 0), which is {(rows @ v + modulus·w, v)}.  Modulus 0 gives
-    the exact kernel {v : rows @ v = 0}: its modulus generators are zero rows,
-    which ``hnf`` drops.
+    One four-wide row ℓ and a modulus M > 0 give the HNF in closed form.  With
+    g_i = gcd(ℓ_i, ..., ℓ_4, M) and g_5 = M, row i has pivot g_{i+1}/g_i, and
+    its tail is −ℓ_i/g_i times the Bézout coefficients of g_{i+1} on
+    ℓ_{i+1}, ..., ℓ_4 (so ℓ·row = −(ℓ_i/g_i)·(its coefficient on M)·M); the
+    four rows lie in the kernel and their pivots multiply to its index
+    M/g_1, so they span it, and reducing above each pivot leaves its HNF.
+
+    Otherwise: the vanishing part of the lattice spanned by (rowsᵀ·e_i, e_i)
+    and (modulus·e_j, 0), which is {(rows @ v + modulus·w, v)}.  Modulus 0
+    gives the exact kernel {v : rows @ v = 0}: its modulus generators are
+    zero rows, which ``hnf`` drops.
     """
     if not rows:
         raise InvalidParametersError("empty congruence system")
     r, n = len(rows), len(rows[0])
+    if r == 1 and n == 4 and modulus > 0:
+        l1, l2, l3, l4 = rows[0]
+        g4, s4, _ = _xgcd(l4, modulus)
+        g3, s3, t3 = _xgcd(l3, g4)
+        g2, s2, t2 = _xgcd(l2, g3)
+        g1 = gcd(l1, g2)
+        u1, u2, u3 = -l1 // g1, -l2 // g2, -l3 // g3
+        a, b, c, e = g2 // g1, u1 * s2, u1 * t2 * s3, u1 * t2 * t3 * s4
+        f, h, i = g3 // g2, u2 * s3, u2 * t3 * s4
+        j, k, last = g4 // g3, u3 * s4, modulus // g4
+        t = b // f
+        b, c, e = b - t * f, c - t * h, e - t * i
+        t, w = c // j, h // j
+        c, e, h, i = c - t * j, e - t * k, h - w * j, i - w * k
+        return [[a, b, c, e % last], [0, f, h, i % last], [0, 0, j, k % last], [0, 0, 0, last]]
     gens = [[row[i] for row in rows] + [int(i == j) for j in range(n)] for i in range(n)]
     gens += [[modulus if j == i else 0 for j in range(r)] + [0] * n for i in range(r)]
     return _vanishing_part(gens, r)
@@ -239,9 +277,14 @@ class ZLattice4:
 
     @classmethod
     def from_scaled_rows(cls, scaled_rows, ambient=None) -> "ZLattice4":
-        """The lattice spanned by rows given as (four int numerators, denominator > 0);
-        a row over the common denominator enters the elimination as it is."""
-        d, ints = lcm(*[den for _, den in scaled_rows]), []
+        """The lattice spanned by rows given as (four int numerators, denominator > 0).
+
+        One pass brings the rows to their common denominator d, a row over d
+        as it is, and finds the gcd g of d and every numerator; dividing the
+        HNF by g leaves it in HNF, so the rows of the reduced lattice are
+        built once, after the elimination."""
+        d = lcm(*[den for _, den in scaled_rows])
+        ints, g = [], d
         for nums, den in scaled_rows:
             if len(nums) != 4:
                 raise InvalidParametersError("ZLattice4 rows must have length 4")
@@ -249,16 +292,19 @@ class ZLattice4:
                 a, b, c, e = nums
                 t = d // den
                 nums = (a * t, b * t, c * t, e * t)
+            if g > 1:
+                g = gcd(g, *nums)
             ints.append(nums)
-        return cls._from_hnf(d, hnf(ints), ambient)
+        h = hnf(ints)
+        if g > 1:
+            return cls(d // g, tuple([(a // g, b // g, c // g, e // g) for a, b, c, e in h]), ambient)
+        return cls(d, tuple(map(tuple, h)), ambient)
 
     @classmethod
     def _from_hnf(cls, d: int, h: list, ambient) -> "ZLattice4":
         """The lattice (1/d)·h for int rows h already in HNF, in reduced form:
         dividing an HNF by a common factor leaves it in HNF."""
-        if not h:
-            return cls(1, (), ambient)
-        g = gcd(d, *[x for r in h for x in r])
+        g = gcd(d, *[x for r in h for x in r]) if d > 1 else 1
         if g > 1:
             d //= g
             h = [[x // g for x in r] for r in h]
@@ -335,12 +381,15 @@ class ZLattice4:
 
     def add(self, other: "ZLattice4") -> "ZLattice4":
         """The sum lattice self + other: one elimination of both sets of
-        four-wide rows, as stored when the two denominators agree."""
+        four-wide rows, as stored when the two denominators agree.  Over the
+        lcm d of two reduced denominators the sum is reduced too: a prime
+        power dividing d exactly divides one side's denominator exactly, and
+        that side has a numerator the prime misses."""
         self._check_ambient(other)
         d = lcm(self.denom, other.denom)
         rows = self.rows + other.rows if self.denom == other.denom else (
             self.scaled_rows(d) + other.scaled_rows(d))
-        return ZLattice4._from_hnf(d, hnf(rows), self.ambient or other.ambient)
+        return ZLattice4(d, tuple(map(tuple, hnf(rows))), self.ambient or other.ambient)
 
     def covolume(self) -> tuple[int, int]:
         """(numerator, denominator) of a full-rank lattice's covolume: a rank-4

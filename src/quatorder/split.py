@@ -547,9 +547,8 @@ def verify_splitting(splitting: LocalSplitting) -> Report:
         scaled = [(img[1:], img[0]) for img in images]
         image_lat = ZLattice4.from_scaled_rows(scaled, ambient=("m2q", params.level))
         n_level = params.level
-        target_lat = ZLattice4.from_rows(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, n_level, 0], [0, 0, 0, 1]],
-            ambient=("m2q", params.level),
+        target_lat = ZLattice4._from_hnf(
+            1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, n_level, 0), (0, 0, 0, 1)), ("m2q", n_level)
         )
         report.add(
             "rational.image_lattice",

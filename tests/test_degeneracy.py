@@ -8,9 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quatorder import chains as chains_module
 from quatorder import degeneracy as degeneracy_module
 from quatorder import exact as exact_module
 from quatorder import quat as quat_module
+from quatorder import split as split_module
+from quatorder.chains import verify_chain
 from quatorder.degeneracy import (
     DEG_AT_P,
     DEG_NONSQUARE,
@@ -419,6 +422,10 @@ KERNEL_FAULTS = {
         ZLattice4, "add", ZLattice4.add, "self.rows + other.rows if", "self.rows + self.rows if",
         None, ("intersection.index",),
     ),
+    "four-wide elimination, a subtraction's last term dropped": (
+        exact_module, "hnf", exact_module.hnf, "r3 - t * t3)", "r3)",
+        None, ("closure.g", "kernel.f", "kernel.g"),
+    ),
     "trace form, wrong k weight": (
         exact_module, "_scaled_gram", exact_module._scaled_gram, "w4 = w3 * dn", "w4 = w3",
         None, ("discriminant.f", "discriminant.g"),
@@ -465,3 +472,31 @@ def test_a_one_site_kernel_fault_moves_its_family_on_the_flagship_pair(monkeypat
     after = {c.check_id: c.ok for c in verify_degeneracy(pair).checks}
     assert sorted(i for i in before if before[i] != after[i]) == sorted(moved)
     assert all(after[i] for i in moved) == (mutation is not None)
+
+
+# A one-site fault in the closed-form one-congruence kernel, set where route
+# three reads it (``chains.chain_oracle`` and ``LocalSplitting.congruence_lattice``
+# import it by name), and the checks of verify_chain(35, q) whose verdict it
+# moves.  At q = 2 the residues share the factor 2 with M = 2^k, so the last
+# pivot M/g_4 is not M; at q = 11 the tail of the row of the third coordinate
+# carries the kernel condition.
+ORACLE_CONTAINS = tuple(f"oracle.contains_closed.depth{d}" for d in (8, 10, 12))
+CLOSED_FORM_FAULTS = {
+    "last pivot M, not M/g_4": (
+        2, "modulus // g4", "modulus",
+        (*ORACLE_CONTAINS, "oracle.descending.depth8_10", "oracle.descending.depth10_12"),
+    ),
+    "third row's tail with its sign flipped": (11, "-l3 // g3", "l3 // g3", ORACLE_CONTAINS),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CLOSED_FORM_FAULTS))
+def test_a_one_site_closed_form_kernel_fault_moves_route_three(monkeypatch, fault):
+    q, old, new, moved = CLOSED_FORM_FAULTS[fault]
+    before = {c.check_id: c.ok for c in verify_chain(35, q)[1].checks}
+    faulty = one_site_fault(exact_module.congruence_kernel, old, new)
+    for module in (chains_module, split_module):
+        monkeypatch.setattr(module, "congruence_kernel", faulty)
+    after = {c.check_id: c.ok for c in verify_chain(35, q)[1].checks}
+    assert sorted(i for i in before if before[i] != after[i]) == sorted(moved)
+    assert not any(after[i] for i in moved)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quatorder.errors import AmbientMismatchError, InvalidParametersError
 from quatorder.exact import (
     ZLattice4,
+    _vanishing_part,
     congruence_kernel,
     det4,
     frac_to_str,
@@ -123,6 +124,13 @@ def test_lattice_intersection():
     inter = a.intersect(b)
     assert inter.rank == 1
     assert inter.rows == ((1, 0, 0, 0),)
+    # over the common denominator 2 the vanishing part is 2·Z^4, stored reduced
+    half = ZLattice4.from_rows(
+        [[Fraction(1, 2), Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    unit = ZLattice4.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    assert half.denom == 2
+    assert (half.intersect(unit).denom, half.intersect(unit).rows) == (1, unit.rows)
 
 
 def test_lattice_ambient_guard():
@@ -355,3 +363,92 @@ def wide_matrix(draw):
 @example([[3, 10**40, 0, 0, 0], [5, 0, 10**40, 0, 0], [0] * 5, [3, 10**40, 0, 0, 0], [7, 1, 1, 1, 1]])
 def test_hnf_matches_the_euclidean_reference_at_wide_scale(a):
     assert hnf(a) == euclid_hnf(a)
+
+
+def generic_hnf(rows):
+    """``hnf``'s loop for any width, on four-wide rows: a zero fifth column
+    leaves the HNF's values as they are."""
+    return [r[:4] for r in hnf([[*r, 0] for r in rows])]
+
+
+@st.composite
+def four_wide_rows(draw):
+    """1 to 9 four-wide rows, all lists or all tuples, with entries up to
+    10^40, some rows zeroed, negated, repeated or replaced by a combination of
+    two others (so they may be dependent)."""
+    m = draw(st.integers(1, 9))
+    a = [draw(st.lists(wide_entry_st, min_size=4, max_size=4)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        c = draw(st.integers(-(10**20), 10**20))
+        a[i] = draw(
+            st.sampled_from(
+                ([0] * 4, [-x for x in a[j]], list(a[j]), [x + c * y for x, y in zip(a[j], a[k])])
+            )
+        )
+    return a if draw(st.booleans()) else [tuple(r) for r in a]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(four_wide_rows())
+@example([[0, 0, 0, 0]])
+@example([(0, -3, 6, 9), (0, 0, 0, 0), (0, -3, 6, 9), (0, 2, -4, 5)])
+@example([(2, 0, 0, 2), (0, 0, 0, 2), (0, -2, 0, 0), (-2, -2, -2, 2)])
+@example([[-(10**40), 1, 0, 0], [10**40 - 1, 0, 1, 0], [7, 0, 0, 1]] * 3)
+def test_four_wide_hnf_matches_the_generic_loop_and_the_euclidean_reference(a):
+    """The four-wide tuple loop gives the generic loop's values and the
+    reference's, as a list of lists, and leaves its input as it was."""
+    before = [list(r) for r in a]
+    h = hnf(a)
+    assert type(h) is list and all(type(r) is list for r in h)
+    assert h == generic_hnf(a) == euclid_hnf(a)
+    assert [list(r) for r in a] == before
+
+
+def generic_kernel(ell, modulus):
+    """``congruence_kernel``'s generic route for one four-wide row: the
+    vanishing part of the span of (ℓ_i, e_i) and (modulus, 0)."""
+    gens = [[x] + [int(i == j) for j in range(4)] for i, x in enumerate(ell)]
+    return _vanishing_part(gens + [[modulus, 0, 0, 0, 0]], 1)
+
+
+@st.composite
+def one_congruence(draw):
+    """(ℓ, M) with M = q^k, q in {2, 3, 11, 13} and k <= 24, or any M up to
+    10^12; ℓ has zero, negative and large entries (up to 10^40, so many are
+    >= M), shares powers of q and small factors with M, is ≡ 0 mod M, or
+    has entries ±u_i·q^(e_i) with ascending e_i, so that every g_i differs."""
+    q, k = draw(st.sampled_from((2, 3, 11, 13))), draw(st.integers(0, 24))
+    modulus = q**k if draw(st.booleans()) else draw(st.integers(1, 10**12))
+    kind = draw(st.sampled_from(("free", "shared", "chain", "zero")))
+    if kind == "chain":  # ℓ_i = ±u_i·q^(e_i), e_1 <= ... <= e_4: every pivot and Bézout step counts
+        exps = sorted(draw(st.lists(st.integers(0, k), min_size=4, max_size=4)))
+        unit = st.integers(1, 10**6).filter(lambda u: u % q)
+        units = draw(st.lists(unit, min_size=4, max_size=4))
+        return [u * q**e * draw(st.sampled_from((1, -1))) for u, e in zip(units, exps)], q**k
+    ell = []
+    for _ in range(4):
+        x = draw(st.one_of(st.just(0), st.integers(-3 * modulus, 3 * modulus), wide_entry_st))
+        if kind == "shared":
+            x *= q ** draw(st.integers(0, k)) * draw(st.integers(1, 12))
+        elif kind == "zero":
+            x = modulus * draw(st.integers(-3, 3))
+        ell.append(x)
+    return ell, modulus
+
+
+@settings(SETTINGS, max_examples=300)
+@given(one_congruence())
+@example(([0, 0, 0, 0], 5))
+@example(([5, -10, 0, 15], 5))
+@example(([0, 0, 5973, 1931], 3**8))
+@example(([2, 4, 8, 16], 2**24))
+@example(([13**24, 0, -13**3, 13], 13**24))
+@example(([11**30, -(11**25), 11**24 + 1, 0], 11**24))
+@example(([-784, 55, -544, 20], 2**7))
+@example(([390, -176, 15390, 1170], 3**5))
+def test_one_congruence_closed_form_matches_the_generic_route(case):
+    ell, modulus = case
+    kernel = congruence_kernel([ell], modulus)
+    assert type(kernel) is list and all(type(r) is list for r in kernel)
+    assert kernel == generic_kernel(ell, modulus)
